@@ -8,9 +8,8 @@ to, constructive reductions between all of these, and exhaustive oracles
 for verification.
 """
 
-from .census_solvers import (BudgetExceeded, EmptyLetterPresent, EwmmCertificate,
-                             LoopVariable, solve_ewmm, solve_gwmm,
-                             solve_gwmm_binary_guard)
+from .census_solvers import (BudgetExceeded, EwmmCertificate, LoopVariable,
+                             solve_ewmm, solve_gwmm)
 from .ilp import (Assignment, Constraint, IntegerProgram, MalformedProgram,
                   ProvenInfeasible, dump_program, propagate_bounds,
                   solve_feasibility)
@@ -25,13 +24,13 @@ from .variety import (Multiset, SubsetCertificate, TripleCover, combined_variety
 
 __all__ = [
     "Assignment", "BudgetExceeded", "CensusRequirement", "Constraint", "EMPTY",
-    "EmptyLetterPresent", "EwmmCertificate", "HeatInstance", "IntegerProgram",
+    "EwmmCertificate", "HeatInstance", "IntegerProgram",
     "LoopVariable", "MalformedProgram", "MealyMachine", "MulticoloredGraph",
     "Multiset", "ProvenInfeasible", "SplitsInstance", "SubsetCertificate",
     "Transition", "TripleCover", "WalkDecomposition", "census_of",
     "combined_variety", "decompose_walk", "dump_program", "heat_to_ewmm",
     "mcc_to_gwmm", "propagate_bounds", "run", "solve_3partition", "solve_ewmm",
-    "solve_feasibility", "solve_gwmm", "solve_gwmm_binary_guard", "solve_nmts",
+    "solve_feasibility", "solve_gwmm", "solve_nmts",
     "solve_num_3dm", "solve_partition", "solve_subset_sum", "splits_to_gwmm",
     "subdivide", "subsetsum_to_partition",
 ]

@@ -9,10 +9,14 @@ Two problems over a nondeterministic machine M and a census requirement c:
   integer-program engine.
 
 * given-word: for a fixed input word x, is there a computation reading all
-  of x whose output meets c exactly?  Solved by a boolean table indexed by
-  (state, partial census, input position, trailing empty-move count), filled
-  forward from the start configuration; traces are rebuilt by a second
-  backward pass over the table, without back-pointers.
+  of x whose output meets c exactly?  Solved by a boolean table, kept as the
+  set of its true entries (state, partial census, input position, trailing
+  empty-move count), filled forward from the start configuration; traces are
+  rebuilt by a second backward pass over the table, without back-pointers.
+  Entries whose census can no longer be met from the rest of x are never
+  stored, so a census total above |x| on a machine whose empty-read moves
+  write no tracked letter is rejected before the first entry, however large
+  its counts.
 """
 
 from __future__ import annotations
@@ -21,21 +25,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .ilp import EQ, Constraint, IntegerProgram, solve_feasibility
 from .mealy import EMPTY, CensusRequirement, MealyMachine, subdivide
 
 DEFAULT_BUDGET = 2_000_000
-DEFAULT_DENSE_CAP = 1 << 21
 
 
 class BudgetExceeded(Exception):
     """Search node cap hit; the verdict is unknown rather than no."""
-
-
-class EmptyLetterPresent(ValueError):
-    """The cardinality guard requires an input alphabet without EMPTY."""
 
 
 class DpIndex(NamedTuple):
@@ -265,55 +262,25 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
     return None
 
 
-class _Table:
-    """True-entry store for the given-word table; dense under a volume cap."""
-
-    def __init__(self, states: Sequence[str], dims: tuple[int, ...],
-                 word_len: int, dense_cap: int):
-        self.state_index = {s: i for i, s in enumerate(sorted(states))}
-        shape = (len(states), *dims, word_len + 1, max(len(states), 1))
-        volume = 1
-        for d in shape:
-            volume *= d
-        self.dense = volume <= dense_cap
-        if self.dense:
-            self.array = np.zeros(shape, dtype=bool)
-        else:
-            self.entries: set[DpIndex] = set()
-
-    def add(self, index: DpIndex) -> bool:
-        if self.dense:
-            key = (self.state_index[index.state], *index.partial_census,
-                   index.input_position, index.propagation)
-            if self.array[key]:
-                return False
-            self.array[key] = True
-            return True
-        if index in self.entries:
-            return False
-        self.entries.add(index)
-        return True
-
-    def __contains__(self, index: DpIndex) -> bool:
-        if self.dense:
-            key = (self.state_index[index.state], *index.partial_census,
-                   index.input_position, index.propagation)
-            return bool(self.array[key])
-        return index in self.entries
-
-
-def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
-               dense_cap: int = DEFAULT_DENSE_CAP) -> Optional[tuple[int, ...]]:
+def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement
+               ) -> Optional[tuple[int, ...]]:
     """Decide whether a computation reading all of ``x`` meets ``c`` exactly.
 
     Returns a transition-index trace replayable through the machine, or None.
     An entry (s, counts, i, p) is true when some computation reads the first
     i letters of x, writes each required letter exactly counts-many times,
     ends with p trailing moves that read and write the empty letter, and sits
-    in state s.  Entries are filled forward from the start entry; p is capped
-    below |states| since longer all-empty runs revisit a state and can be cut
-    without changing census or reading position.  Always exact: never
-    reports unknown.
+    in state s.  The table is the set of true entries, filled forward from
+    the start entry; p is capped below |states| since longer all-empty runs
+    revisit a state and can be cut without changing census or reading
+    position.
+
+    An entry is pruned when the rest of x cannot make up its census
+    deficit: per letter, when only reading moves write that letter, and in
+    total, when no empty-read move writes a tracked letter.  The start entry
+    is checked too, so a census totalling more than |x| on such a machine,
+    even with counts given in binary, is rejected without a table.  Always
+    exact: never reports unknown.
     """
     for letter in x:
         if letter is EMPTY:
@@ -380,7 +347,7 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
                 return True
         return False
 
-    table = _Table(sorted(m.states), tuple(t + 1 for t in targets), n, dense_cap)
+    table: set[DpIndex] = set()
     final: Optional[DpIndex] = None
     base = DpIndex(m.start, zero, 0, 0)
     if not dead(zero, 0):
@@ -416,7 +383,8 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
                 if dead(census2, position2):
                     continue
                 successor = DpIndex(target, census2, position2, p2)
-                if table.add(successor):
+                if successor not in table:
+                    table.add(successor)
                     if census2 == targets and position2 == n:
                         final = successor
                         break
@@ -474,20 +442,3 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
     trace.reverse()
     return tuple(trace)
 
-
-def solve_gwmm_binary_guard(m: MealyMachine, x: Sequence, c: CensusRequirement,
-                            dense_cap: int = DEFAULT_DENSE_CAP
-                            ) -> Optional[tuple[int, ...]]:
-    """Given-word solver with the cardinality guard applied first.
-
-    With no empty letter in the input alphabet, every transition consumes an
-    input letter, so a census totalling more than |x| is unmeetable and is
-    rejected without building the table.  This keeps the running time
-    polynomial for a fixed output alphabet even when the census counts are
-    given in binary.
-    """
-    if EMPTY in m.input_alphabet:
-        raise EmptyLetterPresent("guard applies only when EMPTY is not readable")
-    if c.total() > len(x):
-        return None
-    return solve_gwmm(m, x, c, dense_cap=dense_cap)

@@ -9,7 +9,7 @@ a human-checkable certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .ilp import EQ, Constraint, IntegerProgram, solve_feasibility
 
@@ -146,35 +146,38 @@ def solve_partition(a: Multiset) -> Optional[SubsetCertificate]:
     return _selection_certificate(a, assignment)
 
 
-def num3dm_program(a: Multiset, b: Multiset, c: Multiset, s: int) -> IntegerProgram:
-    """Counting variables for value triples that sum to the target.
+def _triple_program(a: Multiset, b: Multiset, c: Multiset,
+                    third: Callable[[int, int], int]) -> IntegerProgram:
+    """Counting variables for value triples (va, vb, third(va, vb)).
 
-    Variables exist only for (i, j, l) index triples whose values sum to s;
-    omitted triples are exactly those forced to zero.  Row constraints make
-    every element of each source multiset appear in some triple.
+    Variables exist only for (i, j, l) index triples whose third value is
+    the one ``third`` asks for; omitted triples are exactly those forced to
+    zero.  Row constraints make every element of each source multiset
+    appear in some triple.
     """
     variables = []
-    rows_a: dict[int, dict[str, int]] = {i: {} for i in range(a.variety())}
-    rows_b: dict[int, dict[str, int]] = {j: {} for j in range(b.variety())}
-    rows_c: dict[int, dict[str, int]] = {l: {} for l in range(c.variety())}
+    sources = (a, b, c)
+    rows: list[list[dict[str, int]]] = [[{} for _ in ms.entries] for ms in sources]
     for i, (va, ma) in enumerate(a.entries):
         for j, (vb, mb) in enumerate(b.entries):
+            wanted = third(va, vb)
             for l, (vc, mc) in enumerate(c.entries):
-                if va + vb + vc != s:
+                if vc != wanted:
                     continue
                 name = f"x{i+1}_{j+1}_{l+1}"
                 variables.append((name, 0, min(ma, mb, mc)))
-                rows_a[i][name] = 1
-                rows_b[j][name] = 1
-                rows_c[l][name] = 1
+                for row, index in zip(rows, (i, j, l)):
+                    row[index][name] = 1
     constraints = []
-    for i, (_, m) in enumerate(a.entries):
-        constraints.append(Constraint(rows_a[i], EQ, m))
-    for j, (_, m) in enumerate(b.entries):
-        constraints.append(Constraint(rows_b[j], EQ, m))
-    for l, (_, m) in enumerate(c.entries):
-        constraints.append(Constraint(rows_c[l], EQ, m))
+    for ms, row in zip(sources, rows):
+        for index, (_, m) in enumerate(ms.entries):
+            constraints.append(Constraint(row[index], EQ, m))
     return IntegerProgram(variables=tuple(variables), constraints=tuple(constraints))
+
+
+def num3dm_program(a: Multiset, b: Multiset, c: Multiset, s: int) -> IntegerProgram:
+    """Triple program with the condition first+second+third = s."""
+    return _triple_program(a, b, c, lambda va, vb: s - va - vb)
 
 
 def _extract_triples(a: Multiset, b: Multiset, c: Multiset, assignment) -> TripleCover:
@@ -205,29 +208,8 @@ def solve_num_3dm(a: Multiset, b: Multiset, c: Multiset, s: int) -> Optional[Tri
 
 
 def nmts_program(a: Multiset, b: Multiset, s: Multiset) -> IntegerProgram:
-    """Same construction with the condition first+second = third."""
-    variables = []
-    rows_a: dict[int, dict[str, int]] = {i: {} for i in range(a.variety())}
-    rows_b: dict[int, dict[str, int]] = {j: {} for j in range(b.variety())}
-    rows_s: dict[int, dict[str, int]] = {l: {} for l in range(s.variety())}
-    for i, (va, ma) in enumerate(a.entries):
-        for j, (vb, mb) in enumerate(b.entries):
-            for l, (vs, ms) in enumerate(s.entries):
-                if va + vb != vs:
-                    continue
-                name = f"x{i+1}_{j+1}_{l+1}"
-                variables.append((name, 0, min(ma, mb, ms)))
-                rows_a[i][name] = 1
-                rows_b[j][name] = 1
-                rows_s[l][name] = 1
-    constraints = []
-    for i, (_, m) in enumerate(a.entries):
-        constraints.append(Constraint(rows_a[i], EQ, m))
-    for j, (_, m) in enumerate(b.entries):
-        constraints.append(Constraint(rows_b[j], EQ, m))
-    for l, (_, m) in enumerate(s.entries):
-        constraints.append(Constraint(rows_s[l], EQ, m))
-    return IntegerProgram(variables=tuple(variables), constraints=tuple(constraints))
+    """Triple program with the condition first+second = third."""
+    return _triple_program(a, b, s, lambda va, vb: va + vb)
 
 
 def solve_nmts(a: Multiset, b: Multiset, s: Multiset) -> Optional[TripleCover]:

@@ -2,9 +2,8 @@
 
 import pytest
 
-from varsolve.census_solvers import (BudgetExceeded, DpIndex, EmptyLetterPresent,
-                                     solve_ewmm, solve_gwmm,
-                                     solve_gwmm_binary_guard)
+from varsolve.census_solvers import (BudgetExceeded, DpIndex, solve_ewmm,
+                                     solve_gwmm)
 from varsolve.corpus import (check_ewmm, check_gwmm, check_gwmm_guard, make_rng,
                              random_gwmm_census, random_machine, random_word)
 from varsolve.mealy import (EMPTY, CensusRequirement, MealyMachine, Transition,
@@ -113,36 +112,16 @@ def test_gwmm_oracle_equivalence():
     assert check_gwmm(42, 300) == 300
 
 
-def test_gwmm_dense_and_sparse_agree():
-    rng = make_rng(23)
-    for _ in range(120):
-        m = random_machine(rng)
-        x = random_word(rng, m)
-        c = random_gwmm_census(rng, m, x)
-        dense = solve_gwmm(m, x, c, dense_cap=1 << 22)
-        sparse = solve_gwmm(m, x, c, dense_cap=0)
-        assert (dense is None) == (sparse is None)
-        if dense is not None:
-            assert census_of(run(m, x, dense)) == census_of(run(m, x, sparse)) == c
-
-
 def test_binary_guard_fires_without_table():
     m = machine({"q"}, "q", {"a"}, {"b"}, [("q", "a", "q", "b")])
-    assert solve_gwmm_binary_guard(m, "aaa", CensusRequirement.of({"b": 10})) is None
+    assert solve_gwmm(m, "aaa", CensusRequirement.of({"b": 10})) is None
+    assert solve_gwmm(m, "aaa", CensusRequirement.of({"b": 10**12})) is None
 
 
 def test_binary_guard_exact_total():
     c = CensusRequirement.of({"a": 2, "b": 1})
-    assert solve_gwmm_binary_guard(IDENTITY, "aab", c) is not None
-    assert solve_gwmm_binary_guard(
-        IDENTITY, "abb", CensusRequirement.of({"a": 2, "b": 1})) is None
-
-
-def test_binary_guard_requires_empty_free_inputs():
-    m = machine({"q"}, "q", {"a", EMPTY}, {"b"},
-                [("q", "a", "q", "b"), ("q", EMPTY, "q", "b")])
-    with pytest.raises(EmptyLetterPresent):
-        solve_gwmm_binary_guard(m, "a", CensusRequirement.of({"b": 1}))
+    assert solve_gwmm(IDENTITY, "aab", c) is not None
+    assert solve_gwmm(IDENTITY, "abb", CensusRequirement.of({"a": 2, "b": 1})) is None
 
 
 def test_binary_guard_oracle_agreement():

@@ -1,8 +1,12 @@
 """Command-line behavior: exit codes, verdict lines, pipelines, errors."""
 
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import varsolve
 from varsolve.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -151,3 +155,12 @@ def test_threepartition_requires_multiple_of_three(capsys):
     code, out, err = run_cli(capsys, "threepartition", str(FIXTURES / "part1.txt"))
     assert code == 2
     assert "multiple of 3" in err
+
+
+def test_cli_import_loads_no_numpy():
+    package_root = str(Path(varsolve.__file__).resolve().parent.parent)
+    search_path = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in search_path if p))
+    subprocess.run([sys.executable, "-c",
+                    "import varsolve.cli, sys; assert 'numpy' not in sys.modules"],
+                   env=env, check=True, timeout=60)

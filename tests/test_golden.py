@@ -67,3 +67,32 @@ def test_num3dm_cover_golden(capsys):
                         "--certificate")
     assert code == 0
     assert out == "YES\n1 2 3 1\n2 1 3 1\n"
+
+
+def test_num3dm_dump_ilp_golden(capsys):
+    code, out = capture(capsys, "num3dm", str(FIXTURES / "n3dm1.txt"),
+                        "--dump-ilp")
+    assert code == 0
+    assert out == ("0 <= x1_2_1 <= 1\n"
+                   "0 <= x2_1_1 <= 1\n"
+                   "1*x1_2_1 = 1\n"
+                   "1*x2_1_1 = 1\n"
+                   "1*x2_1_1 = 1\n"
+                   "1*x1_2_1 = 1\n"
+                   "1*x1_2_1 + 1*x2_1_1 = 2\n"
+                   "YES\n")
+
+
+def test_nmts_dump_ilp_golden(capsys):
+    code, out = capture(capsys, "nmts", str(FIXTURES / "nmts1.txt"),
+                        "--dump-ilp")
+    assert code == 0
+    assert out == ("0 <= x1_1_1 <= 1\n"
+                   "0 <= x2_2_2 <= 1\n"
+                   "1*x1_1_1 = 1\n"
+                   "1*x2_2_2 = 1\n"
+                   "1*x1_1_1 = 1\n"
+                   "1*x2_2_2 = 1\n"
+                   "1*x1_1_1 = 1\n"
+                   "1*x2_2_2 = 1\n"
+                   "YES\n")
