@@ -2,9 +2,12 @@
 
 Every program handled here has an explicit finite box per variable, so a
 depth-first search over variable assignments, combined with interval
-propagation and per-constraint divisibility cuts, is complete.  All
-arithmetic is exact unbounded-magnitude Python integers; there is no
-floating-point relaxation anywhere.
+propagation and per-constraint divisibility cuts, is complete.  Before the
+search, a rank check on the equality rows rejects programs whose equalities
+have no rational solution at all.  The search keeps an explicit stack, one
+frame per branched variable, so its depth is not limited by Python's
+recursion limit.  All arithmetic is exact unbounded-magnitude Python
+integers; there is no floating-point relaxation anywhere.
 """
 
 from __future__ import annotations
@@ -185,14 +188,72 @@ def propagate_bounds(program: IntegerProgram) -> IntegerProgram:
     return IntegerProgram(variables=variables, constraints=program.constraints)
 
 
+def _equalities_consistent(program: IntegerProgram) -> bool:
+    """Whether the equality rows have a rational solution, ignoring boxes.
+
+    Fraction-free Gaussian elimination over sparse integer rows, with the
+    right-hand side carried along and each row divided by its gcd; the
+    equalities are inconsistent exactly when a row reduces to ``0 = r`` with
+    r != 0.
+    """
+    pivots: list[tuple[str, dict[str, int], int]] = []
+    for con in program.constraints:
+        if con.relation != EQ:
+            continue
+        row = {name: c for name, c in con.coeffs.items() if c}
+        rhs = con.rhs
+        for var, prow, prhs in pivots:
+            c = row.get(var)
+            if not c:
+                continue
+            p = prow[var]
+            row = {name: p * c_row for name, c_row in row.items()}
+            for name, c_piv in prow.items():
+                value = row.get(name, 0) - c * c_piv
+                if value:
+                    row[name] = value
+                else:
+                    row.pop(name, None)
+            rhs = p * rhs - c * prhs
+            g = math.gcd(rhs, *row.values())
+            if g > 1:
+                row = {name: value // g for name, value in row.items()}
+                rhs //= g
+        if row:
+            pivots.append((next(iter(row)), row, rhs))
+        elif rhs != 0:
+            return False
+    return True
+
+
+def _branch_variable(order: tuple[str, ...],
+                     bounds: dict[str, tuple[int, int]]) -> Optional[str]:
+    """The unfixed variable with the narrowest box, ties by declaration order."""
+    branch_var = None
+    branch_width = None
+    for name in order:
+        lo, hi = bounds[name]
+        if lo == hi:
+            continue
+        width = hi - lo
+        if branch_width is None or width < branch_width:
+            branch_var = name
+            branch_width = width
+    return branch_var
+
+
 def solve_feasibility(program: IntegerProgram) -> Optional[Assignment]:
     """Decide feasibility over the boxes; return a witness or None.
 
     Complete over the box product: a None verdict means no integer point in
-    the boxes satisfies all constraints.  The search is depth-first on the
-    variable with the narrowest current box (ties by declaration order),
-    assigning candidate values in increasing order, with propagation and
-    divisibility cuts at every node, so the witness is deterministic.
+    the boxes satisfies all constraints.  After root propagation, a program
+    with two or more equalities is rejected at once when the equalities have
+    no rational solution.  The search is depth-first on the variable with
+    the narrowest current box (ties by declaration order), assigning
+    candidate values in increasing order, with propagation and divisibility
+    cuts at every node, so the witness is deterministic.  It runs on an
+    explicit stack of frames (bounds, branch variable, next value, last
+    value), one frame per branched variable.
     """
     program.validate()
     bounds = {name: (lo, hi) for name, lo, hi in program.variables}
@@ -200,39 +261,39 @@ def solve_feasibility(program: IntegerProgram) -> Optional[Assignment]:
         _propagate(program, bounds)
     except ProvenInfeasible:
         return None
+    if (sum(con.relation == EQ for con in program.constraints) >= 2
+            and not _equalities_consistent(program)):
+        return None
     order = program.variable_names()
 
-    def search(bounds: dict[str, tuple[int, int]]) -> Optional[dict[str, int]]:
-        branch_var = None
-        branch_width = None
-        for name in order:
-            lo, hi = bounds[name]
-            if lo == hi:
-                continue
-            width = hi - lo
-            if branch_width is None or width < branch_width:
-                branch_var = name
-                branch_width = width
-        if branch_var is None:
-            values = {name: bounds[name][0] for name in order}
-            return values if satisfies(program, values) else None
-        lo, hi = bounds[branch_var]
-        for value in range(lo, hi + 1):
-            child = dict(bounds)
-            child[branch_var] = (value, value)
-            try:
-                _propagate(program, child)
-            except ProvenInfeasible:
-                continue
-            found = search(child)
-            if found is not None:
-                return found
-        return None
-
-    values = search(bounds)
-    if values is None:
-        return None
-    return Assignment(values=values)
+    stack: list[list] = []
+    node: Optional[dict[str, tuple[int, int]]] = bounds
+    while True:
+        if node is not None:
+            branch_var = _branch_variable(order, node)
+            if branch_var is None:
+                values = {name: node[name][0] for name in order}
+                if satisfies(program, values):
+                    return Assignment(values=values)
+            else:
+                lo, hi = node[branch_var]
+                stack.append([node, branch_var, lo, hi])
+            node = None
+        if not stack:
+            return None
+        frame = stack[-1]
+        parent, branch_var, value, hi = frame
+        if value > hi:
+            stack.pop()
+            continue
+        frame[2] = value + 1
+        child = dict(parent)
+        child[branch_var] = (value, value)
+        try:
+            _propagate(program, child)
+        except ProvenInfeasible:
+            continue
+        node = child
 
 
 def dump_program(program: IntegerProgram) -> str:

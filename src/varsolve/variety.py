@@ -181,13 +181,17 @@ def num3dm_program(a: Multiset, b: Multiset, c: Multiset, s: int) -> IntegerProg
 
 
 def _extract_triples(a: Multiset, b: Multiset, c: Multiset, assignment) -> TripleCover:
+    """Read every used variable ``x{i}_{j}_{l}`` back as a value triple.
+
+    The triple builders name their variables by 1-based entry indices into
+    (a, b, c) and declare them in index order, so the cover lists triples in
+    that order.
+    """
     triples = []
-    for i, (va, _) in enumerate(a.entries):
-        for j, (vb, _) in enumerate(b.entries):
-            for l, (vc, _) in enumerate(c.entries):
-                count = assignment.values.get(f"x{i+1}_{j+1}_{l+1}", 0)
-                if count:
-                    triples.append((va, vb, vc, count))
+    for name, count in assignment.values.items():
+        if count:
+            i, j, l = (int(index) - 1 for index in name[1:].split("_"))
+            triples.append((a.entries[i][0], b.entries[j][0], c.entries[l][0], count))
     return TripleCover(triples=tuple(triples))
 
 
@@ -229,46 +233,38 @@ def solve_nmts(a: Multiset, b: Multiset, s: Multiset) -> Optional[TripleCover]:
 
 
 def three_partition_program(a: Multiset) -> IntegerProgram:
-    """Ordered index-triple counting variables with multiplicity weights.
+    """One counting variable per unordered index triple i <= j <= l.
 
     The coefficient of a triple variable in the row of value i is the number
     of positions of that triple holding value i (1, 2, or 3), so each row
-    states that value i is consumed exactly multiplicity(i) times.
+    states that value i is consumed exactly multiplicity(i) times; the box
+    of a triple is the number of copies its scarcest value allows.
     """
     n = a.cardinality() // 3
-    total = a.total()
-    s = total // n
+    s = a.total() // n
     variables = []
-    rows: dict[int, dict[str, int]] = {i: {} for i in range(a.variety())}
+    rows: list[dict[str, int]] = [{} for _ in a.entries]
     k = a.variety()
     for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                vi, mi = a.entries[i]
-                vj, mj = a.entries[j]
-                vl, ml = a.entries[l]
-                if vi + vj + vl != s:
+        for j in range(i, k):
+            for l in range(j, k):
+                triple = (i, j, l)
+                if sum(a.entries[idx][0] for idx in triple) != s:
                     continue
                 name = f"x{i+1}_{j+1}_{l+1}"
-                upper = n
-                for idx, mult in ((i, mi), (j, mj), (l, ml)):
-                    uses = (i, j, l).count(idx)
-                    upper = min(upper, mult // uses)
+                upper = min(n, *(a.entries[idx][1] // triple.count(idx)
+                                 for idx in triple))
                 variables.append((name, 0, upper))
-                for idx in (i, j, l):
-                    row = rows[idx]
-                    row[name] = row.get(name, 0) + 1
-    constraints = []
-    for i, (_, m) in enumerate(a.entries):
-        constraints.append(Constraint(rows[i], EQ, m))
-    return IntegerProgram(variables=tuple(variables), constraints=tuple(constraints))
+                for idx in triple:
+                    rows[idx][name] = rows[idx].get(name, 0) + 1
+    constraints = tuple(Constraint(row, EQ, m) for row, (_, m) in zip(rows, a.entries))
+    return IntegerProgram(variables=tuple(variables), constraints=constraints)
 
 
 def solve_3partition(a: Multiset) -> Optional[TripleCover]:
     """Partition the multiset into |A|/3 triples of equal sum.
 
-    The program counts ordered index patterns; the extractor emits each
-    used pattern as an unordered (sorted) triple.
+    Each used index triple is emitted with its values sorted.
     """
     if a.cardinality() % 3 != 0:
         raise NotDivisibleBy3("cardinality must be divisible by 3")
@@ -280,16 +276,5 @@ def solve_3partition(a: Multiset) -> Optional[TripleCover]:
     assignment = solve_feasibility(three_partition_program(a))
     if assignment is None:
         return None
-    merged: dict[tuple[int, int, int], int] = {}
-    k = a.variety()
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                count = assignment.values.get(f"x{i+1}_{j+1}_{l+1}", 0)
-                if count:
-                    vi = a.entries[i][0]
-                    vj = a.entries[j][0]
-                    vl = a.entries[l][0]
-                    key = tuple(sorted((vi, vj, vl)))
-                    merged[key] = merged.get(key, 0) + count
-    return TripleCover(triples=tuple((*t, c) for t, c in merged.items()))
+    cover = _extract_triples(a, a, a, assignment)
+    return TripleCover(triples=tuple((*sorted(t[:3]), t[3]) for t in cover.triples))

@@ -157,10 +157,22 @@ def test_threepartition_requires_multiple_of_three(capsys):
     assert "multiple of 3" in err
 
 
-def test_cli_import_loads_no_numpy():
+def package_env():
     package_root = str(Path(varsolve.__file__).resolve().parent.parent)
     search_path = [package_root, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in search_path if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in search_path if p))
+
+
+def test_cli_import_loads_no_numpy():
     subprocess.run([sys.executable, "-c",
                     "import varsolve.cli, sys; assert 'numpy' not in sys.modules"],
-                   env=env, check=True, timeout=60)
+                   env=package_env(), check=True, timeout=60)
+
+
+def test_python_m_varsolve_matches_main(capsys):
+    argv = ["subsetsum", str(FIXTURES / "ss1.txt"), "--certificate"]
+    code, out, _ = run_cli(capsys, *argv)
+    for module in ("varsolve", "varsolve.cli"):
+        done = subprocess.run([sys.executable, "-m", module, *argv], env=package_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (code, out)

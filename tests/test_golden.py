@@ -96,3 +96,21 @@ def test_nmts_dump_ilp_golden(capsys):
                    "1*x1_1_1 = 1\n"
                    "1*x2_2_2 = 1\n"
                    "YES\n")
+
+
+def test_threepartition_dump_ilp_golden(capsys):
+    # Entries 4, 1, 3, 2: one variable per unordered index triple, with a
+    # coefficient of 2 where a triple uses a value twice.
+    code, out = capture(capsys, "threepartition", str(FIXTURES / "tp1.txt"),
+                        "--dump-ilp", "--certificate")
+    assert code == 0
+    assert out == ("0 <= x1_2_4 <= 2\n"
+                   "0 <= x2_3_3 <= 1\n"
+                   "0 <= x3_4_4 <= 1\n"
+                   "1*x1_2_4 = 2\n"
+                   "1*x1_2_4 + 1*x2_3_3 = 3\n"
+                   "2*x2_3_3 + 1*x3_4_4 = 2\n"
+                   "1*x1_2_4 + 2*x3_4_4 = 2\n"
+                   "YES\n"
+                   "1 2 4 2\n"
+                   "1 3 3 1\n")

@@ -1,6 +1,7 @@
 """Feasibility engine: worked examples, propagation, and corpus properties."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varsolve.corpus import check_ilp, enumerate_feasibility, make_rng, random_program
 from varsolve.ilp import (Constraint, IntegerProgram, MalformedProgram,
@@ -116,3 +117,67 @@ def test_dump_format():
         "0 <= x2 <= 1",
         "3*x1 + 5*x2 <= 11",
     ]
+
+
+def test_rank_check_rejects_inconsistent_equalities():
+    # Propagation leaves every box at [0, 1000], and the search alone would
+    # fix about four variables before a box empties, some 10**12 nodes; the
+    # two rows have no rational solution together.
+    names = [f"x{i}" for i in range(6)]
+    row = {name: 1 for name in names}
+    boxes = [(name, 0, 1000) for name in names]
+    assert solve_feasibility(program(boxes, [(row, "=", 3000),
+                                             (row, "=", 3001)])) is None
+    witness = solve_feasibility(program(boxes, [(row, "=", 3000),
+                                                (row, "=", 3000)]))
+    assert [witness[name] for name in names] == [0, 0, 0, 1000, 1000, 1000]
+
+
+def test_search_deeper_than_recursion_limit():
+    # 1,100 branching levels: one frame per level on an explicit stack.
+    names = [f"x{i}" for i in range(1100)]
+    p = program([(name, 0, 1) for name in names],
+                [({name: 1 for name in names}, "=", 1)])
+    values = solve_feasibility(p).values
+    assert [name for name in names if values[name]] == [names[-1]]
+
+
+@st.composite
+def box_programs(draw):
+    """Small box programs whose equalities include one integer combination
+    of the others, with its right-hand side kept or shifted by 1."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    variables = []
+    for name in names:
+        lo = draw(st.integers(-3, 3))
+        variables.append((name, lo, lo + draw(st.integers(0, 4))))
+    point = {name: draw(st.integers(lo, hi)) for name, lo, hi in variables}
+    coeff = st.integers(-3, 3)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = {name: draw(coeff) for name in names}
+        rhs = sum(c * point[name] for name, c in coeffs.items())
+        rows.append((coeffs, "=", rhs + draw(st.sampled_from((0, 0, 1)))))
+    weights = [draw(st.integers(-2, 2)) for _ in rows]
+    combined = {name: sum(w * row[0][name] for w, row in zip(weights, rows))
+                for name in names}
+    shift = draw(st.integers(0, 1))
+    rhs = sum(w * row[2] for w, row in zip(weights, rows)) + shift
+    rows.insert(draw(st.integers(0, len(rows))), (combined, "=", rhs))
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = {name: draw(coeff) for name in names}
+        rows.append((coeffs, draw(st.sampled_from(("<=", ">="))),
+                     draw(st.integers(-10, 10))))
+    return program(variables, rows)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(box_programs())
+def test_engine_matches_enumeration(p):
+    witness = solve_feasibility(p)
+    expected = enumerate_feasibility(p)
+    assert (witness is None) == (expected is None)
+    if witness is not None:
+        assert satisfies(p, witness.values)
+        for name, lo, hi in p.variables:
+            assert lo <= witness[name] <= hi

@@ -1,15 +1,24 @@
 """Multiset solvers: worked examples, certificates, structural bounds."""
 
+import time
+from math import comb
+from pathlib import Path
+
 import pytest
 
+from varsolve.formats import parse_multiset
 from varsolve.oracle import (brute_num3dm, brute_partition, brute_subset_sum,
-                             validate_num3dm_cover, validate_partition_certificate,
+                             validate_3partition_cover, validate_num3dm_cover,
+                             validate_partition_certificate,
                              validate_subset_certificate)
 from varsolve.variety import (CardinalityMismatch, Multiset, NotDivisibleBy3,
                               combined_variety, nmts_program, num3dm_program,
                               partition_program, solve_3partition, solve_num_3dm,
                               solve_nmts, solve_partition, solve_subset_sum,
                               subset_sum_program, three_partition_program)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def ms(*values):
@@ -99,6 +108,25 @@ def test_3partition_examples():
         solve_3partition(Multiset(((1, 4),)))
 
 
+def test_num3dm_total_sum_cliff_settles_at_root():
+    # Total 690 differs from n*s = 60*11: the equality rows have no rational
+    # solution, although every row alone fits its boxes.
+    a = Multiset(tuple((v, 10) for v in range(1, 7)))
+    c = Multiset(tuple((v, 10) for v in range(2, 8)))
+    begin = time.perf_counter()
+    assert solve_num_3dm(a, a, c, 11) is None
+    assert time.perf_counter() - begin < 1.0
+
+
+def test_3partition_cliff_solves():
+    # 48 triples (x, y, 20-x-y) with one unit moved between two values.
+    a, _ = parse_multiset((FIXTURES / "tp_cliff.txt").read_text())
+    begin = time.perf_counter()
+    cover = solve_3partition(a)
+    assert time.perf_counter() - begin < 1.0
+    assert validate_3partition_cover(a, cover)
+
+
 def test_3partition_non_integral_target():
     # Cardinality 6, total 13: no integral per-triple sum.
     assert solve_3partition(ms(1, 1, 1, 1, 1, 8)) is None
@@ -113,7 +141,8 @@ def test_variety_bound_on_built_programs():
     assert len(num3dm_program(a, b, c, 12).variables) <= k ** 3
     assert len(nmts_program(a, b, c).variables) <= k ** 3
     d = ms(1, 1, 2, 2, 3, 3)
-    assert len(three_partition_program(d).variables) <= d.variety() ** 3
+    k = d.variety()
+    assert len(three_partition_program(d).variables) <= comb(k + 2, 3)
 
 
 def test_num3dm_pair_sum_variety_remark():
