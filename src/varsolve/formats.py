@@ -54,6 +54,17 @@ def _int(reader: _Reader, token: str, line: int, column: int, what: str) -> int:
         reader.fail(line, column, f"expected {what}, got {token!r}")
 
 
+def _target(reader: _Reader, parts, line: int, previous: int | None) -> int:
+    """The integer of an ``s=<int>`` line that stands alone and comes once."""
+    token, column = parts[0]
+    if previous is not None:
+        reader.fail(line, column, "second 's=' line; the target is given once")
+    if len(parts) > 1:
+        extra, extra_column = parts[1]
+        reader.fail(line, extra_column, f"unexpected {extra!r} after the target")
+    return _int(reader, token[2:], line, column + 2, "target integer")
+
+
 def parse_multiset(text: str, path: str = "<instance>",
                    expect_target: bool = False) -> tuple[Multiset, int | None]:
     """Lines of ``value multiplicity``; optional ``s=<int>`` target line."""
@@ -64,7 +75,7 @@ def parse_multiset(text: str, path: str = "<instance>",
     for line, parts in reader.tokens():
         token, column = parts[0]
         if token.startswith("s="):
-            target = _int(reader, token[2:], line, column + 2, "target integer")
+            target = _target(reader, parts, line, target)
             continue
         if len(parts) != 2:
             reader.fail(line, column, "expected 'value multiplicity'")
@@ -97,7 +108,7 @@ def parse_multiset_sections(text: str, names: tuple[str, ...],
             current = token.rstrip(":")
             continue
         if token.startswith("s="):
-            target = _int(reader, token[2:], line, column + 2, "target integer")
+            target = _target(reader, parts, line, target)
             continue
         if current is None:
             reader.fail(line, column,

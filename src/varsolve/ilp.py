@@ -2,11 +2,14 @@
 
 Every program handled here has an explicit finite box per variable, so a
 depth-first search over variable assignments, combined with interval
-propagation and per-constraint divisibility cuts, is complete.  Before the
-search, a rank check on the equality rows rejects programs whose equalities
-have no rational solution at all.  The search keeps an explicit stack, one
-frame per branched variable, so its depth is not limited by Python's
-recursion limit.  All arithmetic is exact unbounded-magnitude Python
+propagation and per-constraint divisibility cuts, is complete.  An equality
+row with two unfixed variables has integer solutions only on a lattice, so
+propagation rounds one of its boxes to that lattice in one step instead of
+trading bounds between the two variables pass after pass.  Before any
+propagation, a rank check on the equality rows rejects programs whose
+equalities have no rational solution at all.  The search keeps an explicit
+stack, one frame per branched variable, so its depth is not limited by
+Python's recursion limit.  All arithmetic is exact unbounded-magnitude Python
 integers; there is no floating-point relaxation anywhere.
 """
 
@@ -90,12 +93,44 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _lattice_step(bounds: dict[str, tuple[int, int]],
+                  unfixed: list[tuple[str, int]], residual: int) -> bool:
+    """Round one box of a two-variable equality row to its solution lattice.
+
+    ``unfixed`` holds the row's two unfixed variables with their coefficients
+    a and b, and ``residual`` is the right-hand side less the fixed terms;
+    all three are divisible by g = gcd(a, b).  With a' = a/g, b' = b/g and
+    r' = residual/g, every integer solution has u = r' * a'^-1 (mod |b'|), so
+    u's box shrinks to the nearest values of that class inside it.  Returns
+    whether the box changed; raises ProvenInfeasible when no value is left.
+    """
+    (u, a), (_, b) = unfixed
+    g = math.gcd(a, b)
+    modulus = abs(b // g)
+    if modulus == 1:
+        return False
+    target = residual // g * pow(a // g, -1, modulus) % modulus
+    lo, hi = bounds[u]
+    new_lo = lo + (target - lo) % modulus
+    new_hi = hi - (hi - target) % modulus
+    if new_lo > new_hi:
+        raise ProvenInfeasible(f"box of {u!r} holds no lattice point")
+    if (new_lo, new_hi) == (lo, hi):
+        return False
+    bounds[u] = (new_lo, new_hi)
+    return True
+
+
 def _propagate(program: IntegerProgram, bounds: dict[str, tuple[int, int]]) -> None:
     """Tighten ``bounds`` in place to a propagation fixpoint.
 
     Uses interval arithmetic on each constraint plus a gcd divisibility cut
-    on equalities.  Never removes an integer point satisfying all
-    constraints.  Raises ProvenInfeasible when a box empties or a cut fails.
+    on equalities.  On an equality with exactly two unfixed variables it
+    also rounds the first one's box to the row's solution lattice
+    (``_lattice_step``); interval passes alone reach the same fixpoint but
+    move the two boxes by about |a - b| per pass.  Never removes an integer
+    point satisfying all constraints.  Raises ProvenInfeasible when a box
+    empties or a cut fails.
     """
     changed = True
     while changed:
@@ -109,6 +144,23 @@ def _propagate(program: IntegerProgram, bounds: dict[str, tuple[int, int]]) -> N
                 if not ok:
                     raise ProvenInfeasible(f"constant constraint 0 {con.relation} {con.rhs}")
                 continue
+
+            if con.relation == EQ:
+                unfixed = [(name, c) for name, c in con.coeffs.items()
+                           if c and bounds[name][0] != bounds[name][1]]
+                fixed_part = sum(c * bounds[name][0]
+                                 for name, c in con.coeffs.items()
+                                 if bounds[name][0] == bounds[name][1])
+                residual = con.rhs - fixed_part
+                if not unfixed:
+                    if residual != 0:
+                        raise ProvenInfeasible("equality violated by fixed variables")
+                    continue
+                g = math.gcd(*(c for _, c in unfixed))
+                if residual % g != 0:
+                    raise ProvenInfeasible("divisibility cut on equality")
+                if len(unfixed) == 2 and _lattice_step(bounds, unfixed, residual):
+                    changed = True
 
             # Treat as one or two one-sided forms: sum <= rhs and/or sum >= rhs.
             min_act = 0
@@ -128,21 +180,6 @@ def _propagate(program: IntegerProgram, bounds: dict[str, tuple[int, int]]) -> N
                 raise ProvenInfeasible("minimum activity exceeds bound")
             if lower_side and max_act < con.rhs:
                 raise ProvenInfeasible("maximum activity below bound")
-
-            if con.relation == EQ:
-                unfixed = [c for name, c in con.coeffs.items()
-                           if bounds[name][0] != bounds[name][1]]
-                fixed_part = sum(c * bounds[name][0]
-                                 for name, c in con.coeffs.items()
-                                 if bounds[name][0] == bounds[name][1])
-                residual = con.rhs - fixed_part
-                if not unfixed:
-                    if residual != 0:
-                        raise ProvenInfeasible("equality violated by fixed variables")
-                    continue
-                g = math.gcd(*(abs(c) for c in unfixed))
-                if g and residual % g != 0:
-                    raise ProvenInfeasible("divisibility cut on equality")
 
             for name, c in con.coeffs.items():
                 if c == 0:
@@ -246,23 +283,24 @@ def solve_feasibility(program: IntegerProgram) -> Optional[Assignment]:
     """Decide feasibility over the boxes; return a witness or None.
 
     Complete over the box product: a None verdict means no integer point in
-    the boxes satisfies all constraints.  After root propagation, a program
+    the boxes satisfies all constraints.  Before root propagation, a program
     with two or more equalities is rejected at once when the equalities have
-    no rational solution.  The search is depth-first on the variable with
-    the narrowest current box (ties by declaration order), assigning
+    no rational solution; interval passes alone would shave such boxes one
+    unit per pass.  The search is depth-first on the variable with the
+    narrowest current box (ties by declaration order), assigning
     candidate values in increasing order, with propagation and divisibility
     cuts at every node, so the witness is deterministic.  It runs on an
     explicit stack of frames (bounds, branch variable, next value, last
     value), one frame per branched variable.
     """
     program.validate()
+    if (sum(con.relation == EQ for con in program.constraints) >= 2
+            and not _equalities_consistent(program)):
+        return None
     bounds = {name: (lo, hi) for name, lo, hi in program.variables}
     try:
         _propagate(program, bounds)
     except ProvenInfeasible:
-        return None
-    if (sum(con.relation == EQ for con in program.constraints) >= 2
-            and not _equalities_consistent(program)):
         return None
     order = program.variable_names()
 

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import varsolve
-from varsolve.cli import main
+from varsolve.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -176,3 +176,19 @@ def test_python_m_varsolve_matches_main(capsys):
         done = subprocess.run([sys.executable, "-m", module, *argv], env=package_env(),
                               capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout) == (code, out)
+
+
+def test_cached_parser_keeps_no_state(capsys):
+    assert build_parser() is build_parser()
+    ewmm = str(FIXTURES / "loop_ewmm.txt")
+    assert run_cli(capsys, "ewmm", ewmm, "--budget", "1")[0] == 3
+    code, out, _ = run_cli(capsys, "ewmm", ewmm)
+    assert (code, out) == (0, "YES\n")
+    ss1 = str(FIXTURES / "ss1.txt")
+    assert run_cli(capsys, "subsetsum", ss1, "--certificate")[1] == "YES\n3 2\n5 1\n"
+    assert run_cli(capsys, "subsetsum", ss1)[1] == "YES\n"
+    run_cli(capsys, "verify", "--family", "splits", "--seed", "7")
+    code, out, err = run_cli(capsys, "verify", "--family", "heat", "--seed", "7")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == ["heat"]
+    assert [line.split(":")[0] for line in err.splitlines()] == ["heat"]

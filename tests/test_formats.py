@@ -33,6 +33,26 @@ def test_multiset_negative_multiplicity():
     assert ":1:3" in str(info.value)
 
 
+def test_second_target_line_rejected():
+    with pytest.raises(ParseError) as info:
+        parse_multiset("3 2\n5 1\ns=11\ns=8\n", path="two.txt", expect_target=True)
+    assert "two.txt:4:1" in str(info.value)
+    with pytest.raises(ParseError) as info:
+        parse_multiset_sections("A:\n1 1\ns=3\nB:\n2 1\ns=4\n", ("A", "B"),
+                                path="two.txt", expect_target=True)
+    assert "two.txt:6:1" in str(info.value)
+
+
+def test_tokens_after_target_rejected():
+    with pytest.raises(ParseError) as info:
+        parse_multiset("3 2\n5 1\ns=11 99\n", path="extra.txt", expect_target=True)
+    assert "extra.txt:3:6" in str(info.value)
+    with pytest.raises(ParseError) as info:
+        parse_multiset_sections("A:\n1 1\n  s=3 x\n", ("A",), path="extra.txt",
+                                expect_target=True)
+    assert "extra.txt:3:7" in str(info.value)
+
+
 def test_empty_file_is_empty_multiset():
     multiset, target = parse_multiset("")
     assert multiset == Multiset(())

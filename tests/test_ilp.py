@@ -1,5 +1,8 @@
 """Feasibility engine: worked examples, propagation, and corpus properties."""
 
+import time
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -133,6 +136,38 @@ def test_rank_check_rejects_inconsistent_equalities():
     assert [witness[name] for name in names] == [0, 0, 0, 1000, 1000, 1000]
 
 
+def test_rank_check_runs_before_propagation():
+    # Each row has coefficients +-1, so interval passes would shave the boxes
+    # one unit per pass, some 10**9 passes; the rows are inconsistent.
+    p = program([(name, 0, 10**9) for name in "xyz"],
+                [({"x": 1, "y": -1}, "=", 0), ({"y": 1, "z": -1}, "=", 0),
+                 ({"x": 1, "z": -1}, "=", 1)])
+    start = time.perf_counter()
+    assert solve_feasibility(p) is None
+    assert time.perf_counter() - start < 1.0
+
+
+# 1000000*x + 999999*y = r has the one solution (500001, 333332) in
+# [0, 10**6]^2; interval passes alone move the boxes about one unit per pass.
+LATTICE_ROW = ({"x": 1000000, "y": 999999}, "=", 1000000 * 500001 + 999999 * 333332)
+
+
+def test_lattice_step_pins_two_variable_row():
+    p = program([("x", 0, 10**6), ("y", 0, 10**6)], [LATTICE_ROW])
+    start = time.perf_counter()
+    assert propagate_bounds(p).variables == (("x", 500001, 500001),
+                                             ("y", 333332, 333332))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_lattice_step_refutes_boxed_row():
+    p = program([("x", 0, 500000), ("y", 0, 10**6)], [LATTICE_ROW])
+    start = time.perf_counter()
+    with pytest.raises(ProvenInfeasible):
+        propagate_bounds(p)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_search_deeper_than_recursion_limit():
     # 1,100 branching levels: one frame per level on an explicit stack.
     names = [f"x{i}" for i in range(1100)]
@@ -181,3 +216,45 @@ def test_engine_matches_enumeration(p):
         assert satisfies(p, witness.values)
         for name, lo, hi in p.variables:
             assert lo <= witness[name] <= hi
+
+
+@st.composite
+def two_variable_rows(draw):
+    """Rows a*x + b*y + c*z = r with x, y in boxes up to width 30 and z in a
+    narrow box, often fixed, so that propagation sees two unfixed variables;
+    r comes from a point in the boxes, kept or shifted."""
+    widths = (st.integers(0, 30), st.integers(0, 30), st.sampled_from((0, 0, 1, 3)))
+    variables = []
+    for name, width in zip("xyz", widths):
+        lo = draw(st.integers(-15, 15))
+        variables.append((name, lo, lo + draw(width)))
+    point = {name: draw(st.integers(lo, hi)) for name, lo, hi in variables}
+    coeff = st.integers(-12, 12)
+    rows = []
+    for _ in range(draw(st.integers(1, 2))):
+        coeffs = {name: draw(coeff) for name, _, _ in variables}
+        rhs = sum(c * point[name] for name, c in coeffs.items())
+        rows.append((coeffs, "=", rhs + draw(st.sampled_from((0, 0, 1, 7)))))
+    return program(variables, rows)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(two_variable_rows())
+def test_lattice_step_matches_enumeration(p):
+    names = p.variable_names()
+    points = [dict(zip(names, values))
+              for values in product(*(range(lo, hi + 1) for _, lo, hi in p.variables))]
+    solutions = [point for point in points if satisfies(p, point)]
+    assert (enumerate_feasibility(p) is None) == (not solutions)
+    witness = solve_feasibility(p)
+    assert (witness is None) == (not solutions)
+    if witness is not None:
+        assert witness.values in solutions
+    try:
+        tightened = propagate_bounds(p)
+    except ProvenInfeasible:
+        assert not solutions
+        return
+    boxes = {name: (lo, hi) for name, lo, hi in tightened.variables}
+    for point in solutions:
+        assert all(boxes[name][0] <= point[name] <= boxes[name][1] for name in names)
