@@ -1,7 +1,15 @@
 """Command-line front end: parse instances, dispatch solvers, print verdicts.
 
 Exit codes: 0 for a Yes verdict (or a clean verification run), 1 for No,
-2 for usage or parse errors, 3 for an unknown verdict (exists-word budget).
+2 for usage, parse and cardinality errors, an ``s=`` line in a problem that
+takes no target, and an unreadable instance file, 3 for an unknown verdict
+(exists-word budget).
+
+Every solver subcommand is a row of ``SOLVERS`` and every reduction a row
+of ``REDUCTIONS``.  A row reaches its solver, reduction, parser and writer
+through this module's or ``formats``' attribute at call time, never through
+a function object it holds, so a wrapper put on such an attribute sees
+every call.
 """
 
 from __future__ import annotations
@@ -10,6 +18,7 @@ import argparse
 import functools
 import sys
 import time
+from typing import Callable, NamedTuple, Optional
 
 from . import corpus, formats
 from .census_solvers import BudgetExceeded, DEFAULT_BUDGET, solve_ewmm, solve_gwmm
@@ -32,155 +41,167 @@ def _read(path: str) -> tuple[str, str]:
         return handle.read(), path
 
 
-def _print_selection(cert) -> None:
+def _print_selection(cert, instance) -> None:
     for value, count in cert.counts.items():
         print(f"{value} {count}")
 
 
-def _print_cover(cover) -> None:
+def _print_cover(cover, instance) -> None:
     for first, second, third, count in cover.triples:
         print(f"{first} {second} {third} {count}")
 
 
-def _verdict(found: bool) -> int:
-    print("YES" if found else "NO")
-    return YES if found else NO
+def _print_transitions(machine, indices) -> None:
+    for index in indices:
+        print(machine.transitions[index].text())
 
 
-def _cmd_subsetsum(args) -> int:
-    text, path = _read(args.instance)
-    multiset, target = formats.parse_multiset(text, path, expect_target=True)
-    if args.dump_ilp:
-        print(dump_program(subset_sum_program(multiset, target)))
-    cert = solve_subset_sum(multiset, target)
-    code = _verdict(cert is not None)
-    if args.certificate and cert is not None:
-        _print_selection(cert)
-    return code
+def _print_walk(cert, instance) -> None:
+    print("base:")
+    _print_transitions(cert.machine, cert.base_walk)
+    for loop, count in cert.loop_counts:
+        print(f"loop {loop.anchor} {count}:")
+        _print_transitions(cert.machine, loop.cycle)
 
 
-def _cmd_partition(args) -> int:
-    text, path = _read(args.instance)
-    multiset, _ = formats.parse_multiset(text, path)
-    if args.dump_ilp and multiset.total() % 2 == 0:
-        print(dump_program(partition_program(multiset)))
-    cert = solve_partition(multiset)
-    code = _verdict(cert is not None)
-    if args.certificate and cert is not None:
-        _print_selection(cert)
-    return code
+def _subset_sum_instance(text: str, path: str):
+    return formats.parse_multiset(text, path, expect_target=True)
 
 
-def _cmd_threepartition(args) -> int:
-    text, path = _read(args.instance)
-    multiset, _ = formats.parse_multiset(text, path)
-    if multiset.cardinality() % 3 != 0:
-        print(f"error: cardinality {multiset.cardinality()} is not a multiple of 3",
-              file=sys.stderr)
-        return USAGE
+def _multiset(text: str, path: str):
+    return formats.parse_multiset(text, path)[:1]
+
+
+def _three_partition_dump(multiset):
+    """The program ``solve_3partition`` builds, or None if it needs none."""
     n = multiset.cardinality() // 3
-    if args.dump_ilp and n and multiset.total() % n == 0:
-        print(dump_program(three_partition_program(multiset)))
-    cover = solve_3partition(multiset)
-    code = _verdict(cover is not None)
-    if args.certificate and cover is not None:
-        _print_cover(cover)
-    return code
+    return three_partition_program(multiset) if n and multiset.total() % n == 0 else None
 
 
-def _cmd_num3dm(args) -> int:
-    text, path = _read(args.instance)
-    a, b, c, target = formats.parse_multiset_sections(
-        text, ("A", "B", "C"), path, expect_target=True)
-    if not a.cardinality() == b.cardinality() == c.cardinality():
-        print("error: the three multisets must have equal cardinality",
-              file=sys.stderr)
-        return USAGE
-    if args.dump_ilp:
-        print(dump_program(num3dm_program(a, b, c, target)))
-    cover = solve_num_3dm(a, b, c, target)
-    code = _verdict(cover is not None)
-    if args.certificate and cover is not None:
-        _print_cover(cover)
-    return code
+class Solver(NamedTuple):
+    """A solver subcommand: parse, solve, dump, verdict, certificate."""
+
+    help: str
+    parse: Callable  # (text, path) -> instance tuple
+    solve: Callable  # (*instance[, budget=N]) -> certificate, or None for NO
+    show: Callable   # (certificate, instance): print the certificate
+    # --dump-ilp: (*instance) -> the program the solver builds, or None
+    # where the solver answers without one.
+    program: Optional[Callable] = None
+    budget: bool = False  # --budget N, passed on to solve
 
 
-def _cmd_nmts(args) -> int:
-    text, path = _read(args.instance)
-    a, b, s = formats.parse_multiset_sections(text, ("A", "B", "S"), path)
-    if not a.cardinality() == b.cardinality() == s.cardinality():
-        print("error: the three multisets must have equal cardinality",
-              file=sys.stderr)
-        return USAGE
-    if args.dump_ilp:
-        print(dump_program(nmts_program(a, b, s)))
-    cover = solve_nmts(a, b, s)
-    code = _verdict(cover is not None)
-    if args.certificate and cover is not None:
-        _print_cover(cover)
-    return code
+SOLVERS = {
+    "subsetsum": Solver(
+        "does a submultiset sum to the target?",
+        parse=_subset_sum_instance,
+        solve=lambda multiset, target: solve_subset_sum(multiset, target),
+        show=_print_selection,
+        program=lambda multiset, target: subset_sum_program(multiset, target)),
+    "partition": Solver(
+        "does the multiset split into two equal-sum halves?",
+        parse=_multiset,
+        solve=lambda multiset: solve_partition(multiset),
+        show=_print_selection,
+        program=lambda multiset: (partition_program(multiset)
+                                  if multiset.total() % 2 == 0 else None)),
+    "threepartition": Solver(
+        "does the multiset split into equal-sum triples?",
+        parse=_multiset,
+        solve=lambda multiset: solve_3partition(multiset),
+        show=_print_cover,
+        program=_three_partition_dump),
+    "num3dm": Solver(
+        "do the three multisets match into triples summing to s?",
+        parse=lambda text, path: formats.parse_multiset_sections(
+            text, ("A", "B", "C"), path, expect_target=True),
+        solve=lambda a, b, c, s: solve_num_3dm(a, b, c, s),
+        show=_print_cover,
+        program=lambda a, b, c, s: num3dm_program(a, b, c, s)),
+    "nmts": Solver(
+        "do the three multisets match into triples with A+B=S?",
+        parse=lambda text, path: formats.parse_multiset_sections(
+            text, ("A", "B", "S"), path),
+        solve=lambda a, b, s: solve_nmts(a, b, s),
+        show=_print_cover,
+        program=lambda a, b, s: nmts_program(a, b, s)),
+    "ewmm": Solver(
+        "is there an input word whose output meets the census?",
+        parse=lambda text, path: formats.parse_machine_instance(text, path),
+        solve=lambda machine, census, budget: solve_ewmm(machine, census, budget=budget),
+        show=_print_walk,
+        budget=True),
+    "gwmm": Solver(
+        "does a computation on the given word meet the census?",
+        parse=lambda text, path: formats.parse_machine_instance(
+            text, path, with_word=True),
+        solve=lambda machine, word, census: solve_gwmm(machine, word, census),
+        show=lambda trace, instance: _print_transitions(instance[0], trace)),
+}
 
 
-def _cmd_ewmm(args) -> int:
-    text, path = _read(args.instance)
-    machine, census = formats.parse_machine_instance(text, path)
+def _write_given_word(image) -> str:
+    machine, word, census = image
+    return formats.write_machine_instance(machine, census, word=word)
+
+
+class Reduction(NamedTuple):
+    """A reduction subcommand: parse, reduce, write."""
+
+    help: str
+    parse: Callable   # (text, path) -> instance
+    reduce: Callable  # (instance) -> image
+    write: Callable   # (image) -> instance text
+
+
+REDUCTIONS = {
+    "reduce-partition": Reduction(
+        "rewrite a subset-sum instance as a partition instance",
+        parse=_subset_sum_instance,
+        reduce=lambda instance: subsetsum_to_partition(*instance),
+        write=lambda multiset: formats.write_multiset(multiset)),
+    "reduce-mcc": Reduction(
+        "rewrite a multicolored-clique instance as a given-word instance",
+        parse=lambda text, path: formats.parse_graph(text, path),
+        reduce=lambda graph: mcc_to_gwmm(graph),
+        write=_write_given_word),
+    "reduce-heat": Reduction(
+        "rewrite a heat-scheduling instance as an exists-word instance",
+        parse=lambda text, path: formats.parse_heat(text, path),
+        reduce=lambda heat: heat_to_ewmm(heat),
+        write=lambda image: formats.write_machine_instance(*image)),
+    "reduce-splits": Reduction(
+        "rewrite a splits-game instance as a given-word instance",
+        parse=lambda text, path: formats.parse_splits(text, path),
+        reduce=lambda splits: splits_to_gwmm(splits),
+        write=_write_given_word),
+}
+
+
+def _cmd_solve(args) -> int:
+    row = SOLVERS[args.command]
+    instance = row.parse(*_read(args.instance))
+    options = {"budget": args.budget} if row.budget else {}
     try:
-        cert = solve_ewmm(machine, census, budget=args.budget)
+        cert = row.solve(*instance, **options)
     except BudgetExceeded:
         print("UNKNOWN")
         return UNKNOWN
-    code = _verdict(cert is not None)
-    if args.certificate and cert is not None:
-        print("base:")
-        for index in cert.base_walk:
-            print(cert.machine.transitions[index].text())
-        for loop, count in cert.loop_counts:
-            print(f"loop {loop.anchor} {count}:")
-            for index in loop.cycle:
-                print(cert.machine.transitions[index].text())
-    return code
+    if row.program and args.dump_ilp:
+        program = row.program(*instance)
+        if program is not None:
+            print(dump_program(program))
+    print("NO" if cert is None else "YES")
+    if cert is None:
+        return NO
+    if args.certificate:
+        row.show(cert, instance)
+    return YES
 
 
-def _cmd_gwmm(args) -> int:
-    text, path = _read(args.instance)
-    machine, word, census = formats.parse_machine_instance(text, path, with_word=True)
-    trace = solve_gwmm(machine, word, census)
-    code = _verdict(trace is not None)
-    if args.certificate and trace is not None:
-        for index in trace:
-            print(machine.transitions[index].text())
-    return code
-
-
-def _cmd_reduce_partition(args) -> int:
-    text, path = _read(args.instance)
-    multiset, target = formats.parse_multiset(text, path, expect_target=True)
-    image = subsetsum_to_partition(multiset, target)
-    sys.stdout.write(formats.write_multiset(image))
-    return 0
-
-
-def _cmd_reduce_mcc(args) -> int:
-    text, path = _read(args.instance)
-    graph = formats.parse_graph(text, path)
-    machine, word, census = mcc_to_gwmm(graph)
-    sys.stdout.write(formats.write_machine_instance(machine, census, word=word))
-    return 0
-
-
-def _cmd_reduce_heat(args) -> int:
-    text, path = _read(args.instance)
-    instance = formats.parse_heat(text, path)
-    machine, census = heat_to_ewmm(instance)
-    sys.stdout.write(formats.write_machine_instance(machine, census))
-    return 0
-
-
-def _cmd_reduce_splits(args) -> int:
-    text, path = _read(args.instance)
-    instance = formats.parse_splits(text, path)
-    machine, word, census = splits_to_gwmm(instance)
-    sys.stdout.write(formats.write_machine_instance(machine, census, word=word))
+def _cmd_reduce(args) -> int:
+    row = REDUCTIONS[args.command]
+    sys.stdout.write(row.write(row.reduce(row.parse(*_read(args.instance)))))
     return 0
 
 
@@ -211,48 +232,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "Mealy-machine census problems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def solver(name, handler, help_text, dump_ilp=False, budget=False):
-        p = sub.add_parser(name, help=help_text)
+    for name, row in SOLVERS.items():
+        p = sub.add_parser(name, help=row.help)
         p.add_argument("instance", help="instance file, or - for stdin")
         p.add_argument("--certificate", action="store_true",
                        help="print a certificate after a YES verdict")
-        if dump_ilp:
+        if row.program:
             p.add_argument("--dump-ilp", action="store_true",
                            help="print the constructed integer program")
-        if budget:
+        if row.budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="search node cap before reporting UNKNOWN")
-        p.set_defaults(handler=handler)
-        return p
-
-    solver("subsetsum", _cmd_subsetsum,
-           "does a submultiset sum to the target?", dump_ilp=True)
-    solver("partition", _cmd_partition,
-           "does the multiset split into two equal-sum halves?", dump_ilp=True)
-    solver("threepartition", _cmd_threepartition,
-           "does the multiset split into equal-sum triples?", dump_ilp=True)
-    solver("num3dm", _cmd_num3dm,
-           "do the three multisets match into triples summing to s?",
-           dump_ilp=True)
-    solver("nmts", _cmd_nmts,
-           "do the three multisets match into triples with A+B=S?", dump_ilp=True)
-    solver("ewmm", _cmd_ewmm,
-           "is there an input word whose output meets the census?", budget=True)
-    solver("gwmm", _cmd_gwmm,
-           "does a computation on the given word meet the census?")
-
-    for name, handler, help_text in (
-            ("reduce-partition", _cmd_reduce_partition,
-             "rewrite a subset-sum instance as a partition instance"),
-            ("reduce-mcc", _cmd_reduce_mcc,
-             "rewrite a multicolored-clique instance as a given-word instance"),
-            ("reduce-heat", _cmd_reduce_heat,
-             "rewrite a heat-scheduling instance as an exists-word instance"),
-            ("reduce-splits", _cmd_reduce_splits,
-             "rewrite a splits-game instance as a given-word instance")):
-        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=_cmd_solve)
+    for name, row in REDUCTIONS.items():
+        p = sub.add_parser(name, help=row.help)
         p.add_argument("instance", help="instance file, or - for stdin")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("verify", help="run the paired solver/oracle corpus")
     p.add_argument("--seed", type=int, default=42, help="corpus seed")
@@ -269,13 +264,8 @@ def main(argv=None) -> int:
         return USAGE if exit_.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except formats.ParseError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return USAGE
-    except FileNotFoundError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return USAGE
-    except ValueError as error:
+    except (ValueError, OSError) as error:
+        # Parse errors, cardinality errors and unreadable instance files.
         print(f"error: {error}", file=sys.stderr)
         return USAGE
 

@@ -54,9 +54,13 @@ def _int(reader: _Reader, token: str, line: int, column: int, what: str) -> int:
         reader.fail(line, column, f"expected {what}, got {token!r}")
 
 
-def _target(reader: _Reader, parts, line: int, previous: int | None) -> int:
-    """The integer of an ``s=<int>`` line that stands alone and comes once."""
+def _target(reader: _Reader, parts, line: int, previous: int | None,
+            expected: bool) -> int:
+    """The integer of an ``s=<int>`` line that stands alone, comes once, and
+    belongs to a problem that takes a target."""
     token, column = parts[0]
+    if not expected:
+        reader.fail(line, column, "unexpected 's=' line; this problem takes no target")
     if previous is not None:
         reader.fail(line, column, "second 's=' line; the target is given once")
     if len(parts) > 1:
@@ -67,7 +71,7 @@ def _target(reader: _Reader, parts, line: int, previous: int | None) -> int:
 
 def parse_multiset(text: str, path: str = "<instance>",
                    expect_target: bool = False) -> tuple[Multiset, int | None]:
-    """Lines of ``value multiplicity``; optional ``s=<int>`` target line."""
+    """Lines of ``value multiplicity``; an ``s=<int>`` line iff ``expect_target``."""
     reader = _Reader.of(text, path)
     entries: list[tuple[int, int]] = []
     seen: set[int] = set()
@@ -75,7 +79,7 @@ def parse_multiset(text: str, path: str = "<instance>",
     for line, parts in reader.tokens():
         token, column = parts[0]
         if token.startswith("s="):
-            target = _target(reader, parts, line, target)
+            target = _target(reader, parts, line, target, expect_target)
             continue
         if len(parts) != 2:
             reader.fail(line, column, "expected 'value multiplicity'")
@@ -96,7 +100,7 @@ def parse_multiset(text: str, path: str = "<instance>",
 def parse_multiset_sections(text: str, names: tuple[str, ...],
                             path: str = "<instance>",
                             expect_target: bool = False):
-    """Multisets under ``A:`` style section markers, optional ``s=`` line."""
+    """Multisets under ``A:`` section markers; an ``s=`` line iff ``expect_target``."""
     reader = _Reader.of(text, path)
     sections: dict[str, list[tuple[int, int]]] = {name: [] for name in names}
     seen: dict[str, set[int]] = {name: set() for name in names}
@@ -108,7 +112,7 @@ def parse_multiset_sections(text: str, names: tuple[str, ...],
             current = token.rstrip(":")
             continue
         if token.startswith("s="):
-            target = _target(reader, parts, line, target)
+            target = _target(reader, parts, line, target, expect_target)
             continue
         if current is None:
             reader.fail(line, column,
@@ -299,62 +303,6 @@ def parse_splits(text: str, path: str = "<instance>") -> SplitsInstance:
         return SplitsInstance(gaps=gaps, job_census=census)
     except ValueError as error:
         reader.fail(len(reader.lines) or 1, 1, str(error))
-
-
-def parse_instance(text: str, kind: str, path: str = "<instance>"):
-    """Dispatch to the parser for an instance kind.
-
-    Kinds: subsetsum, partition, threepartition, num3dm, nmts, ewmm, gwmm,
-    graph, heat, splits.
-    """
-    if kind == "subsetsum":
-        return parse_multiset(text, path, expect_target=True)
-    if kind in ("partition", "threepartition"):
-        multiset, _ = parse_multiset(text, path)
-        return multiset
-    if kind == "num3dm":
-        return parse_multiset_sections(text, ("A", "B", "C"), path,
-                                       expect_target=True)
-    if kind == "nmts":
-        return parse_multiset_sections(text, ("A", "B", "S"), path)
-    if kind == "ewmm":
-        return parse_machine_instance(text, path)
-    if kind == "gwmm":
-        return parse_machine_instance(text, path, with_word=True)
-    if kind == "graph":
-        return parse_graph(text, path)
-    if kind == "heat":
-        return parse_heat(text, path)
-    if kind == "splits":
-        return parse_splits(text, path)
-    raise ValueError(f"unknown instance kind {kind!r}")
-
-
-def write_instance(instance, kind: str) -> str:
-    """Dispatch to the writer for an instance kind (inverse of the parser)."""
-    if kind == "subsetsum":
-        multiset, target = instance
-        return write_multiset(multiset, target=target)
-    if kind in ("partition", "threepartition"):
-        return write_multiset(instance)
-    if kind == "num3dm":
-        a, b, c, target = instance
-        return write_multiset_sections(("A", "B", "C"), (a, b, c), target=target)
-    if kind == "nmts":
-        return write_multiset_sections(("A", "B", "S"), instance)
-    if kind == "ewmm":
-        machine, census = instance
-        return write_machine_instance(machine, census)
-    if kind == "gwmm":
-        machine, word, census = instance
-        return write_machine_instance(machine, census, word=word)
-    if kind == "graph":
-        return write_graph(instance)
-    if kind == "heat":
-        return write_heat(instance)
-    if kind == "splits":
-        return write_splits(instance)
-    raise ValueError(f"unknown instance kind {kind!r}")
 
 
 def write_multiset(a: Multiset, target: int | None = None) -> str:

@@ -267,7 +267,7 @@ def solve_3partition(a: Multiset) -> Optional[TripleCover]:
     Each used index triple is emitted with its values sorted.
     """
     if a.cardinality() % 3 != 0:
-        raise NotDivisibleBy3("cardinality must be divisible by 3")
+        raise NotDivisibleBy3(f"cardinality {a.cardinality()} is not a multiple of 3")
     n = a.cardinality() // 3
     if n == 0:
         return TripleCover(triples=())

@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import varsolve
+import varsolve.cli
 from varsolve.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -155,6 +158,60 @@ def test_threepartition_requires_multiple_of_three(capsys):
     code, out, err = run_cli(capsys, "threepartition", str(FIXTURES / "part1.txt"))
     assert code == 2
     assert "multiple of 3" in err
+
+
+def test_directory_instance_is_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "subsetsum", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, text, location", [
+    ("partition", "3 2\n5 1\ns=11\n", ":3:1: "),
+    ("threepartition", "3 2\n5 1\ns=11\n", ":3:1: "),
+    ("nmts", "A:\n1 1\nB:\n2 1\nS:\n3 1\n  s=3\n", ":7:3: "),
+])
+def test_untargeted_problem_rejects_target_line(capsys, tmp_path, command, text,
+                                                location):
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, str(path), "--certificate")
+    assert code == 2
+    assert out == ""
+    assert f"{path}{location}" in err and "takes no target" in err
+
+
+# The names through which the traced benchmark run wraps the command line's
+# solvers and reductions; each subcommand must call its name exactly once.
+CLI_CALLS = (
+    ("solve_subset_sum", "subsetsum", "ss1.txt"),
+    ("solve_partition", "partition", "part1.txt"),
+    ("solve_3partition", "threepartition", "tp1.txt"),
+    ("solve_num_3dm", "num3dm", "n3dm1.txt"),
+    ("solve_nmts", "nmts", "nmts1.txt"),
+    ("solve_ewmm", "ewmm", "loop_ewmm.txt"),
+    ("solve_gwmm", "gwmm", "ident_gwmm.txt"),
+    ("subsetsum_to_partition", "reduce-partition", "ss1.txt"),
+    ("mcc_to_gwmm", "reduce-mcc", "triangle.txt"),
+    ("heat_to_ewmm", "reduce-heat", "heat1.txt"),
+    ("splits_to_gwmm", "reduce-splits", "fig2.txt"),
+)
+
+
+@pytest.mark.parametrize("name, command, fixture", CLI_CALLS)
+def test_subcommand_calls_module_attribute(capsys, monkeypatch, name, command, fixture):
+    calls = []
+    original = getattr(varsolve.cli, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(varsolve.cli, name, counting)
+    code, _, _ = run_cli(capsys, command, str(FIXTURES / fixture))
+    assert code == 0
+    assert calls == [name]
 
 
 def package_env():

@@ -3,10 +3,9 @@
 import pytest
 
 from varsolve.formats import (ParseError, parse_graph, parse_heat,
-                              parse_instance, parse_machine_instance,
-                              parse_multiset, parse_multiset_sections,
-                              parse_splits, write_graph, write_heat,
-                              write_instance, write_machine_instance,
+                              parse_machine_instance, parse_multiset,
+                              parse_multiset_sections, parse_splits,
+                              write_graph, write_heat, write_machine_instance,
                               write_multiset, write_multiset_sections,
                               write_splits)
 from varsolve.mealy import EMPTY
@@ -132,19 +131,30 @@ def test_splits_size_mismatch_reported_as_parse_error():
 
 
 def test_dispatch_roundtrips_every_kind():
-    instances = {
-        "subsetsum": (Multiset(((3, 2), (5, 1))), 11),
-        "partition": Multiset(((2, 4),)),
-        "threepartition": Multiset(((1, 2), (2, 2), (3, 2))),
-        "num3dm": (Multiset(((1, 2),)), Multiset(((2, 2),)),
-                   Multiset(((3, 2),)), 6),
-        "nmts": (Multiset(((1, 2),)), Multiset(((2, 2),)), Multiset(((3, 2),))),
-        "graph": MulticoloredGraph(k=2, classes=(("a",), ("b",)),
-                                   edges=(("a", "b"),)),
-        "heat": HeatInstance(threshold=1, job_census={2: 1}, deadline=3),
-        "splits": SplitsInstance(gaps=(3,), job_census={3: 1}),
+    # (instance, writer, parser) for each instance kind of the command line.
+    kinds = {
+        "subsetsum": ((Multiset(((3, 2), (5, 1))), 11),
+                      lambda i: write_multiset(i[0], target=i[1]),
+                      lambda t: parse_multiset(t, expect_target=True)),
+        "partition": (Multiset(((2, 4),)), write_multiset,
+                      lambda t: parse_multiset(t)[0]),
+        "threepartition": (Multiset(((1, 2), (2, 2), (3, 2))), write_multiset,
+                           lambda t: parse_multiset(t)[0]),
+        "num3dm": ((Multiset(((1, 2),)), Multiset(((2, 2),)),
+                    Multiset(((3, 2),)), 6),
+                   lambda i: write_multiset_sections(("A", "B", "C"), i[:3], target=i[3]),
+                   lambda t: parse_multiset_sections(t, ("A", "B", "C"),
+                                                     expect_target=True)),
+        "nmts": ((Multiset(((1, 2),)), Multiset(((2, 2),)), Multiset(((3, 2),))),
+                 lambda i: write_multiset_sections(("A", "B", "S"), i),
+                 lambda t: parse_multiset_sections(t, ("A", "B", "S"))),
+        "graph": (MulticoloredGraph(k=2, classes=(("a",), ("b",)),
+                                    edges=(("a", "b"),)),
+                  write_graph, parse_graph),
+        "heat": (HeatInstance(threshold=1, job_census={2: 1}, deadline=3),
+                 write_heat, parse_heat),
+        "splits": (SplitsInstance(gaps=(3,), job_census={3: 1}),
+                   write_splits, parse_splits),
     }
-    for kind, instance in instances.items():
-        assert parse_instance(write_instance(instance, kind), kind) == instance
-    with pytest.raises(ValueError):
-        parse_instance("", "mystery")
+    for kind, (instance, write, parse) in kinds.items():
+        assert parse(write(instance)) == instance, kind

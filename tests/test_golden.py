@@ -114,3 +114,54 @@ def test_threepartition_dump_ilp_golden(capsys):
                    "YES\n"
                    "1 2 4 2\n"
                    "1 3 3 1\n")
+
+
+def test_partition_dump_ilp_certificate_golden(capsys):
+    code, out = capture(capsys, "partition", str(FIXTURES / "part1.txt"),
+                        "--certificate", "--dump-ilp")
+    assert code == 0
+    assert out == ("0 <= x1 <= 2\n"
+                   "0 <= x2 <= 2\n"
+                   "0 <= x3 <= 1\n"
+                   "2*x1 + 3*x2 + 4*x3 = 7\n"
+                   "YES\n"
+                   "2 2\n"
+                   "3 1\n")
+
+
+def test_nmts_cover_golden(capsys):
+    code, out = capture(capsys, "nmts", str(FIXTURES / "nmts1.txt"),
+                        "--certificate")
+    assert code == 0
+    assert out == "YES\n1 3 4 1\n2 4 6 1\n"
+
+
+def test_reduce_partition_golden(capsys):
+    code, out = capture(capsys, "reduce-partition", str(FIXTURES / "ss1.txt"))
+    assert code == 0
+    assert out == "3 2\n5 1\n11 1\n"
+
+
+def test_reduce_heat_golden(capsys):
+    code, out = capture(capsys, "reduce-heat", str(FIXTURES / "heat1.txt"))
+    assert code == 0
+    assert out == ("states: 0 1\n"
+                   "start: 0\n"
+                   "input: t\n"
+                   "output: 0 1 2\n"
+                   "0 t -> 0 0\n"
+                   "0 t -> 1 1\n"
+                   "0 t -> 1 2\n"
+                   "1 t -> 1 0\n"
+                   "1 t -> 1 1\n"
+                   "census:\n"
+                   "0 6\n"
+                   "2 1\n")
+
+
+def test_threepartition_cardinality_error_golden(capsys):
+    code = main(["threepartition", str(FIXTURES / "part1.txt"), "--dump-ilp"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: cardinality 5 is not a multiple of 3\n"
