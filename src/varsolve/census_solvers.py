@@ -122,14 +122,20 @@ def _enumerate_loops(m: MealyMachine, anchor: str, targets: tuple[int, ...],
     max_len = len(m.states)
     buckets: dict[tuple[int, ...], tuple[int, ...]] = {}
     zero = (0,) * len(letters)
-
-    def extend(state: str, vector: tuple[int, ...], path: tuple[int, ...]) -> None:
+    # Depth-first in preorder with an explicit stack: a cycle can be as long
+    # as the machine has states, beyond any recursion limit.  Moves are
+    # pushed in reverse so they are popped in order; the lists are reversed
+    # once here, as reversing them per node costs about a tenth of the time.
+    backward = {state: moves[::-1] for state, moves in by_source.items()}
+    stack = [(anchor, zero, ())]
+    while stack:
+        state, vector, path = stack.pop()
         budget.spend()
         if state == anchor and path and vector != zero:
             buckets.setdefault(vector, path)
         if len(path) == max_len:
-            return
-        for index, writes, target in by_source.get(state, ()):
+            continue
+        for index, writes, target in backward.get(state, ()):
             if writes is EMPTY:
                 nxt = vector
             else:
@@ -137,9 +143,7 @@ def _enumerate_loops(m: MealyMachine, anchor: str, targets: tuple[int, ...],
                 if j is None or vector[j] + 1 > targets[j]:
                     continue
                 nxt = vector[:j] + (vector[j] + 1,) + vector[j + 1:]
-            extend(target, nxt, path + (index,))
-
-    extend(anchor, zero, ())
+            stack.append((target, nxt, path + (index,)))
     return buckets
 
 

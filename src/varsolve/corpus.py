@@ -1,9 +1,14 @@
 """Seeded random instance generators and solver/oracle pairing harnesses.
 
 All randomness in the toolkit flows through the Random objects created
-here, so every corpus is reproducible from a single seed.  The harness
-functions return the number of instances checked and raise AssertionError
-on the first disagreement, naming the offending instance.
+here, so every corpus is reproducible from a single seed.  ``FAMILIES``
+maps each family name to its ``check(seed, count)``, which returns the
+number of instances checked and raises AssertionError on the first
+disagreement, naming the offending instance.  Every family that runs a
+solver compares each verdict with its brute-force oracle and checks every
+YES certificate, by replaying it through the machine or by the oracle's
+validator.  Most families are one row of ``_paired``: a generator, the
+solver, the oracle and the certificate check.
 """
 
 from __future__ import annotations
@@ -289,116 +294,127 @@ def random_splits_instance(rng: random.Random, max_gaps: int = 7,
     return SplitsInstance(gaps=gaps, job_census=census)
 
 
-def check_ilp(seed: int, count: int = 1000) -> int:
-    rng = make_rng(seed)
-    for index in range(count):
-        program = random_program(rng)
-        witness = solve_feasibility(program)
-        reference = enumerate_feasibility(program)
-        if (witness is None) != (reference is None):
-            raise AssertionError(f"ilp verdict mismatch at instance {index}: {program}")
-        if witness is not None and not satisfies(program, witness.values):
-            raise AssertionError(f"ilp witness invalid at instance {index}: {program}")
-    return count
+def _machine_census(rng: random.Random) -> tuple:
+    m = random_machine(rng)
+    return m, random_census(rng, m)
 
 
-def check_subset_sum(seed: int, count: int = 500) -> int:
-    rng = make_rng(seed)
-    for index in range(count):
-        a, s = random_subset_sum_instance(rng)
-        cert = solve_subset_sum(a, s)
-        expected = oracle.brute_subset_sum(a, s)
-        if (cert is not None) != expected:
-            raise AssertionError(f"subset-sum mismatch at instance {index}: {a} {s}")
-        if cert is not None and not oracle.validate_subset_certificate(a, s, cert):
-            raise AssertionError(f"subset-sum bad certificate at instance {index}")
-    return count
+def _machine_word_census(rng: random.Random, allow_empty: bool = True) -> tuple:
+    m = random_machine(rng, allow_empty=allow_empty)
+    x = random_word(rng, m)
+    return m, x, random_gwmm_census(rng, m, x)
 
 
-def check_partition(seed: int, count: int = 500) -> int:
-    rng = make_rng(seed)
-    for index in range(count):
-        a = random_multiset(rng)
-        cert = solve_partition(a)
-        expected = oracle.brute_partition(a)
-        if (cert is not None) != expected:
-            raise AssertionError(f"partition mismatch at instance {index}: {a}")
-        if cert is not None and not oracle.validate_partition_certificate(a, cert):
-            raise AssertionError(f"partition bad certificate at instance {index}")
-    return count
+def _random_heat(rng: random.Random) -> HeatInstance:
+    """Random thresholds up to 3, census totals up to 6, deadlines up to 8."""
+    threshold = rng.randint(1, 3)
+    deadline = rng.randint(0, 8)
+    census: dict[int, int] = {}
+    for _ in range(rng.randint(0, min(6, deadline))):
+        level = rng.randint(0, 2 * threshold)
+        census[level] = census.get(level, 0) + 1
+    return HeatInstance(threshold=threshold, job_census=census, deadline=deadline)
 
 
-def check_num3dm(seed: int, count: int = 500) -> int:
-    rng = make_rng(seed)
-    for index in range(count):
-        a, b, c, s = random_num3dm_instance(rng)
-        cover = solve_num_3dm(a, b, c, s)
-        expected = oracle.brute_num3dm(a, b, c, s)
-        if (cover is not None) != expected:
-            raise AssertionError(f"num3dm mismatch at instance {index}")
-        if cover is not None and not oracle.validate_num3dm_cover(a, b, c, s, cover):
-            raise AssertionError(f"num3dm bad cover at instance {index}")
-    return count
+def _audited_mcc(g: MulticoloredGraph) -> tuple:
+    """The graph and its given-word image, after checking the image's size."""
+    m, x, c = mcc_to_gwmm(g)
+    k = g.k
+    if len(m.input_alphabet) != k + 3 * k * (k - 1):
+        raise AssertionError("input alphabet size off")
+    if len(m.output_alphabet) != 1 + 2 * k * (k - 1):
+        raise AssertionError("output alphabet size off")
+    if len(m.states) != 1 + k * (2 + 4 * (k - 1)):
+        raise AssertionError("state count off")
+    # Exact word length: per class pair the edge listing is walked once
+    # per class-i vertex between |V(i)|+1 delimiters.
+    expected_len = 0
+    for i in range(1, k + 1):
+        size = len(g.classes[i - 1])
+        expected_len += (k - 1) * size + 1
+        for j in range(1, k + 1):
+            if j == i:
+                continue
+            pair = sum(1 for u, v in g.edges
+                       if {g.class_of(u), g.class_of(v)} == {i, j})
+            expected_len += (size + 1) * (1 + pair)
+    if len(x) != expected_len:
+        raise AssertionError("word length off")
+    return g, m, x, c
 
 
-def check_nmts(seed: int, count: int = 500) -> int:
-    rng = make_rng(seed)
-    for index in range(count):
-        a, b, s = random_nmts_instance(rng)
-        cover = solve_nmts(a, b, s)
-        expected = oracle.brute_nmts(a, b, s)
-        if (cover is not None) != expected:
-            raise AssertionError(f"nmts mismatch at instance {index}")
-        if cover is not None and not oracle.validate_nmts_cover(a, b, s, cover):
-            raise AssertionError(f"nmts bad cover at instance {index}")
-    return count
+# The census engines are looked up at call time, so a replaced module
+# attribute (a tracer, or a test's tampered solver) is the one checked.
+def _ewmm(m: MealyMachine, c: CensusRequirement):
+    return census_solvers.solve_ewmm(m, c)
 
 
-def check_3partition(seed: int, count: int = 500) -> int:
-    rng = make_rng(seed)
-    for index in range(count):
-        a = random_3partition_instance(rng)
-        cover = solve_3partition(a)
-        expected = oracle.brute_3partition(a)
-        if (cover is not None) != expected:
-            raise AssertionError(f"3-partition mismatch at instance {index}: {a}")
-        if cover is not None and not oracle.validate_3partition_cover(a, cover):
-            raise AssertionError(f"3-partition bad cover at instance {index}")
-    return count
+def _gwmm(m: MealyMachine, x: tuple, c: CensusRequirement):
+    return census_solvers.solve_gwmm(m, x, c)
 
 
-def check_ewmm(seed: int, count: int = 300) -> int:
-    rng = make_rng(seed)
-    for index in range(count):
-        m = random_machine(rng)
-        c = random_census(rng, m)
-        cert = census_solvers.solve_ewmm(m, c)
-        expected = oracle.brute_ewmm(m, c)
-        if (cert is not None) != expected:
-            raise AssertionError(f"ewmm mismatch at instance {index}: {m} {c}")
-        if cert is not None:
-            output = run(cert.machine, cert.input_word(), cert.choices())
-            if census_of(output) != c:
-                raise AssertionError(f"ewmm bad certificate at instance {index}")
-    return count
+def _walk_replays(m: MealyMachine, c: CensusRequirement, cert) -> bool:
+    # The certificate carries its own (subdivided) machine.
+    return census_of(run(cert.machine, cert.input_word(), cert.choices())) == c
 
 
-def check_gwmm(seed: int, count: int = 300) -> int:
-    rng = make_rng(seed)
-    for index in range(count):
-        m = random_machine(rng)
-        x = random_word(rng, m)
-        c = random_gwmm_census(rng, m, x)
-        trace = census_solvers.solve_gwmm(m, x, c)
-        expected = oracle.brute_gwmm(m, x, c)
-        if (trace is not None) != expected:
-            raise AssertionError(f"gwmm mismatch at instance {index}: {m} {x} {c}")
-        if trace is not None and census_of(run(m, x, trace)) != c:
-            raise AssertionError(f"gwmm bad trace at instance {index}")
-    return count
+def _trace_replays(m: MealyMachine, x: tuple, c: CensusRequirement, trace) -> bool:
+    return census_of(run(m, x, trace)) == c
 
 
-def check_gwmm_guard(seed: int, count: int = 30) -> int:
+def _holds(certified, *args) -> bool:
+    """Whether ``certified(*args)`` accepts.  A check that raises ValueError
+    (an illegal replay step, unread input, a loop anchored off the walk)
+    rejects the certificate."""
+    try:
+        return bool(certified(*args))
+    except ValueError:
+        return False
+
+
+def _compare(index: int, instance: tuple, solve, reference, certified) -> None:
+    """Raise AssertionError unless ``solve(*instance)`` agrees with
+    ``reference(*instance)`` and a YES answer passes ``certified``."""
+    answer = solve(*instance)
+    if (answer is not None) != reference(*instance):
+        problem = "verdict mismatch"
+    elif answer is None or _holds(certified, *instance, answer):
+        return
+    else:
+        problem = "bad certificate"
+    shown = " ".join(map(str, instance))
+    raise AssertionError(f"{problem} at instance {index}: {shown}")
+
+
+def _paired(count: int, generate, solve, reference, certified):
+    """The ``check(seed, count)`` of one family: ``count`` instances drawn by
+    ``generate(rng)`` as argument tuples, each passed to ``_compare``."""
+    def check(seed: int, count: int = count) -> int:
+        rng = make_rng(seed)
+        for index in range(count):
+            _compare(index, generate(rng), solve, reference, certified)
+        return count
+    return check
+
+
+_HEAT = (lambda h, m, c: _ewmm(m, c),
+         lambda h, m, c: oracle.brute_heat_schedule(h),
+         lambda h, *walk: _walk_replays(*walk))
+
+
+def _check_heat(seed: int = 0) -> int:
+    """Exhaustive over threshold 1: censuses totalling <= 5, deadlines <= 7."""
+    grid = [HeatInstance(threshold=1, job_census={0: c0, 1: c1, 2: c2},
+                         deadline=deadline)
+            for deadline in range(8) for c0 in range(6)
+            for c1 in range(6 - c0) for c2 in range(6 - c0 - c1)
+            if c0 + c1 + c2 <= deadline]
+    for index, h in enumerate(grid):
+        _compare(index, (h, *heat_to_ewmm(h)), *_HEAT)
+    return len(grid)
+
+
+def _check_gwmm_guard(seed: int, count: int = 30) -> int:
     """Instances whose census total exceeds the word length; all No."""
     rng = make_rng(seed)
     checked = 0
@@ -413,117 +429,14 @@ def check_gwmm_guard(seed: int, count: int = 30) -> int:
         c = CensusRequirement.of(counts)
         if c.total() <= len(x):
             continue
-        if census_solvers.solve_gwmm(m, x, c) is not None:
+        if _gwmm(m, x, c) is not None:
             raise AssertionError("census above the word length met")
         checked += 1
     return checked
 
 
-def check_gwmm_empty_free(seed: int, count: int = 200) -> int:
-    """Given-word solver vs oracle on machines without readable empty letters."""
-    rng = make_rng(seed)
-    for index in range(count):
-        m = random_machine(rng, allow_empty=False)
-        x = random_word(rng, m)
-        c = random_gwmm_census(rng, m, x)
-        trace = census_solvers.solve_gwmm(m, x, c)
-        expected = oracle.brute_gwmm(m, x, c)
-        if (trace is not None) != expected:
-            raise AssertionError(f"empty-free gwmm mismatch at instance {index}")
-        if trace is not None and census_of(run(m, x, trace)) != c:
-            raise AssertionError(f"empty-free gwmm bad trace at instance {index}")
-    return count
-
-
-def check_heat_random(seed: int, count: int = 150) -> int:
-    """Random thresholds up to 3, census totals up to 6, deadlines up to 8."""
-    rng = make_rng(seed)
-    for index in range(count):
-        threshold = rng.randint(1, 3)
-        deadline = rng.randint(0, 8)
-        census: dict[int, int] = {}
-        for _ in range(rng.randint(0, min(6, deadline))):
-            level = rng.randint(0, 2 * threshold)
-            census[level] = census.get(level, 0) + 1
-        instance = HeatInstance(threshold=threshold, job_census=census,
-                                deadline=deadline)
-        m, c = heat_to_ewmm(instance)
-        cert = census_solvers.solve_ewmm(m, c)
-        expected = oracle.brute_heat_schedule(instance)
-        if (cert is not None) != expected:
-            raise AssertionError(f"heat mismatch at instance {index}: {instance}")
-    return count
-
-
-def check_mcc(seed: int, count: int = 50) -> int:
-    rng = make_rng(seed)
-    for index in range(count):
-        g = random_multicolored_graph(rng)
-        m, x, c = mcc_to_gwmm(g)
-        trace = census_solvers.solve_gwmm(m, x, c)
-        expected = oracle.brute_mcc_clique(g)
-        if (trace is not None) != expected:
-            raise AssertionError(f"mcc reduction mismatch at instance {index}: {g}")
-        k = g.k
-        if len(m.input_alphabet) != k + 3 * k * (k - 1):
-            raise AssertionError("input alphabet size off")
-        if len(m.output_alphabet) != 1 + 2 * k * (k - 1):
-            raise AssertionError("output alphabet size off")
-        if len(m.states) != 1 + k * (2 + 4 * (k - 1)):
-            raise AssertionError("state count off")
-        # Exact word length: per class pair the edge listing is walked once
-        # per class-i vertex between |V(i)|+1 delimiters.
-        expected_len = 0
-        for i in range(1, k + 1):
-            size = len(g.classes[i - 1])
-            expected_len += (k - 1) * size + 1
-            for j in range(1, k + 1):
-                if j == i:
-                    continue
-                pair = sum(1 for u, v in g.edges
-                           if {g.class_of(u), g.class_of(v)} == {i, j})
-                expected_len += (size + 1) * (1 + pair)
-        if len(x) != expected_len:
-            raise AssertionError("word length off")
-    return count
-
-
-def check_heat(seed: int = 0) -> int:
-    """Exhaustive over threshold 1: censuses totalling <= 5, deadlines <= 7."""
-    checked = 0
-    for deadline in range(8):
-        for c0 in range(6):
-            for c1 in range(6 - c0):
-                for c2 in range(6 - c0 - c1):
-                    if c0 + c1 + c2 > deadline:
-                        continue
-                    census = {0: c0, 1: c1, 2: c2}
-                    instance = HeatInstance(threshold=1, job_census=census,
-                                            deadline=deadline)
-                    m, c = heat_to_ewmm(instance)
-                    cert = census_solvers.solve_ewmm(m, c)
-                    expected = oracle.brute_heat_schedule(instance)
-                    if (cert is not None) != expected:
-                        raise AssertionError(f"heat mismatch: {census} {deadline}")
-                    checked += 1
-    return checked
-
-
-def check_splits(seed: int, count: int = 200) -> int:
-    rng = make_rng(seed)
-    for index in range(count):
-        instance = random_splits_instance(rng)
-        m, x, c = splits_to_gwmm(instance)
-        trace = census_solvers.solve_gwmm(m, x, c)
-        expected = oracle.brute_splits_game(instance)
-        if (trace is not None) != expected:
-            raise AssertionError(f"splits mismatch at instance {index}: {instance}")
-        if trace is not None and census_of(run(m, x, trace)) != c:
-            raise AssertionError(f"splits bad trace at instance {index}")
-    return count
-
-
-def check_subsetsum_to_partition(seed: int, count: int = 500) -> int:
+def _check_reduce_partition(seed: int, count: int = 500) -> int:
+    """Subset sum against the partition image, oracle against oracle."""
     rng = make_rng(seed)
     for index in range(count):
         a = random_multiset(rng, max_cardinality=8, max_value=10)
@@ -537,19 +450,37 @@ def check_subsetsum_to_partition(seed: int, count: int = 500) -> int:
 
 
 FAMILIES = {
-    "ilp": check_ilp,
-    "subsetsum": check_subset_sum,
-    "partition": check_partition,
-    "num3dm": check_num3dm,
-    "nmts": check_nmts,
-    "threepartition": check_3partition,
-    "ewmm": check_ewmm,
-    "gwmm": check_gwmm,
-    "gwmm-guard": check_gwmm_guard,
-    "gwmm-empty-free": check_gwmm_empty_free,
-    "mcc": check_mcc,
-    "heat": check_heat,
-    "heat-random": check_heat_random,
-    "splits": check_splits,
-    "reduce-partition": check_subsetsum_to_partition,
+    "ilp": _paired(1000, lambda rng: (random_program(rng),), solve_feasibility,
+                   lambda p: enumerate_feasibility(p) is not None,
+                   lambda p, witness: satisfies(p, witness.values)),
+    "subsetsum": _paired(500, random_subset_sum_instance, solve_subset_sum,
+                         oracle.brute_subset_sum, oracle.validate_subset_certificate),
+    "partition": _paired(500, lambda rng: (random_multiset(rng),), solve_partition,
+                         oracle.brute_partition, oracle.validate_partition_certificate),
+    "num3dm": _paired(500, random_num3dm_instance, solve_num_3dm,
+                      oracle.brute_num3dm, oracle.validate_num3dm_cover),
+    "nmts": _paired(500, random_nmts_instance, solve_nmts,
+                    oracle.brute_nmts, oracle.validate_nmts_cover),
+    "threepartition": _paired(500, lambda rng: (random_3partition_instance(rng),),
+                              solve_3partition, oracle.brute_3partition,
+                              oracle.validate_3partition_cover),
+    "ewmm": _paired(300, _machine_census, _ewmm, oracle.brute_ewmm, _walk_replays),
+    "gwmm": _paired(300, _machine_word_census, _gwmm, oracle.brute_gwmm,
+                    _trace_replays),
+    "gwmm-guard": _check_gwmm_guard,
+    "gwmm-empty-free": _paired(200, lambda rng: _machine_word_census(rng, False),
+                               _gwmm, oracle.brute_gwmm, _trace_replays),
+    "mcc": _paired(50, lambda rng: _audited_mcc(random_multicolored_graph(rng)),
+                   lambda g, *image: _gwmm(*image),
+                   lambda g, *image: oracle.brute_mcc_clique(g),
+                   lambda g, *trace: _trace_replays(*trace)),
+    "heat": _check_heat,
+    "heat-random": _paired(150, lambda rng: (h := _random_heat(rng), *heat_to_ewmm(h)),
+                           *_HEAT),
+    "splits": _paired(200, lambda rng: (s := random_splits_instance(rng),
+                                        *splits_to_gwmm(s)),
+                      lambda s, *image: _gwmm(*image),
+                      lambda s, *image: oracle.brute_splits_game(s),
+                      lambda s, *trace: _trace_replays(*trace)),
+    "reduce-partition": _check_reduce_partition,
 }

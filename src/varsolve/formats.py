@@ -69,6 +69,24 @@ def _target(reader: _Reader, parts, line: int, previous: int | None,
     return _int(reader, token[2:], line, column + 2, "target integer")
 
 
+def _entry(reader: _Reader, parts, line: int, seen: set[int],
+           where: str = "") -> tuple[int, int]:
+    """The ``(value, multiplicity)`` of a ``value multiplicity`` line whose
+    value is not in ``seen`` (then added); ``where`` ends the duplicate error."""
+    token, column = parts[0]
+    if len(parts) != 2:
+        reader.fail(line, column, "expected 'value multiplicity'")
+    value = _int(reader, token, line, column, "integer value")
+    mult_token, mult_column = parts[1]
+    mult = _int(reader, mult_token, line, mult_column, "multiplicity")
+    if value in seen:
+        reader.fail(line, column, f"duplicate value {value}{where}")
+    if mult <= 0:
+        reader.fail(line, mult_column, f"multiplicity of {value} must be positive")
+    seen.add(value)
+    return value, mult
+
+
 def parse_multiset(text: str, path: str = "<instance>",
                    expect_target: bool = False) -> tuple[Multiset, int | None]:
     """Lines of ``value multiplicity``; an ``s=<int>`` line iff ``expect_target``."""
@@ -77,21 +95,10 @@ def parse_multiset(text: str, path: str = "<instance>",
     seen: set[int] = set()
     target = None
     for line, parts in reader.tokens():
-        token, column = parts[0]
-        if token.startswith("s="):
+        if parts[0][0].startswith("s="):
             target = _target(reader, parts, line, target, expect_target)
             continue
-        if len(parts) != 2:
-            reader.fail(line, column, "expected 'value multiplicity'")
-        value = _int(reader, token, line, column, "integer value")
-        mult_token, mult_column = parts[1]
-        mult = _int(reader, mult_token, line, mult_column, "multiplicity")
-        if value in seen:
-            reader.fail(line, column, f"duplicate value {value}")
-        if mult <= 0:
-            reader.fail(line, mult_column, f"multiplicity of {value} must be positive")
-        seen.add(value)
-        entries.append((value, mult))
+        entries.append(_entry(reader, parts, line, seen))
     if expect_target and target is None:
         reader.fail(len(reader.lines) or 1, 1, "missing 's=<int>' line")
     return Multiset(tuple(entries)), target
@@ -117,17 +124,8 @@ def parse_multiset_sections(text: str, names: tuple[str, ...],
         if current is None:
             reader.fail(line, column,
                         f"expected a section marker, one of {', '.join(n + ':' for n in names)}")
-        if len(parts) != 2:
-            reader.fail(line, column, "expected 'value multiplicity'")
-        value = _int(reader, token, line, column, "integer value")
-        mult_token, mult_column = parts[1]
-        mult = _int(reader, mult_token, line, mult_column, "multiplicity")
-        if value in seen[current]:
-            reader.fail(line, column, f"duplicate value {value} in section {current}")
-        if mult <= 0:
-            reader.fail(line, mult_column, f"multiplicity of {value} must be positive")
-        seen[current].add(value)
-        sections[current].append((value, mult))
+        sections[current].append(
+            _entry(reader, parts, line, seen[current], f" in section {current}"))
     if expect_target and target is None:
         reader.fail(len(reader.lines) or 1, 1, "missing 's=<int>' line")
     multisets = tuple(Multiset(tuple(sections[name])) for name in names)

@@ -136,15 +136,6 @@ def _propagate(program: IntegerProgram, bounds: dict[str, tuple[int, int]]) -> N
     while changed:
         changed = False
         for con in program.constraints:
-            if not con.coeffs:
-                lhs = 0
-                ok = ((con.relation == LE and lhs <= con.rhs)
-                      or (con.relation == EQ and lhs == con.rhs)
-                      or (con.relation == GE and lhs >= con.rhs))
-                if not ok:
-                    raise ProvenInfeasible(f"constant constraint 0 {con.relation} {con.rhs}")
-                continue
-
             if con.relation == EQ:
                 unfixed = [(name, c) for name, c in con.coeffs.items()
                            if c and bounds[name][0] != bounds[name][1]]

@@ -10,10 +10,7 @@ import time
 from collections import Counter
 
 from varsolve.census_solvers import solve_ewmm, solve_gwmm
-from varsolve.corpus import (check_3partition, check_ewmm, check_gwmm,
-                             check_gwmm_guard, check_heat, check_mcc,
-                             check_nmts, check_num3dm, check_partition,
-                             check_subset_sum, make_rng, random_machine,
+from varsolve.corpus import (FAMILIES, make_rng, random_machine,
                              random_simple_machine, random_walk)
 from varsolve.mealy import census_of, decompose_walk, run, subdivide
 from varsolve.oracle import brute_splits_game
@@ -61,36 +58,36 @@ def test_criterion_1_splits_figure_reproduction():
 
 def test_criterion_2_variety_oracle_equivalence():
     with _Criterion(2, "variety solvers vs oracles, 500 each", 120):
-        assert check_subset_sum(SEED, 500) == 500
-        assert check_partition(SEED + 1, 500) == 500
-        assert check_num3dm(SEED + 2, 500) == 500
-        assert check_nmts(SEED + 3, 500) == 500
-        assert check_3partition(SEED + 4, 500) == 500
+        assert FAMILIES["subsetsum"](SEED, 500) == 500
+        assert FAMILIES["partition"](SEED + 1, 500) == 500
+        assert FAMILIES["num3dm"](SEED + 2, 500) == 500
+        assert FAMILIES["nmts"](SEED + 3, 500) == 500
+        assert FAMILIES["threepartition"](SEED + 4, 500) == 500
 
 
 def test_criterion_3_ewmm_oracle_equivalence():
     with _Criterion(3, "exists-word solver vs oracle, 300 machines", 120):
-        # check_ewmm lets BudgetExceeded propagate, so zero unknowns at the
+        # the ewmm family lets BudgetExceeded propagate, so zero unknowns at the
         # default budget is part of the assertion.
-        assert check_ewmm(SEED, 300) == 300
+        assert FAMILIES["ewmm"](SEED, 300) == 300
 
 
 def test_criterion_4_gwmm_oracle_equivalence():
     with _Criterion(4, "given-word solver vs oracle, 300 + 30 guard", 120):
-        assert check_gwmm(SEED, 300) == 300
-        assert check_gwmm_guard(SEED, 30) == 30
+        assert FAMILIES["gwmm"](SEED, 300) == 300
+        assert FAMILIES["gwmm-guard"](SEED, 30) == 30
 
 
 def test_criterion_5_mcc_reduction():
     with _Criterion(5, "clique reduction vs brute force, 50 graphs", 600):
         # Size formulas (21/13/31 letters/letters/states for k=3) are checked
         # inside the harness for every generated graph.
-        assert check_mcc(SEED, 50) == 50
+        assert FAMILIES["mcc"](SEED, 50) == 50
 
 
 def test_criterion_6_heat_scheduling_exhaustive():
     with _Criterion(6, "heat scheduling, exhaustive threshold-1 grid", 60):
-        assert check_heat() == 238
+        assert FAMILIES["heat"]() == 238
         # Forced-No family: two heat-2 jobs can never both run.
         from varsolve.reductions import HeatInstance, heat_to_ewmm
         for count in (2, 3):

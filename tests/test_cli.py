@@ -13,6 +13,7 @@ import varsolve.cli
 from varsolve.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+DEMOS = Path(__file__).parent.parent / "demos"
 
 
 def run_cli(capsys, *argv):
@@ -224,6 +225,16 @@ def test_cli_import_loads_no_numpy():
     subprocess.run([sys.executable, "-c",
                     "import varsolve.cli, sys; assert 'numpy' not in sys.modules"],
                    env=package_env(), check=True, timeout=60)
+
+
+def test_demos_run():
+    demos = sorted(DEMOS.glob("*.py"))
+    assert len(demos) == 3
+    for demo in demos:
+        done = subprocess.run([sys.executable, str(demo)], env=package_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (demo.name, done.stderr)
+        assert done.stdout.strip(), demo.name
 
 
 def test_python_m_varsolve_matches_main(capsys):

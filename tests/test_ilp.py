@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varsolve.corpus import check_ilp, enumerate_feasibility, make_rng, random_program
+from varsolve.corpus import FAMILIES, enumerate_feasibility, make_rng, random_program
 from varsolve.ilp import (Constraint, IntegerProgram, MalformedProgram,
                           ProvenInfeasible, dump_program, propagate_bounds,
                           satisfies, solve_feasibility)
@@ -50,8 +50,13 @@ def test_undeclared_coefficient_rejected():
 
 def test_empty_program_constant_constraints():
     assert solve_feasibility(program([], [])).values == {}
-    assert solve_feasibility(program([], [({}, "=", 0)])) is not None
-    assert solve_feasibility(program([], [({}, ">=", 1)])) is None
+    holds = {"<=": lambda rhs: 0 <= rhs, "=": lambda rhs: 0 == rhs,
+             ">=": lambda rhs: 0 >= rhs}
+    for relation, meets in holds.items():
+        for rhs in (-1, 0, 1):
+            for variables in ([], [("x", 0, 3)]):
+                p = program(variables, [({}, relation, rhs)])
+                assert (solve_feasibility(p) is not None) == meets(rhs), (relation, rhs)
 
 
 def test_propagation_tightens_sum():
@@ -97,7 +102,7 @@ def test_propagation_never_removes_solutions():
 
 
 def test_corpus_soundness_and_completeness():
-    assert check_ilp(42, 1000) == 1000
+    assert FAMILIES["ilp"](42, 1000) == 1000
 
 
 def test_determinism():

@@ -1,11 +1,12 @@
 """Reductions: worked examples, oracle agreement, structural audits."""
 
+from dataclasses import replace
+
 import pytest
 
+from varsolve import census_solvers
 from varsolve.census_solvers import solve_ewmm, solve_gwmm
-from varsolve.corpus import (check_heat, check_mcc, check_splits,
-                             check_subsetsum_to_partition, make_rng,
-                             random_multicolored_graph)
+from varsolve.corpus import FAMILIES, make_rng, random_multicolored_graph
 from varsolve.mealy import census_of, run
 from varsolve.oracle import (brute_mcc_clique, brute_partition,
                              brute_subset_sum)
@@ -49,7 +50,7 @@ def test_partition_reduction_target_out_of_range():
 
 
 def test_partition_reduction_oracle_agreement():
-    assert check_subsetsum_to_partition(42, 500) == 500
+    assert FAMILIES["reduce-partition"](42, 500) == 500
 
 
 def triangle():
@@ -151,7 +152,7 @@ def test_mcc_accepting_traces_decode_to_cliques():
 
 
 def test_mcc_reduction_oracle_agreement():
-    assert check_mcc(42, 50) == 50
+    assert FAMILIES["mcc"](42, 50) == 50
 
 
 def test_heat_single_hot_job():
@@ -179,12 +180,11 @@ def test_heat_machine_shape():
 
 
 def test_heat_exhaustive_equivalence():
-    assert check_heat() == 238
+    assert FAMILIES["heat"]() == 238
 
 
 def test_heat_random_thresholds_up_to_three():
-    from varsolve.corpus import check_heat_random
-    assert check_heat_random(42, 150) == 150
+    assert FAMILIES["heat-random"](42, 150) == 150
 
 
 def test_heat_rejects_overfull_census():
@@ -218,4 +218,25 @@ def test_splits_census_size_mismatch():
 
 
 def test_splits_oracle_agreement():
-    assert check_splits(42, 200) == 200
+    assert FAMILIES["splits"](42, 200) == 200
+
+
+def test_families_reject_tampered_certificates(monkeypatch):
+    # Each YES certificate loses its last step; the harness must notice,
+    # whether the replay then misses the census or fails to run at all.
+    solve_gwmm_ = census_solvers.solve_gwmm
+    solve_ewmm_ = census_solvers.solve_ewmm
+
+    def short_trace(*args):
+        trace = solve_gwmm_(*args)
+        return trace if trace is None else trace[:-1]
+
+    def short_walk(*args):
+        cert = solve_ewmm_(*args)
+        return cert if cert is None else replace(cert, base_walk=cert.base_walk[:-1])
+
+    monkeypatch.setattr(census_solvers, "solve_gwmm", short_trace)
+    monkeypatch.setattr(census_solvers, "solve_ewmm", short_walk)
+    for name, count in (("mcc", 50), ("splits", 200), ("heat-random", 150)):
+        with pytest.raises(AssertionError, match="bad certificate"):
+            FAMILIES[name](42, count)
