@@ -11,12 +11,13 @@ Two problems over a nondeterministic machine M and a census requirement c:
 * given-word: for a fixed input word x, is there a computation reading all
   of x whose output meets c exactly?  Solved by a boolean table, kept as the
   set of its true entries (state, partial census, input position, trailing
-  empty-move count), filled forward from the start configuration; traces are
-  rebuilt by a second backward pass over the table, without back-pointers.
-  Entries whose census can no longer be met from the rest of x are never
-  stored, so a census total above |x| on a machine whose empty-read moves
-  write no tracked letter is rejected before the first entry, however large
-  its counts.
+  empty-move count), each packed into one int, filled forward from the
+  start configuration; traces are rebuilt by a second backward pass over
+  the table, without back-pointers.  Entries whose census can no longer be
+  met from the rest of x are never stored (each move runs only the checks
+  it can fail), so a census total above |x| on a machine whose empty-read
+  moves write no tracked letter is rejected before the first entry, however
+  large its counts.  A budget caps the number of stored entries.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ class BudgetExceeded(Exception):
 
 
 class DpIndex(NamedTuple):
+    """A given-word table entry, decoded from its packed int."""
+
     state: str
     partial_census: tuple[int, ...]
     input_position: int
@@ -266,25 +269,33 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
     return None
 
 
-def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement
-               ) -> Optional[tuple[int, ...]]:
+def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
+               budget: Optional[int] = DEFAULT_BUDGET) -> Optional[tuple[int, ...]]:
     """Decide whether a computation reading all of ``x`` meets ``c`` exactly.
 
     Returns a transition-index trace replayable through the machine, or None.
     An entry (s, counts, i, p) is true when some computation reads the first
     i letters of x, writes each required letter exactly counts-many times,
     ends with p trailing moves that read and write the empty letter, and sits
-    in state s.  The table is the set of true entries, filled forward from
-    the start entry; p is capped below |states| since longer all-empty runs
-    revisit a state and can be cut without changing census or reading
-    position.
+    in state s.  The table is the set of true entries, filled depth-first
+    from the start entry; p is capped below |states| since longer all-empty
+    runs revisit a state and can be cut without changing census or reading
+    position.  Each entry is one int, ((code·(|x|+1) + i)·|S| + p)·|S| + s,
+    where code is the counts in mixed radix (digit j runs over 0..c_j) and s
+    is the state's index; ``DpIndex`` is its decoded view.
 
     An entry is pruned when the rest of x cannot make up its census
     deficit: per letter, when only reading moves write that letter, and in
     total, when no empty-read move writes a tracked letter.  The start entry
-    is checked too, so a census totalling more than |x| on such a machine,
-    even with counts given in binary, is rejected without a table.  Always
-    exact: never reports unknown.
+    gets both checks, so a census totalling more than |x| on such a machine,
+    even with counts given in binary, is rejected without a table.  From a
+    stored entry a move runs only the checks it can fail: a move reading
+    x[i] the per-letter check of the letters x[i] can be turned into, other
+    than the one it writes, and the total check if it writes nothing; an
+    empty-read move none.
+
+    Spends one unit of ``budget`` per stored entry (None: no cap) and
+    raises BudgetExceeded when it is spent; otherwise exact.
     """
     for letter in x:
         if letter is EMPTY:
@@ -293,156 +304,194 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement
             raise ValueError(f"input letter {letter!r} not in the input alphabet")
     letters, index_of = _letter_indices(c)
     targets = tuple(c.get(letter) for letter in letters)
-    sigma = len(letters)
-    zero = (0,) * sigma
-    n_states = len(m.states)
+    radix = [target + 1 for target in targets]
+    names = sorted(m.states)
+    number = {state: k for k, state in enumerate(names)}
+    n_states = len(names)
     n = len(x)
+    cap = budget if budget is not None else float("inf")
 
-    # Move tables keyed by source state; transitions writing a letter with a
-    # zero requirement can never be taken and are left out.  The write field
-    # is the tracked-letter index, or -1 for the empty letter.
-    eps_moves: dict[str, list[tuple[int, int, str]]] = {}
-    read_moves: dict[tuple[str, object], list[tuple[int, int, str]]] = {}
-    into: dict[str, list[tuple[int, object, object, str]]] = {}
-    free_writers = False
-    for i, t in enumerate(m.transitions):
-        into.setdefault(t.target, []).append((i, t.reads, t.writes, t.source))
+    # Place values in a key: a head is a key with p and s zero, so a move
+    # adds its step to the head (one input position, one written letter)
+    # and a stored key is head + p·|S| + s.
+    position_unit = n_states * n_states
+    unit = []
+    place = (n + 1) * position_unit
+    for r in radix:
+        unit.append(place)
+        place *= r
+
+    # Move tables by state index; transitions writing a letter with a zero
+    # requirement can never be taken and are left out.  A move is (index,
+    # written letter's index or -1, target, step); read_at[i] holds the
+    # moves reading x[i].  writers[j] is the set of input letters a move
+    # writing j reads, or None when an empty-read move writes j.
+    eps_moves: list[list[tuple[int, int, int, int]]] = [[] for _ in names]
+    by_letter: dict[object, list[list[tuple[int, int, int, int]]]] = {}
+    into: list[list[tuple[int, object, int, int]]] = [[] for _ in names]
+    writers: list[Optional[set]] = [set() for _ in letters]
+    for index, t in enumerate(m.transitions):
         if t.writes is EMPTY:
-            jw = -1
+            jw, step = -1, 0
         else:
-            jw = index_of.get(t.writes, None)
-            if jw is None:
+            jw = index_of.get(t.writes, -2)
+            if jw < 0:
                 continue
+            step = unit[jw]
+        source, target = number[t.source], number[t.target]
+        into[target].append((index, t.reads, jw, source))
         if t.reads is EMPTY:
+            eps_moves[source].append((index, jw, target, step))
             if jw >= 0:
-                free_writers = True
-            eps_moves.setdefault(t.source, []).append((i, jw, t.target))
+                writers[jw] = None
         else:
-            read_moves.setdefault((t.source, t.reads), []).append((i, jw, t.target))
+            if t.reads not in by_letter:
+                by_letter[t.reads] = [[] for _ in names]
+            by_letter[t.reads][source].append((index, jw, target, step + position_unit))
+            if jw >= 0 and writers[jw] is not None:
+                writers[jw].add(t.reads)
+    free_writers = None in writers
+    no_moves = [()] * n_states
+    read_at = [by_letter.get(letter, no_moves) for letter in x]
 
-    # future_writes[j][i]: number of positions at or after i whose input
-    # letter some transition can turn into required letter j.  Unusable when
-    # an empty-read transition writes j (then writes need no position).
-    future_writes: list[Optional[list[int]]] = []
-    for j, letter in enumerate(letters):
-        reads = set()
-        free = False
-        for t in m.transitions:
-            if t.writes == letter:
-                if t.reads is EMPTY:
-                    free = True
-                else:
-                    reads.add(t.reads)
-        if free:
-            future_writes.append(None)
-        else:
-            suffix = [0] * (n + 1)
-            for i in range(n - 1, -1, -1):
-                suffix[i] = suffix[i + 1] + (1 if x[i] in reads else 0)
-            future_writes.append(suffix)
+    # checks_at[i]: (j, unit, radix, need) for each letter j whose count of
+    # future writing positions drops at i, where need > 0 is the count j
+    # must already have for the positions after i to make up the rest.
+    turns_into = {letter: [j for j, w in enumerate(writers)
+                           if w is not None and letter in w]
+                  for letter in by_letter}
+    after = [0] * len(letters)
+    checks_at: list[list[tuple[int, int, int, int]]] = [[] for _ in x]
+    for i in range(n - 1, -1, -1):
+        for j in turns_into.get(x[i], ()):
+            if targets[j] > after[j]:
+                checks_at[i].append((j, unit[j], radix[j], targets[j] - after[j]))
+            after[j] += 1
+    total = sum(targets)
+    start = number[m.start]
+    dead = ((not free_writers and total > n)
+            or any(w is not None and after[j] < targets[j]
+                   for j, w in enumerate(writers)))
 
-    def dead(census: tuple[int, ...], position: int) -> bool:
-        if not free_writers:
-            if sum(targets) - sum(census) > n - position:
-                return True
-        for j in range(sigma):
-            suffix = future_writes[j]
-            if suffix is not None and census[j] + suffix[position] < targets[j]:
-                return True
-        return False
-
-    table: set[DpIndex] = set()
-    final: Optional[DpIndex] = None
-    base = DpIndex(m.start, zero, 0, 0)
-    if not dead(zero, 0):
-        table.add(base)
-        if zero == targets and n == 0:
-            final = base
-        stack = [base]
+    table: set[int] = set()
+    final: Optional[int] = None
+    if not dead:
+        table.add(start)
+        if len(table) > cap:
+            raise BudgetExceeded(f"table entry cap {cap} exceeded")
+        if total == 0 and n == 0:
+            final = start
+        # Stack items: (state index, head, position, p, census still owed).
+        stack = [(start, 0, 0, 0, total)]
         while stack and final is None:
-            state, census, position, p = stack.pop()
-            moves = []
+            state, head, position, p, owed = stack.pop()
             if position < n:
-                moves.extend(read_moves.get((state, x[position]), ()))
-            consuming = len(moves)
-            moves.extend(eps_moves.get(state, ()))
-            for k, (index, jw, target) in enumerate(moves):
-                if k < consuming:
-                    position2 = position + 1
-                    p2 = 0
-                else:
-                    position2 = position
-                    if jw < 0:
-                        p2 = p + 1
-                        if p2 >= n_states:
+                checks = checks_at[position]
+                short = [j for j, u, r, need in checks
+                         if head // u % r < need] if checks else ()
+                if len(short) < 2:
+                    # With one letter short, only a move writing it survives.
+                    needed = short[0] if short else None
+                    silent_ok = free_writers or owed < n - position
+                    for index, jw, target, step in read_at[position][state]:
+                        if needed is not None and jw != needed:
                             continue
-                    else:
-                        p2 = 0
-                if jw < 0:
-                    census2 = census
-                else:
-                    if census[jw] + 1 > targets[jw]:
-                        continue
-                    census2 = census[:jw] + (census[jw] + 1,) + census[jw + 1:]
-                if dead(census2, position2):
-                    continue
-                successor = DpIndex(target, census2, position2, p2)
-                if successor not in table:
-                    table.add(successor)
-                    if census2 == targets and position2 == n:
-                        final = successor
+                        if jw < 0:
+                            if not silent_ok:
+                                continue
+                            owed2 = owed
+                        else:
+                            if head // unit[jw] % radix[jw] == targets[jw]:
+                                continue
+                            owed2 = owed - 1
+                        head2 = head + step
+                        key = head2 + target
+                        if key not in table:
+                            table.add(key)
+                            if len(table) > cap:
+                                raise BudgetExceeded(f"table entry cap {cap} exceeded")
+                            if owed2 == 0 and position + 1 == n:
+                                final = key
+                                break
+                            stack.append((target, head2, position + 1, 0, owed2))
+                    if final is not None:
                         break
-                    stack.append(successor)
+            for index, jw, target, step in eps_moves[state]:
+                if jw < 0:
+                    p2 = p + 1
+                    if p2 == n_states:
+                        continue
+                    owed2 = owed
+                else:
+                    if head // unit[jw] % radix[jw] == targets[jw]:
+                        continue
+                    p2 = 0
+                    owed2 = owed - 1
+                head2 = head + step
+                key = head2 + p2 * n_states + target
+                if key not in table:
+                    table.add(key)
+                    if len(table) > cap:
+                        raise BudgetExceeded(f"table entry cap {cap} exceeded")
+                    if owed2 == 0 and position == n:
+                        final = key
+                        break
+                    stack.append((target, head2, position, p2, owed2))
 
     if final is None:
         return None
 
+    def decode(key: int) -> DpIndex:
+        rest, state = divmod(key, n_states)
+        rest, p = divmod(rest, n_states)
+        code, position = divmod(rest, n + 1)
+        census = []
+        for r in radix:
+            code, digit = divmod(code, r)
+            census.append(digit)
+        return DpIndex(names[state], tuple(census), position, p)
+
     # Backward pass: rebuild one trace by locating, for each true entry, a
-    # true predecessor entry under the transition relation.
+    # true predecessor entry under the transition relation, trying moves in
+    # transition order.  An entry with p > 0 follows a move that reads and
+    # writes the empty letter; one with p = 0 any other move, whose source
+    # head is found once and then tried with each p.
     trace: list[int] = []
-    entry = final
-    while entry != base:
-        state, census, position, p = entry
+    key = final
+    while key != start:
+        rest, state = divmod(key, n_states)
+        p = rest % n_states
+        head = key - p * n_states - state
+        position = head // position_unit % (n + 1)
         found = None
-        if p > 0:
-            for index, reads, writes, source in into.get(state, ()):
-                if reads is EMPTY and writes is EMPTY:
-                    candidate = DpIndex(source, census, position, p - 1)
-                    if candidate in table:
-                        found = (index, candidate)
-                        break
-        else:
-            for index, reads, writes, source in into.get(state, ()):
-                if reads is EMPTY:
-                    if writes is EMPTY:
-                        continue
-                    j = index_of.get(writes)
-                    if j is None or census[j] == 0:
-                        continue
-                    census2 = census[:j] + (census[j] - 1,) + census[j + 1:]
-                    previous_position = position
-                else:
+        for index, reads, jw, source in into[state]:
+            previous = head
+            if reads is EMPTY and jw < 0:
+                if p == 0:
+                    continue
+                runs = (p - 1,)
+            else:
+                if p > 0:
+                    continue
+                runs = range(n_states)
+                if reads is not EMPTY:
                     if position == 0 or x[position - 1] != reads:
                         continue
-                    if writes is EMPTY:
-                        census2 = census
-                    else:
-                        j = index_of.get(writes)
-                        if j is None or census[j] == 0:
-                            continue
-                        census2 = census[:j] + (census[j] - 1,) + census[j + 1:]
-                    previous_position = position - 1
-                for p2 in range(n_states):
-                    candidate = DpIndex(source, census2, previous_position, p2)
-                    if candidate in table:
-                        found = (index, candidate)
-                        break
-                if found:
+                    previous -= position_unit
+                if jw >= 0:
+                    if head // unit[jw] % radix[jw] == 0:
+                        continue
+                    previous -= unit[jw]
+            for run in runs:
+                if previous + run * n_states + source in table:
+                    found = (index, previous + run * n_states + source)
                     break
+            if found:
+                break
         if found is None:
-            raise AssertionError("true table entry without a true predecessor")
+            raise AssertionError(
+                f"true table entry {decode(key)} without a true predecessor")
         trace.append(found[0])
-        entry = found[1]
+        key = found[1]
     trace.reverse()
     return tuple(trace)
-

@@ -2,8 +2,9 @@
 
 Exit codes: 0 for a Yes verdict (or a clean verification run), 1 for No,
 2 for usage, parse and cardinality errors, an ``s=`` line in a problem that
-takes no target, and an unreadable instance file, 3 for an unknown verdict
-(exists-word budget).
+takes no target, an unreadable instance file, and any other exception (an
+internal error, printed as ``error: internal: <Type>: <message>``, never
+read as No), 3 for an unknown verdict (exists-word or given-word budget).
 
 Every solver subcommand is a row of ``SOLVERS`` and every reduction a row
 of ``REDUCTIONS``.  A row reaches its solver, reduction, parser and writer
@@ -135,8 +136,10 @@ SOLVERS = {
         "does a computation on the given word meet the census?",
         parse=lambda text, path: formats.parse_machine_instance(
             text, path, with_word=True),
-        solve=lambda machine, word, census: solve_gwmm(machine, word, census),
-        show=lambda trace, instance: _print_transitions(instance[0], trace)),
+        solve=lambda machine, word, census, budget: solve_gwmm(
+            machine, word, census, budget=budget),
+        show=lambda trace, instance: _print_transitions(instance[0], trace),
+        budget=True),
 }
 
 
@@ -267,6 +270,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as error:
         # Parse errors, cardinality errors and unreadable instance files.
         print(f"error: {error}", file=sys.stderr)
+        return USAGE
+    except Exception as error:
+        # A fault of the program, not an answer: exit 1 would read as No.
+        # KeyboardInterrupt and other BaseExceptions still get through.
+        print(f"error: internal: {type(error).__name__}: {error}", file=sys.stderr)
         return USAGE
 
 

@@ -1,9 +1,14 @@
 """Census solvers: worked examples, oracle equivalence, certificate replay."""
 
-import pytest
+import sys
+from pathlib import Path
 
-from varsolve.census_solvers import (BudgetExceeded, DpIndex, solve_ewmm,
-                                     solve_gwmm)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from varsolve import cli, formats
+from varsolve.census_solvers import (DEFAULT_BUDGET, BudgetExceeded, DpIndex,
+                                     solve_ewmm, solve_gwmm)
 from varsolve.corpus import (FAMILIES, make_rng, random_gwmm_census,
                              random_machine, random_word)
 from varsolve.mealy import (EMPTY, CensusRequirement, MealyMachine, Transition,
@@ -131,6 +136,25 @@ def test_binary_guard_fires_without_table():
     assert solve_gwmm(m, "aaa", CensusRequirement.of({"b": 10**12})) is None
 
 
+def test_binary_guard_stores_no_entry():
+    # The start entry gets the full check, so a zero budget is never spent.
+    m = machine({"q"}, "q", {"a"}, {"b"}, [("q", "a", "q", "b")])
+    assert solve_gwmm(m, "aaa", CensusRequirement.of({"b": 10**12}), budget=0) is None
+    with pytest.raises(BudgetExceeded):
+        solve_gwmm(m, "aaa", CensusRequirement.of({"b": 3}), budget=0)
+    assert solve_gwmm(m, "aaa", CensusRequirement.of({"b": 3}), budget=4) == (0, 0, 0)
+
+
+def test_gwmm_total_check_off_with_free_writers():
+    # The census total exceeds what is left of the word at every reading
+    # move, but an empty-read move writes x afterwards.
+    m = machine({"q", "r"}, "q", {"a", EMPTY}, {"x", EMPTY},
+                [("q", "a", "r", EMPTY), ("r", EMPTY, "r", "x")])
+    c = CensusRequirement.of({"x": 2})
+    assert solve_gwmm(m, "a", c) == (0, 1, 1)
+    assert brute_gwmm(m, "a", c)
+
+
 def test_binary_guard_exact_total():
     c = CensusRequirement.of({"a": 2, "b": 1})
     assert solve_gwmm(IDENTITY, "aab", c) is not None
@@ -208,3 +232,77 @@ def test_dpindex_shape():
     assert index.partial_census == (1, 0)
     assert index.input_position == 2
     assert index.propagation == 0
+
+
+@st.composite
+def small_gwmm_instances(draw):
+    """Machines on up to three states with empty-read moves and empty writes.
+
+    ``free`` lets empty-read moves write a letter, so both settings of the
+    total check are drawn.  ``big`` (with ``free``) adds 10**12 to the count
+    of ``x``, which sorts first, so ``y`` sits above it in the mixed-radix
+    code; empty-read moves then only run from a lower to a higher state, so
+    ``x`` stays far below its count and the table small.
+    """
+    free = draw(st.booleans())
+    big = free and draw(st.booleans())
+    n = draw(st.integers(2 if big else 1, 3))
+    moves = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.sampled_from(["a", "b", EMPTY]),
+                                    st.integers(0, n - 1),
+                                    st.sampled_from(["x", "y", EMPTY])),
+                          min_size=2, max_size=12, unique=True))
+    transitions = set()
+    if free:
+        # One empty-read move that writes; x when big, so that x has no
+        # per-letter check and the start entry can survive.
+        source = draw(st.integers(0, n - 2 if big else n - 1))
+        target = draw(st.integers(source + 1 if big else 0, n - 1))
+        writes = "x" if big else draw(st.sampled_from("xy"))
+        transitions.add((f"q{source}", EMPTY, f"q{target}", writes))
+    for source, reads, target, writes in moves:
+        if reads is EMPTY:
+            if big and source >= target:
+                continue
+            if not free:
+                writes = EMPTY
+        transitions.add((f"q{source}", reads, f"q{target}", writes))
+    word = "".join(draw(st.lists(st.sampled_from("ab"), max_size=5)))
+    counts = {"x": draw(st.integers(0, 2)), "y": draw(st.integers(0, 2))}
+    if big:
+        counts["x"] += 10**12
+    m = machine({f"q{i}" for i in range(n)}, "q0", {"a", "b", EMPTY},
+                {"x", "y", EMPTY}, sorted(transitions, key=str))
+    return m, word, CensusRequirement.of(counts)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(small_gwmm_instances())
+def test_gwmm_matches_oracle_on_small_machines(instance):
+    m, x, c = instance
+    trace = solve_gwmm(m, x, c)
+    assert (trace is not None) == brute_gwmm(m, x, c)
+    if trace is not None:
+        assert census_of(run(m, x, trace)) == c
+
+
+def census_given_images(seed):
+    """The given-word instances of the benchmark's census-given round."""
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root))
+    try:
+        from varbench.workloads import census_given
+    finally:
+        sys.path.remove(str(root))
+    for instance in census_given(seed):
+        text = instance["text"]
+        if instance["reduce"]:
+            row = cli.REDUCTIONS[instance["reduce"]]
+            text = row.write(row.reduce(row.parse(text, instance["id"])))
+        yield formats.parse_machine_instance(text, instance["id"], with_word=True)
+
+
+def test_census_given_stays_far_below_the_budget():
+    # The largest table of the seed-13 round holds about 23,000 entries.
+    for m, x, c in census_given_images(13):
+        solve_gwmm(m, x, c, budget=DEFAULT_BUDGET // 50)

@@ -125,6 +125,36 @@ def test_ewmm_unknown_exit_code(capsys):
     assert out.strip() == "UNKNOWN"
 
 
+def test_gwmm_budget_reports_unknown(capsys, monkeypatch):
+    code, reduced, _ = run_cli(capsys, "reduce-mcc", str(FIXTURES / "triangle.txt"))
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(reduced))
+    code, out, _ = run_cli(capsys, "gwmm", "-", "--budget", "10")
+    assert code == 3
+    assert out.strip() == "UNKNOWN"
+
+
+def test_internal_error_exits_2_not_no(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("true table entry without a true predecessor")
+
+    monkeypatch.setattr(varsolve.cli, "solve_gwmm", broken)
+    code, out, err = run_cli(capsys, "gwmm", str(FIXTURES / "ident_gwmm.txt"))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: internal: AssertionError: "
+                   "true table entry without a true predecessor\n")
+
+
+def test_interrupt_is_not_an_internal_error(monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(varsolve.cli, "solve_gwmm", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["gwmm", str(FIXTURES / "ident_gwmm.txt")])
+
+
 def test_ewmm_certificate_format(capsys):
     code, out, _ = run_cli(capsys, "ewmm", str(FIXTURES / "loop_ewmm.txt"),
                            "--certificate")

@@ -1,6 +1,9 @@
 """Pinned certificate and reduction outputs: stable, diffable text."""
 
+import io
 from pathlib import Path
+
+import pytest
 
 from varsolve.cli import main
 
@@ -45,6 +48,20 @@ def test_gwmm_trace_golden(capsys):
                    "q a -> q a\n"
                    "q a -> q a\n"
                    "q b -> q b\n")
+
+
+@pytest.mark.parametrize("reduction, fixture, golden", [
+    ("reduce-mcc", "triangle.txt", "triangle_gwmm.out"),
+    ("reduce-splits", "fig2.txt", "fig2_gwmm.out"),
+])
+def test_reduction_image_trace_golden(capsys, monkeypatch, reduction, fixture,
+                                      golden):
+    code, image = capture(capsys, reduction, str(FIXTURES / fixture))
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(image))
+    code, out = capture(capsys, "gwmm", "-", "--certificate")
+    assert code == 0
+    assert out == (FIXTURES / golden).read_text()
 
 
 def test_reduction_output_is_reproducible(capsys):
