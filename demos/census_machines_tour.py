@@ -25,10 +25,13 @@ machine = MealyMachine(
 
 print("exists-word: can it ever emit exactly 2 snacks and 3 tunes?")
 census = CensusRequirement.of({"snack": 2, "tune": 3})
-cert = solve_ewmm(machine, census)
-word = cert.input_word()
+cert = solve_ewmm(machine, census)  # a walk decomposition over subdivide(machine)
+walk = cert.walk()
+word = [t.reads for t in walk if t.reads is not EMPTY]
 print("  one such input word:", " ".join(word))
-print("  replayed census:", census_of(run(cert.machine, word, cert.choices())).as_dict())
+simple = subdivide(machine)
+choices = [simple.transitions.index(t) for t in walk]
+print("  replayed census:", census_of(run(simple, word, choices)).as_dict())
 
 print("\ngiven-word: reading coin coin button coin button")
 word = ("coin", "coin", "button", "coin", "button")
@@ -40,7 +43,6 @@ trace = solve_gwmm(machine, word, CensusRequirement.of({"snack": 3}))
 print("  3 snacks?", "yes" if trace else "no")
 
 print("\n=== Walks decompose into a short base plus anchored loops ===")
-simple = subdivide(machine)
 state = simple.start
 walk = []
 for _ in range(12):

@@ -8,12 +8,11 @@ to, constructive reductions between all of these, and exhaustive oracles
 for verification.
 """
 
-from .census_solvers import (BudgetExceeded, EwmmCertificate, LoopVariable,
-                             solve_ewmm, solve_gwmm)
+from .census_solvers import BudgetExceeded, solve_ewmm, solve_gwmm
 from .ilp import (Assignment, Constraint, IntegerProgram, MalformedProgram,
                   ProvenInfeasible, dump_program, propagate_bounds,
                   solve_feasibility)
-from .mealy import (EMPTY, CensusRequirement, MealyMachine, Transition,
+from .mealy import (EMPTY, CensusRequirement, Loop, MealyMachine, Transition,
                     WalkDecomposition, census_of, decompose_walk, run, subdivide)
 from .reductions import (HeatInstance, MulticoloredGraph, SplitsInstance,
                          heat_to_ewmm, mcc_to_gwmm, splits_to_gwmm,
@@ -24,8 +23,8 @@ from .variety import (Multiset, SubsetCertificate, TripleCover, combined_variety
 
 __all__ = [
     "Assignment", "BudgetExceeded", "CensusRequirement", "Constraint", "EMPTY",
-    "EwmmCertificate", "HeatInstance", "IntegerProgram",
-    "LoopVariable", "MalformedProgram", "MealyMachine", "MulticoloredGraph",
+    "HeatInstance", "IntegerProgram", "Loop", "MalformedProgram",
+    "MealyMachine", "MulticoloredGraph",
     "Multiset", "ProvenInfeasible", "SplitsInstance", "SubsetCertificate",
     "Transition", "TripleCover", "WalkDecomposition", "census_of",
     "combined_variety", "decompose_walk", "dump_program", "heat_to_ewmm",

@@ -6,7 +6,9 @@ Two problems over a nondeterministic machine M and a census requirement c:
   meets c exactly?  Solved by searching base walks over the subdivided
   machine (census- and vertex-set-deduplicated), enumerating short loops
   anchored on the walk, and deciding loop execution counts with the exact
-  integer-program engine.
+  integer-program engine.  The certificate is the paper's walk
+  decomposition over the subdivided machine: a base walk plus anchored
+  loops with execution counts.
 
 * given-word: for a fixed input word x, is there a computation reading all
   of x whose output meets c exactly?  Solved by a boolean table, kept as the
@@ -23,17 +25,17 @@ Two problems over a nondeterministic machine M and a census requirement c:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .ilp import EQ, Constraint, IntegerProgram, solve_feasibility
-from .mealy import EMPTY, CensusRequirement, MealyMachine, subdivide
+from .mealy import (EMPTY, CensusRequirement, Loop, MealyMachine, Transition,
+                    WalkDecomposition, subdivide)
 
 DEFAULT_BUDGET = 2_000_000
 
 
 class BudgetExceeded(Exception):
-    """Search node cap hit; the verdict is unknown rather than no."""
+    """A solver's budget ran out; the verdict is unknown rather than no."""
 
 
 class DpIndex(NamedTuple):
@@ -43,57 +45,6 @@ class DpIndex(NamedTuple):
     partial_census: tuple[int, ...]
     input_position: int
     propagation: int
-
-
-@dataclass(frozen=True)
-class LoopVariable:
-    """A short anchored loop abstracted to its per-execution output counts."""
-
-    census_vector: tuple[tuple[str, int], ...]
-    anchor: str
-    cycle: tuple[int, ...]
-
-    def __post_init__(self):
-        if not any(count > 0 for _, count in self.census_vector):
-            raise ValueError("census-neutral loops are excluded")
-
-
-@dataclass(frozen=True)
-class EwmmCertificate:
-    """Base walk plus loop execution counts over the subdivided machine."""
-
-    machine: MealyMachine
-    base_walk: tuple[int, ...]
-    loop_counts: tuple[tuple[LoopVariable, int], ...]
-
-    def choices(self) -> tuple[int, ...]:
-        """Full transition-index sequence with loops spliced in.
-
-        Each loop's executions are inserted at the first visit of its anchor
-        on the base walk; the output census does not depend on the order in
-        which loops at one anchor run.
-        """
-        states = [self.machine.start]
-        for index in self.base_walk:
-            states.append(self.machine.transitions[index].target)
-        insertions: dict[int, list[int]] = {}
-        for loop, count in self.loop_counts:
-            at = states.index(loop.anchor)
-            insertions.setdefault(at, []).extend(list(loop.cycle) * count)
-        sequence: list[int] = []
-        for position in range(len(states)):
-            sequence.extend(insertions.get(position, []))
-            if position < len(self.base_walk):
-                sequence.append(self.base_walk[position])
-        return tuple(sequence)
-
-    def input_word(self) -> tuple:
-        word = []
-        for index in self.choices():
-            reads = self.machine.transitions[index].reads
-            if reads is not EMPTY:
-                word.append(reads)
-        return tuple(word)
 
 
 class _Budget:
@@ -114,16 +65,16 @@ def _letter_indices(census: CensusRequirement) -> tuple[tuple[str, ...], dict[st
 
 def _enumerate_loops(m: MealyMachine, anchor: str, targets: tuple[int, ...],
                      letters: tuple[str, ...], index_of: dict[str, int],
-                     by_source: dict[str, list[tuple[int, object, str]]],
-                     budget: _Budget) -> dict[tuple[int, ...], tuple[int, ...]]:
+                     by_source: dict[str, list[tuple[Transition, object, str]]],
+                     budget: _Budget) -> dict[tuple[int, ...], tuple[Transition, ...]]:
     """Closed walks from ``anchor`` of length at most |states|, bucketed.
 
-    Returns census-vector -> representative transition-index cycle.  Loops
-    writing any letter beyond its required count, or any unrequired letter,
-    are discarded; census-neutral loops are dropped entirely.
+    Returns census-vector -> representative cycle.  Loops writing any letter
+    beyond its required count, or any unrequired letter, are discarded;
+    census-neutral loops are dropped entirely.
     """
     max_len = len(m.states)
-    buckets: dict[tuple[int, ...], tuple[int, ...]] = {}
+    buckets: dict[tuple[int, ...], tuple[Transition, ...]] = {}
     zero = (0,) * len(letters)
     # Depth-first in preorder with an explicit stack: a cycle can be as long
     # as the machine has states, beyond any recursion limit.  Moves are
@@ -138,7 +89,7 @@ def _enumerate_loops(m: MealyMachine, anchor: str, targets: tuple[int, ...],
             buckets.setdefault(vector, path)
         if len(path) == max_len:
             continue
-        for index, writes, target in backward.get(state, ()):
+        for t, writes, target in backward.get(state, ()):
             if writes is EMPTY:
                 nxt = vector
             else:
@@ -146,24 +97,28 @@ def _enumerate_loops(m: MealyMachine, anchor: str, targets: tuple[int, ...],
                 if j is None or vector[j] + 1 > targets[j]:
                     continue
                 nxt = vector[:j] + (vector[j] + 1,) + vector[j + 1:]
-            stack.append((target, nxt, path + (index,)))
+            stack.append((target, nxt, path + (t,)))
     return buckets
 
 
 def solve_ewmm(m: MealyMachine, c: CensusRequirement,
-               budget: Optional[int] = DEFAULT_BUDGET) -> Optional[EwmmCertificate]:
+               budget: Optional[int] = DEFAULT_BUDGET) -> Optional[WalkDecomposition]:
     """Decide whether any input word admits a computation meeting ``c``.
 
-    Works on the subdivided machine so the underlying digraph is simple.
-    Base-walk prefixes are explored once per (end state, output census so
-    far, set of visited states): walk output only grows, so prefixes whose
-    census exceeds c anywhere are abandoned, and a prefix adds nothing new
-    if an already-explored prefix reached the same state and census having
-    visited a superset of its states.  At every explored prefix an exact
+    Returns a walk decomposition over ``subdivide(m)`` whose ``walk()``
+    meets c, or None; the search works on the subdivided machine so the
+    underlying digraph is simple.  Base-walk prefixes are explored once per
+    (end state, output census so far, set of visited states): walk output
+    only grows, so prefixes whose census exceeds c anywhere are abandoned,
+    and a prefix adds nothing new if an already-explored prefix reached the
+    same state and census having visited a superset of its states.  At every explored prefix an exact
     integer program decides whether anchored short-loop executions can top
-    the census up to c.
+    the census up to c; the loops come in the order of its variables.
 
-    Raises BudgetExceeded when the node cap is hit before a verdict.
+    Spends ``budget`` (None: no cap) in exists-word search nodes: one per
+    base-walk prefix and per loop-enumeration step, and one plus the
+    variable count per integer program; raises BudgetExceeded when it is
+    spent before a verdict.
     """
     msub = subdivide(m)
     letters, index_of = _letter_indices(c)
@@ -171,13 +126,13 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
     zero = (0,) * len(letters)
     tracker = _Budget(budget)
 
-    by_source: dict[str, list[tuple[int, object, str]]] = {}
-    for i, t in enumerate(msub.transitions):
-        by_source.setdefault(t.source, []).append((i, t.writes, t.target))
+    by_source: dict[str, list[tuple[Transition, object, str]]] = {}
+    for t in msub.transitions:
+        by_source.setdefault(t.source, []).append((t, t.writes, t.target))
 
-    loop_cache: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {}
+    loop_cache: dict[str, dict[tuple[int, ...], tuple[Transition, ...]]] = {}
 
-    def loops_at(state: str) -> dict[tuple[int, ...], tuple[int, ...]]:
+    def loops_at(state: str) -> dict[tuple[int, ...], tuple[Transition, ...]]:
         if state not in loop_cache:
             loop_cache[state] = _enumerate_loops(
                 msub, state, targets, letters, index_of, by_source, tracker)
@@ -185,10 +140,10 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
 
     ilp_cache: dict[tuple, Optional[tuple[tuple[tuple[int, ...], int], ...]]] = {}
 
-    def loop_counts_for(deficit: tuple[int, ...], vset: frozenset[str]
-                        ) -> Optional[tuple[tuple[tuple[int, ...], str, tuple[int, ...], int], ...]]:
-        """Feasible per-loop counts covering the census deficit, or None."""
-        available: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {}
+    def loops_for(deficit: tuple[int, ...], vset: frozenset[str]
+                  ) -> Optional[tuple[Loop, ...]]:
+        """Loops with execution counts covering the census deficit, or None."""
+        available: dict[tuple[int, ...], tuple[str, tuple[Transition, ...]]] = {}
         for state in sorted(vset):
             for vector, cycle in loops_at(state).items():
                 available.setdefault(vector, (state, cycle))
@@ -217,20 +172,20 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
         solution = ilp_cache[key]
         if solution is None:
             return None
-        return tuple((vector, *available[vector], count) for vector, count in solution)
+        return tuple(Loop(*available[vector], count) for vector, count in solution)
 
     start_key = (msub.start, zero, frozenset((msub.start,)))
-    parents: dict[tuple, tuple[Optional[tuple], int]] = {start_key: (None, -1)}
+    parents: dict[tuple, tuple] = {start_key: (None, None)}
     explored: dict[tuple[str, tuple[int, ...]], list[frozenset[str]]] = {}
     queue = deque([start_key])
 
-    def witness_walk(key: tuple) -> tuple[int, ...]:
-        walk: list[int] = []
+    def witness_walk(key: tuple) -> tuple[Transition, ...]:
+        walk: list[Transition] = []
         while True:
-            parent, index = parents[key]
+            parent, t = parents[key]
             if parent is None:
                 break
-            walk.append(index)
+            walk.append(t)
             key = parent
         walk.reverse()
         return tuple(walk)
@@ -240,16 +195,10 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
         state, census, vset = key
         tracker.spend()
         deficit = tuple(t - v for t, v in zip(targets, census))
-        solution = loop_counts_for(deficit, vset)
-        if solution is not None:
-            loop_counts = tuple(
-                (LoopVariable(
-                    census_vector=tuple(zip(letters, vector)),
-                    anchor=anchor, cycle=cycle), count)
-                for vector, anchor, cycle, count in solution)
-            return EwmmCertificate(machine=msub, base_walk=witness_walk(key),
-                                   loop_counts=loop_counts)
-        for index, writes, target in by_source.get(state, ()):
+        loops = loops_for(deficit, vset)
+        if loops is not None:
+            return WalkDecomposition(base_walk=witness_walk(key), loops=loops)
+        for t, writes, target in by_source.get(state, ()):
             if writes is EMPTY:
                 census2 = census
             else:
@@ -264,7 +213,7 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
             seen[:] = [known for known in seen if not known <= vset2]
             seen.append(vset2)
             key2 = (target, census2, vset2)
-            parents[key2] = (key, index)
+            parents[key2] = (key, t)
             queue.append(key2)
     return None
 

@@ -52,17 +52,17 @@ def _print_cover(cover, instance) -> None:
         print(f"{first} {second} {third} {count}")
 
 
-def _print_transitions(machine, indices) -> None:
-    for index in indices:
-        print(machine.transitions[index].text())
+def _print_transitions(transitions) -> None:
+    for t in transitions:
+        print(t.text())
 
 
-def _print_walk(cert, instance) -> None:
+def _print_walk(decomposition, instance) -> None:
     print("base:")
-    _print_transitions(cert.machine, cert.base_walk)
-    for loop, count in cert.loop_counts:
-        print(f"loop {loop.anchor} {count}:")
-        _print_transitions(cert.machine, loop.cycle)
+    _print_transitions(decomposition.base_walk)
+    for loop in decomposition.loops:
+        print(f"loop {loop.anchor} {loop.count}:")
+        _print_transitions(loop.cycle)
 
 
 def _subset_sum_instance(text: str, path: str):
@@ -71,12 +71,6 @@ def _subset_sum_instance(text: str, path: str):
 
 def _multiset(text: str, path: str):
     return formats.parse_multiset(text, path)[:1]
-
-
-def _three_partition_dump(multiset):
-    """The program ``solve_3partition`` builds, or None if it needs none."""
-    n = multiset.cardinality() // 3
-    return three_partition_program(multiset) if n and multiset.total() % n == 0 else None
 
 
 class Solver(NamedTuple):
@@ -89,7 +83,7 @@ class Solver(NamedTuple):
     # --dump-ilp: (*instance) -> the program the solver builds, or None
     # where the solver answers without one.
     program: Optional[Callable] = None
-    budget: bool = False  # --budget N, passed on to solve
+    budget: Optional[str] = None  # --budget N: the unit N counts, passed on to solve
 
 
 SOLVERS = {
@@ -104,14 +98,13 @@ SOLVERS = {
         parse=_multiset,
         solve=lambda multiset: solve_partition(multiset),
         show=_print_selection,
-        program=lambda multiset: (partition_program(multiset)
-                                  if multiset.total() % 2 == 0 else None)),
+        program=lambda multiset: partition_program(multiset)),
     "threepartition": Solver(
         "does the multiset split into equal-sum triples?",
         parse=_multiset,
         solve=lambda multiset: solve_3partition(multiset),
         show=_print_cover,
-        program=_three_partition_dump),
+        program=lambda multiset: three_partition_program(multiset)),
     "num3dm": Solver(
         "do the three multisets match into triples summing to s?",
         parse=lambda text, path: formats.parse_multiset_sections(
@@ -131,15 +124,16 @@ SOLVERS = {
         parse=lambda text, path: formats.parse_machine_instance(text, path),
         solve=lambda machine, census, budget: solve_ewmm(machine, census, budget=budget),
         show=_print_walk,
-        budget=True),
+        budget="exists-word search nodes"),
     "gwmm": Solver(
         "does a computation on the given word meet the census?",
         parse=lambda text, path: formats.parse_machine_instance(
             text, path, with_word=True),
         solve=lambda machine, word, census, budget: solve_gwmm(
             machine, word, census, budget=budget),
-        show=lambda trace, instance: _print_transitions(instance[0], trace),
-        budget=True),
+        show=lambda trace, instance: _print_transitions(
+            instance[0].transitions[index] for index in trace),
+        budget="given-word table entries"),
 }
 
 
@@ -225,6 +219,12 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _budget(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, not {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: building it costs
@@ -244,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dump-ilp", action="store_true",
                            help="print the constructed integer program")
         if row.budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                           help="search node cap before reporting UNKNOWN")
+            p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                           help=f"cap on {row.budget} before reporting UNKNOWN")
         p.set_defaults(handler=_cmd_solve)
     for name, row in REDUCTIONS.items():
         p = sub.add_parser(name, help=row.help)

@@ -18,7 +18,8 @@ from itertools import product
 
 from . import census_solvers, oracle
 from .ilp import Constraint, IntegerProgram, satisfies, solve_feasibility
-from .mealy import EMPTY, CensusRequirement, MealyMachine, Transition, census_of, run
+from .mealy import (EMPTY, CensusRequirement, MealyMachine, Transition, census_of,
+                    run, subdivide)
 from .reductions import (HeatInstance, MulticoloredGraph, SplitsInstance,
                          heat_to_ewmm, mcc_to_gwmm, splits_to_gwmm,
                          subsetsum_to_partition)
@@ -353,9 +354,12 @@ def _gwmm(m: MealyMachine, x: tuple, c: CensusRequirement):
     return census_solvers.solve_gwmm(m, x, c)
 
 
-def _walk_replays(m: MealyMachine, c: CensusRequirement, cert) -> bool:
-    # The certificate carries its own (subdivided) machine.
-    return census_of(run(cert.machine, cert.input_word(), cert.choices())) == c
+def _walk_replays(m: MealyMachine, c: CensusRequirement, decomposition) -> bool:
+    """Whether the decomposition's walk runs on ``subdivide(m)`` and meets c."""
+    sub = subdivide(m)
+    walk = decomposition.walk()
+    word = tuple(t.reads for t in walk if t.reads is not EMPTY)
+    return census_of(run(sub, word, [sub.transitions.index(t) for t in walk])) == c
 
 
 def _trace_replays(m: MealyMachine, x: tuple, c: CensusRequirement, trace) -> bool:
@@ -364,8 +368,8 @@ def _trace_replays(m: MealyMachine, x: tuple, c: CensusRequirement, trace) -> bo
 
 def _holds(certified, *args) -> bool:
     """Whether ``certified(*args)`` accepts.  A check that raises ValueError
-    (an illegal replay step, unread input, a loop anchored off the walk)
-    rejects the certificate."""
+    (a transition not in the machine, an illegal replay step, unread input,
+    a loop anchored off the walk) rejects the certificate."""
     try:
         return bool(certified(*args))
     except ValueError:

@@ -227,6 +227,8 @@ def run(m: MealyMachine, word: Sequence, choices: Sequence[int]) -> tuple:
 
 @dataclass(frozen=True)
 class Loop:
+    """A closed walk from ``anchor``, executed ``count`` times."""
+
     anchor: str
     cycle: tuple[Transition, ...]
     count: int
@@ -252,6 +254,25 @@ class WalkDecomposition:
             for t in loop.cycle:
                 census[t] += loop.count
         return census
+
+    def walk(self) -> tuple[Transition, ...]:
+        """The base walk with every loop's executions spliced in.
+
+        Each loop runs at the first visit of its anchor on the base walk, or
+        at the start when the base walk is empty; the output census does not
+        depend on the order in which loops at one anchor run.  Raises
+        ValueError for a loop anchored off a non-empty base walk.
+        """
+        states = self.base_states()
+        spliced: list[list[Transition]] = [[] for _ in range(len(self.base_walk) + 1)]
+        for loop in self.loops:
+            if states and loop.anchor not in states:
+                raise ValueError(f"loop anchor {loop.anchor!r} is not on the base walk")
+            spliced[states.index(loop.anchor) if states else 0] += loop.cycle * loop.count
+        walk = spliced[0]
+        for t, after in zip(self.base_walk, spliced[1:]):
+            walk += [t, *after]
+        return tuple(walk)
 
 
 def _walk_states(m: MealyMachine, walk: Sequence[Transition]) -> list[str]:

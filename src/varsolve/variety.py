@@ -3,7 +3,9 @@
 Each solver encodes its instance as a small integer program whose variable
 count depends only on the number of distinct values (not on multiplicities),
 hands it to the exact feasibility engine, and converts the witness back into
-a human-checkable certificate.
+a human-checkable certificate.  A ``*_program`` builder returns the program
+its solver solves, or None where a guard answers without one: an empty
+instance is a Yes with an empty certificate, any other a No.
 """
 
 from __future__ import annotations
@@ -129,18 +131,16 @@ def solve_subset_sum(a: Multiset, s: int) -> Optional[SubsetCertificate]:
     return _selection_certificate(a, assignment)
 
 
-def partition_program(a: Multiset) -> IntegerProgram:
+def partition_program(a: Multiset) -> Optional[IntegerProgram]:
+    """Subset sum to half the total, or None when the total is odd."""
     total = a.total()
-    if total % 2 != 0:
-        raise ValueError("partition program undefined for odd total")
-    return subset_sum_program(a, total // 2)
+    return subset_sum_program(a, total // 2) if total % 2 == 0 else None
 
 
 def solve_partition(a: Multiset) -> Optional[SubsetCertificate]:
     """Split the multiset into two halves of equal sum."""
-    if a.total() % 2 != 0:
-        return None
-    assignment = solve_feasibility(partition_program(a))
+    program = partition_program(a)
+    assignment = None if program is None else solve_feasibility(program)
     if assignment is None:
         return None
     return _selection_certificate(a, assignment)
@@ -175,8 +175,18 @@ def _triple_program(a: Multiset, b: Multiset, c: Multiset,
     return IntegerProgram(variables=tuple(variables), constraints=tuple(constraints))
 
 
-def num3dm_program(a: Multiset, b: Multiset, c: Multiset, s: int) -> IntegerProgram:
-    """Triple program with the condition first+second+third = s."""
+def num3dm_program(a: Multiset, b: Multiset, c: Multiset,
+                   s: int) -> Optional[IntegerProgram]:
+    """Triple program with the condition first+second+third = s.
+
+    None when a multiset is empty or s lies outside the triple sums' range.
+    """
+    if not (a.entries and b.entries and c.entries):
+        return None
+    lo = min(a.values()) + min(b.values()) + min(c.values())
+    hi = max(a.values()) + max(b.values()) + max(c.values())
+    if not lo <= s <= hi:
+        return None
     return _triple_program(a, b, c, lambda va, vb: s - va - vb)
 
 
@@ -195,52 +205,55 @@ def _extract_triples(a: Multiset, b: Multiset, c: Multiset, assignment) -> Tripl
     return TripleCover(triples=tuple(triples))
 
 
-def solve_num_3dm(a: Multiset, b: Multiset, c: Multiset, s: int) -> Optional[TripleCover]:
-    """Perfect matching into triples (one element per source) summing to s."""
+def _solve_cover(program: Optional[IntegerProgram], a: Multiset, b: Multiset,
+                 c: Multiset) -> Optional[TripleCover]:
+    """The cover the program's witness gives, or the guard's answer."""
     if not a.cardinality() == b.cardinality() == c.cardinality():
         raise CardinalityMismatch("the three multisets must have equal cardinality")
-    if a.cardinality() == 0:
-        return TripleCover(triples=())
-    lo = min(a.values()) + min(b.values()) + min(c.values())
-    hi = max(a.values()) + max(b.values()) + max(c.values())
-    if not lo <= s <= hi:
-        return None
-    assignment = solve_feasibility(num3dm_program(a, b, c, s))
+    if program is None:
+        return TripleCover(triples=()) if a.cardinality() == 0 else None
+    assignment = solve_feasibility(program)
     if assignment is None:
         return None
     return _extract_triples(a, b, c, assignment)
 
 
-def nmts_program(a: Multiset, b: Multiset, s: Multiset) -> IntegerProgram:
-    """Triple program with the condition first+second = third."""
+def solve_num_3dm(a: Multiset, b: Multiset, c: Multiset, s: int) -> Optional[TripleCover]:
+    """Perfect matching into triples (one element per source) summing to s."""
+    return _solve_cover(num3dm_program(a, b, c, s), a, b, c)
+
+
+def nmts_program(a: Multiset, b: Multiset, s: Multiset) -> Optional[IntegerProgram]:
+    """Triple program with the condition first+second = third.
+
+    None when a multiset is empty or the pair sums' range misses S's range.
+    """
+    if not (a.entries and b.entries and s.entries):
+        return None
+    if min(a.values()) + min(b.values()) > max(s.values()):
+        return None
+    if max(a.values()) + max(b.values()) < min(s.values()):
+        return None
     return _triple_program(a, b, s, lambda va, vb: va + vb)
 
 
 def solve_nmts(a: Multiset, b: Multiset, s: Multiset) -> Optional[TripleCover]:
     """Perfect matching into triples with first+second = third."""
-    if not a.cardinality() == b.cardinality() == s.cardinality():
-        raise CardinalityMismatch("the three multisets must have equal cardinality")
-    if a.cardinality() == 0:
-        return TripleCover(triples=())
-    if min(a.values()) + min(b.values()) > max(s.values()):
-        return None
-    if max(a.values()) + max(b.values()) < min(s.values()):
-        return None
-    assignment = solve_feasibility(nmts_program(a, b, s))
-    if assignment is None:
-        return None
-    return _extract_triples(a, b, s, assignment)
+    return _solve_cover(nmts_program(a, b, s), a, b, s)
 
 
-def three_partition_program(a: Multiset) -> IntegerProgram:
+def three_partition_program(a: Multiset) -> Optional[IntegerProgram]:
     """One counting variable per unordered index triple i <= j <= l.
 
     The coefficient of a triple variable in the row of value i is the number
     of positions of that triple holding value i (1, 2, or 3), so each row
     states that value i is consumed exactly multiplicity(i) times; the box
-    of a triple is the number of copies its scarcest value allows.
+    of a triple is the number of copies its scarcest value allows.  None
+    when there is no triple or the total does not split evenly among them.
     """
     n = a.cardinality() // 3
+    if n == 0 or a.total() % n != 0:
+        return None
     s = a.total() // n
     variables = []
     rows: list[dict[str, int]] = [{} for _ in a.entries]
@@ -268,13 +281,7 @@ def solve_3partition(a: Multiset) -> Optional[TripleCover]:
     """
     if a.cardinality() % 3 != 0:
         raise NotDivisibleBy3(f"cardinality {a.cardinality()} is not a multiple of 3")
-    n = a.cardinality() // 3
-    if n == 0:
-        return TripleCover(triples=())
-    if a.total() % n != 0:
+    cover = _solve_cover(three_partition_program(a), a, a, a)
+    if cover is None:
         return None
-    assignment = solve_feasibility(three_partition_program(a))
-    if assignment is None:
-        return None
-    cover = _extract_triples(a, a, a, assignment)
     return TripleCover(triples=tuple((*sorted(t[:3]), t[3]) for t in cover.triples))

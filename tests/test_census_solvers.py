@@ -6,14 +6,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varsolve import cli, formats
+from varsolve import census_solvers, cli, formats
 from varsolve.census_solvers import (DEFAULT_BUDGET, BudgetExceeded, DpIndex,
                                      solve_ewmm, solve_gwmm)
 from varsolve.corpus import (FAMILIES, make_rng, random_gwmm_census,
                              random_machine, random_word)
-from varsolve.mealy import (EMPTY, CensusRequirement, MealyMachine, Transition,
-                            census_of, run, subdivide)
-from varsolve.oracle import brute_gwmm
+from varsolve.mealy import (EMPTY, CensusRequirement, Loop, MealyMachine,
+                            Transition, WalkDecomposition, census_of, run,
+                            subdivide)
+from varsolve.oracle import brute_ewmm, brute_gwmm
 
 
 def machine(states, start, inputs, outputs, transitions):
@@ -27,8 +28,12 @@ IDENTITY = machine({"q"}, "q", {"a", "b"}, {"a", "b"},
                    [("q", "a", "q", "a"), ("q", "b", "q", "b")])
 
 
-def replay_ewmm(cert):
-    return census_of(run(cert.machine, cert.input_word(), cert.choices()))
+def replay_ewmm(m, decomposition):
+    """The output census of the decomposition's walk, run on subdivide(m)."""
+    sub = subdivide(m)
+    walk = decomposition.walk()
+    word = tuple(t.reads for t in walk if t.reads is not EMPTY)
+    return census_of(run(sub, word, [sub.transitions.index(t) for t in walk]))
 
 
 def test_ewmm_zero_census():
@@ -36,7 +41,7 @@ def test_ewmm_zero_census():
               machine({"q"}, "q", {"a"}, {"b"}, [("q", "a", "q", "b")])):
         cert = solve_ewmm(m, CensusRequirement.of({}))
         assert cert is not None
-        assert cert.base_walk == () and cert.loop_counts == ()
+        assert cert.base_walk == () and cert.loops == ()
 
 
 def test_ewmm_self_loop_counts_five():
@@ -44,10 +49,10 @@ def test_ewmm_self_loop_counts_five():
     c = CensusRequirement.of({"b": 5})
     cert = solve_ewmm(m, c)
     assert cert.base_walk == ()
-    assert len(cert.loop_counts) == 1
-    loop, count = cert.loop_counts[0]
-    assert count == 5 and dict(loop.census_vector) == {"b": 1}
-    assert replay_ewmm(cert) == c
+    assert len(cert.loops) == 1
+    loop = cert.loops[0]
+    assert loop.count == 5 and census_of(t.writes for t in loop.cycle) == census_of("b")
+    assert replay_ewmm(m, cert) == c
 
 
 def test_ewmm_long_silent_cycle_has_no_recursion_cliff():
@@ -60,7 +65,7 @@ def test_ewmm_long_silent_cycle_has_no_recursion_cliff():
     c = CensusRequirement.of({"x": 2})
     cert = solve_ewmm(m, c)
     assert cert is not None
-    assert replay_ewmm(cert) == c
+    assert replay_ewmm(m, cert) == c
 
 
 def test_ewmm_unproducible_letter():
@@ -177,7 +182,58 @@ def test_ewmm_loop_merge_by_census_vector_is_safe():
     c = CensusRequirement.of({"x": 4})
     cert = solve_ewmm(m, c)
     assert cert is not None
-    assert replay_ewmm(cert) == c
+    assert replay_ewmm(m, cert) == c
+
+
+@st.composite
+def small_ewmm_instances(draw):
+    """Machines on up to four states with empty reads and empty writes.
+
+    With ``forward``, no move leads to a lower state, so a census written
+    away from the start needs a base walk to reach it.
+    """
+    forward = draw(st.booleans())
+    n = draw(st.integers(1, 4))
+    moves = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.sampled_from(["a", EMPTY]),
+                                    st.integers(0, n - 1),
+                                    st.sampled_from(["x", "y", EMPTY])),
+                          max_size=10, unique=True))
+    counts = {"x": draw(st.integers(0, 4)), "y": draw(st.integers(0, 3))}
+    m = machine({f"q{i}" for i in range(n)}, "q0", {"a", EMPTY}, {"x", "y", EMPTY},
+                [(f"q{p}", reads, f"q{q}", writes) for p, reads, q, writes in moves
+                 if not (forward and p > q)])
+    return m, CensusRequirement.of(counts)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_ewmm_instances())
+def test_ewmm_matches_oracle_on_small_machines(instance):
+    m, c = instance
+    cert = solve_ewmm(m, c)
+    assert (cert is not None) == brute_ewmm(m, c)
+    if cert is not None:
+        assert replay_ewmm(m, cert) == c
+
+
+def test_ewmm_family_rejects_foreign_transitions(monkeypatch):
+    # Every state renamed: the walk still meets the census on a copy of
+    # subdivide(m), but none of its transitions belongs to subdivide(m).
+    solve = census_solvers.solve_ewmm
+
+    def renamed(t):
+        return t._replace(source=t.source + "'", target=t.target + "'")
+
+    def foreign(m, c):
+        cert = solve(m, c)
+        return cert and WalkDecomposition(
+            tuple(map(renamed, cert.base_walk)),
+            tuple(Loop(loop.anchor + "'", tuple(map(renamed, loop.cycle)), loop.count)
+                  for loop in cert.loops))
+
+    monkeypatch.setattr(census_solvers, "solve_ewmm", foreign)
+    with pytest.raises(AssertionError, match="bad certificate"):
+        FAMILIES["ewmm"](42, 300)
 
 
 def _achievable_censuses(m, word, cap=3):

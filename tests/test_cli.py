@@ -134,6 +134,33 @@ def test_gwmm_budget_reports_unknown(capsys, monkeypatch):
     assert out.strip() == "UNKNOWN"
 
 
+@pytest.mark.parametrize("command, fixture", [("ewmm", "loop_ewmm.txt"),
+                                              ("gwmm", "ident_gwmm.txt")])
+def test_negative_budget_is_usage_error(capsys, command, fixture):
+    code, out, err = run_cli(capsys, command, str(FIXTURES / fixture), "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert "argument --budget: expected a whole number >= 0, not '-1'" in err
+
+
+@pytest.mark.parametrize("command, text, verdict", [
+    pytest.param("num3dm", "A:\n1 1\nB:\n1 1\nC:\n1 1\ns=100\n", "NO",
+                 id="num3dm-range"),
+    pytest.param("num3dm", "A:\nB:\nC:\ns=5\n", "YES", id="num3dm-empty"),
+    pytest.param("nmts", "A:\n1 1\nB:\n1 1\nS:\n10 1\n", "NO", id="nmts-range"),
+    pytest.param("nmts", "A:\nB:\nS:\n", "YES", id="nmts-empty"),
+    pytest.param("threepartition", "1 5\n2 1\n", "NO", id="threepartition-uneven"),
+    pytest.param("threepartition", "", "YES", id="threepartition-empty"),
+    pytest.param("partition", "1 1\n2 1\n", "NO", id="partition-odd"),
+])
+def test_dump_ilp_prints_no_program_a_guard_answers(capsys, tmp_path, command,
+                                                    text, verdict):
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, command, str(path), "--dump-ilp")
+    assert (code, out) == (0 if verdict == "YES" else 1, verdict + "\n")
+
+
 def test_internal_error_exits_2_not_no(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("true table entry without a true predecessor")

@@ -64,6 +64,16 @@ def test_reduction_image_trace_golden(capsys, monkeypatch, reduction, fixture,
     assert out == (FIXTURES / golden).read_text()
 
 
+def test_reduce_heat_ewmm_certificate_golden(capsys, monkeypatch):
+    # A non-empty base walk and a loop anchored at the start.
+    code, image = capture(capsys, "reduce-heat", str(FIXTURES / "heat1.txt"))
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(image))
+    code, out = capture(capsys, "ewmm", "-", "--certificate")
+    assert code == 0
+    assert out == (FIXTURES / "heat1_ewmm.out").read_text()
+
+
 def test_reduction_output_is_reproducible(capsys):
     first = capture(capsys, "reduce-splits", str(FIXTURES / "fig2.txt"))
     second = capture(capsys, "reduce-splits", str(FIXTURES / "fig2.txt"))

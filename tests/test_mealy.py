@@ -6,8 +6,9 @@ import pytest
 
 from varsolve.corpus import make_rng, random_machine
 from varsolve.mealy import (EMPTY, CensusRequirement, IllegalChoice,
-                            InputNotConsumed, MealyMachine, NotAWalk, Transition,
-                            census_of, decompose_walk, run, subdivide)
+                            InputNotConsumed, Loop, MealyMachine, NotAWalk,
+                            Transition, WalkDecomposition, census_of,
+                            decompose_walk, run, subdivide)
 
 
 def machine(states, start, inputs, outputs, transitions):
@@ -119,6 +120,10 @@ def _check_shape(m, walk, decomposition):
         assert loop.anchor in base_states
         assert loop.cycle[0].source == loop.anchor
         assert loop.cycle[-1].target == loop.anchor
+    full = decomposition.walk()
+    assert _arc_census(full) == _arc_census(walk)
+    word = [t.reads for t in full if t.reads is not EMPTY]
+    run(m, word, [m.transitions.index(t) for t in full])
 
 
 def test_decompose_triple_two_cycle():
@@ -152,6 +157,19 @@ def test_decompose_stranded_anchor_is_repaired():
     walk = [m.transitions[i] for i in (0, 1, 2, 3, 4)]
     d = decompose_walk(m, walk)
     _check_shape(m, walk, d)
+
+
+def test_walk_splices_loops_at_first_anchor_visit():
+    m = machine({"1", "2"}, "1", {"a"}, {"x", "y"},
+                [("1", "a", "2", "x"), ("2", "a", "1", "x"), ("2", "a", "2", "y")])
+    there, back, stay = m.transitions
+    d = WalkDecomposition(base_walk=(there, back, there),
+                          loops=(Loop("2", (stay,), 2), Loop("1", (there, back), 1)))
+    assert d.walk() == (there, back, there, stay, stay, back, there)
+    assert WalkDecomposition((), (Loop("1", (there, back), 2),)).walk() == (
+        there, back, there, back)
+    with pytest.raises(ValueError, match="not on the base walk"):
+        WalkDecomposition((back,), (Loop("3", (stay,), 1),)).walk()
 
 
 def test_decompose_rejects_non_walk():
