@@ -58,13 +58,13 @@ class _Budget:
             raise BudgetExceeded(f"node cap {self.cap} exceeded")
 
 
-def _letter_indices(census: CensusRequirement) -> tuple[tuple[str, ...], dict[str, int]]:
+def _letter_indices(census: CensusRequirement) -> tuple[list[str], dict[str, int]]:
     letters = census.letters()
     return letters, {letter: j for j, letter in enumerate(letters)}
 
 
-def _enumerate_loops(m: MealyMachine, anchor: str, targets: tuple[int, ...],
-                     letters: tuple[str, ...], index_of: dict[str, int],
+def _enumerate_loops(m: MealyMachine, anchor: str, targets: list[int],
+                     letters: list[str], index_of: dict[str, int],
                      by_source: dict[str, list[tuple[Transition, object, str]]],
                      budget: _Budget) -> dict[tuple[int, ...], tuple[Transition, ...]]:
     """Closed walks from ``anchor`` of length at most |states|, bucketed.
@@ -122,7 +122,8 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
     """
     msub = subdivide(m)
     letters, index_of = _letter_indices(c)
-    targets = tuple(c.get(letter) for letter in letters)
+    # A list comprehension, not tuple(<generator>): its shrunk tuples pile up on free lists.
+    targets = [c.get(letter) for letter in letters]
     zero = (0,) * len(letters)
     tracker = _Budget(budget)
 
@@ -138,7 +139,7 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
                 msub, state, targets, letters, index_of, by_source, tracker)
         return loop_cache[state]
 
-    ilp_cache: dict[tuple, Optional[tuple[tuple[tuple[int, ...], int], ...]]] = {}
+    ilp_cache: dict[tuple, Optional[list[tuple[tuple[int, ...], int]]]] = {}
 
     def loops_for(deficit: tuple[int, ...], vset: frozenset[str]
                   ) -> Optional[tuple[Loop, ...]]:
@@ -166,13 +167,13 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
             if assignment is None:
                 ilp_cache[key] = None
             else:
-                ilp_cache[key] = tuple(
+                ilp_cache[key] = [
                     (vector, assignment[f"loop{n+1}"])
-                    for n, vector in enumerate(vectors) if assignment[f"loop{n+1}"])
+                    for n, vector in enumerate(vectors) if assignment[f"loop{n+1}"]]
         solution = ilp_cache[key]
         if solution is None:
             return None
-        return tuple(Loop(*available[vector], count) for vector, count in solution)
+        return tuple([Loop(*available[vector], count) for vector, count in solution])
 
     start_key = (msub.start, zero, frozenset((msub.start,)))
     parents: dict[tuple, tuple] = {start_key: (None, None)}
@@ -194,7 +195,7 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
         key = queue.popleft()
         state, census, vset = key
         tracker.spend()
-        deficit = tuple(t - v for t, v in zip(targets, census))
+        deficit = tuple([t - v for t, v in zip(targets, census)])
         loops = loops_for(deficit, vset)
         if loops is not None:
             return WalkDecomposition(base_walk=witness_walk(key), loops=loops)
@@ -252,7 +253,7 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
         if letter not in m.input_alphabet:
             raise ValueError(f"input letter {letter!r} not in the input alphabet")
     letters, index_of = _letter_indices(c)
-    targets = tuple(c.get(letter) for letter in letters)
+    targets = [c.get(letter) for letter in letters]
     radix = [target + 1 for target in targets]
     names = sorted(m.states)
     number = {state: k for k, state in enumerate(names)}

@@ -128,8 +128,9 @@ def parse_multiset_sections(text: str, names: tuple[str, ...],
             _entry(reader, parts, line, seen[current], f" in section {current}"))
     if expect_target and target is None:
         reader.fail(len(reader.lines) or 1, 1, "missing 's=<int>' line")
-    multisets = tuple(Multiset(tuple(sections[name])) for name in names)
-    return (*multisets, target) if expect_target else multisets
+    # A list comprehension, not tuple(<generator>): its shrunk tuples pile up on free lists.
+    multisets = [Multiset(tuple(sections[name])) for name in names]
+    return (*multisets, target) if expect_target else tuple(multisets)
 
 
 def _letter(token: str):
@@ -243,7 +244,7 @@ def parse_graph(text: str, path: str = "<instance>") -> MulticoloredGraph:
         reader.fail(1, 1, "empty graph instance")
     try:
         return MulticoloredGraph(
-            k=k, classes=tuple(tuple(classes[i]) for i in range(1, k + 1)),
+            k=k, classes=tuple([tuple(classes[i]) for i in range(1, k + 1)]),
             edges=tuple(edges))
     except ValueError as error:
         reader.fail(len(reader.lines) or 1, 1, str(error))
@@ -286,7 +287,7 @@ def parse_splits(text: str, path: str = "<instance>") -> SplitsInstance:
     for line, parts in reader.tokens():
         token, column = parts[0]
         if token == "gaps:":
-            gaps = tuple(_int(reader, t, line, c, "gap") for t, c in parts[1:])
+            gaps = tuple([_int(reader, t, line, c, "gap") for t, c in parts[1:]])
             continue
         if token != "job" or len(parts) != 3:
             reader.fail(line, column, "expected 'job length count'")

@@ -7,9 +7,12 @@ row with two unfixed variables has integer solutions only on a lattice, so
 propagation rounds one of its boxes to that lattice in one step instead of
 trading bounds between the two variables pass after pass.  Before any
 propagation, a rank check on the equality rows rejects programs whose
-equalities have no rational solution at all.  The search keeps an explicit
-stack, one frame per branched variable, so its depth is not limited by
-Python's recursion limit.  All arithmetic is exact unbounded-magnitude Python
+equalities have no rational solution at all.  A branch does not start at
+the bottom of its box: it first tries the smallest value that puts the
+variable at the same fraction of its box as an equality row's right-hand
+side sits in that row's range, then works outward from it.  The search
+keeps an explicit stack, one frame per branched variable, so its depth is
+not limited by Python's recursion limit.  All arithmetic is exact unbounded-magnitude Python
 integers; there is no floating-point relaxation anywhere.
 """
 
@@ -64,8 +67,9 @@ class IntegerProgram:
                     raise MalformedProgram(
                         f"coefficient on undeclared variable {name!r}")
 
-    def variable_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _, _ in self.variables)
+    def variable_names(self) -> list[str]:
+        # A list comprehension, not tuple(<generator>): its shrunk tuples pile up on free lists.
+        return [name for name, _, _ in self.variables]
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,21 @@ def _lattice_step(bounds: dict[str, tuple[int, int]],
     return True
 
 
+def _activity(con: Constraint, bounds: dict[str, tuple[int, int]]) -> tuple[int, int]:
+    """The least and greatest value of the row's left-hand side over the boxes."""
+    min_act = 0
+    max_act = 0
+    for name, c in con.coeffs.items():
+        lo, hi = bounds[name]
+        if c >= 0:
+            min_act += c * lo
+            max_act += c * hi
+        else:
+            min_act += c * hi
+            max_act += c * lo
+    return min_act, max_act
+
+
 def _propagate(program: IntegerProgram, bounds: dict[str, tuple[int, int]]) -> None:
     """Tighten ``bounds`` in place to a propagation fixpoint.
 
@@ -147,24 +166,14 @@ def _propagate(program: IntegerProgram, bounds: dict[str, tuple[int, int]]) -> N
                     if residual != 0:
                         raise ProvenInfeasible("equality violated by fixed variables")
                     continue
-                g = math.gcd(*(c for _, c in unfixed))
+                g = math.gcd(*[c for _, c in unfixed])
                 if residual % g != 0:
                     raise ProvenInfeasible("divisibility cut on equality")
                 if len(unfixed) == 2 and _lattice_step(bounds, unfixed, residual):
                     changed = True
 
             # Treat as one or two one-sided forms: sum <= rhs and/or sum >= rhs.
-            min_act = 0
-            max_act = 0
-            for name, c in con.coeffs.items():
-                lo, hi = bounds[name]
-                if c >= 0:
-                    min_act += c * lo
-                    max_act += c * hi
-                else:
-                    min_act += c * hi
-                    max_act += c * lo
-
+            min_act, max_act = _activity(con, bounds)
             upper_side = con.relation in (LE, EQ)
             lower_side = con.relation in (GE, EQ)
             if upper_side and min_act > con.rhs:
@@ -254,7 +263,7 @@ def _equalities_consistent(program: IntegerProgram) -> bool:
     return True
 
 
-def _branch_variable(order: tuple[str, ...],
+def _branch_variable(order: list[str],
                      bounds: dict[str, tuple[int, int]]) -> Optional[str]:
     """The unfixed variable with the narrowest box, ties by declaration order."""
     branch_var = None
@@ -270,6 +279,42 @@ def _branch_variable(order: tuple[str, ...],
     return branch_var
 
 
+def _equality_rows(program: IntegerProgram) -> dict[str, list[Constraint]]:
+    """The equality rows each variable has a nonzero coefficient in."""
+    rows: dict[str, list[Constraint]] = {}
+    for con in program.constraints:
+        if con.relation == EQ:
+            for name, c in con.coeffs.items():
+                if c:
+                    rows.setdefault(name, []).append(con)
+    return rows
+
+
+def _first_value(bounds: dict[str, tuple[int, int]], name: str,
+                 rows: list[Constraint]) -> int:
+    """The value a branch on ``name`` tries first: its proportional share.
+
+    An equality row whose left-hand side ranges over [min, max] at these
+    bounds puts its right-hand side at the fraction (rhs - min) / (max - min)
+    of that range; the row's point for ``name`` is the same fraction of its
+    box, floored, counted from the low end for a positive coefficient and
+    from the high end for a negative one.  The first value is the smallest
+    point over the rows, or the low end when ``name`` is in no equality row.
+    ``name`` is unfixed and has a nonzero coefficient in each row, so
+    max > min; the bounds are at a propagation fixpoint, so min <= rhs <= max
+    and every point lies in the box.
+    """
+    lo, hi = bounds[name]
+    first = None
+    for con in rows:
+        min_act, max_act = _activity(con, bounds)
+        share = (hi - lo) * (con.rhs - min_act) // (max_act - min_act)
+        point = lo + share if con.coeffs[name] > 0 else hi - share
+        if first is None or point < first:
+            first = point
+    return lo if first is None else first
+
+
 def solve_feasibility(program: IntegerProgram) -> Optional[Assignment]:
     """Decide feasibility over the boxes; return a witness or None.
 
@@ -278,11 +323,15 @@ def solve_feasibility(program: IntegerProgram) -> Optional[Assignment]:
     with two or more equalities is rejected at once when the equalities have
     no rational solution; interval passes alone would shave such boxes one
     unit per pass.  The search is depth-first on the variable with the
-    narrowest current box (ties by declaration order), assigning
-    candidate values in increasing order, with propagation and divisibility
-    cuts at every node, so the witness is deterministic.  It runs on an
-    explicit stack of frames (bounds, branch variable, next value, last
-    value), one frame per branched variable.
+    narrowest current box (ties by declaration order), with propagation and
+    divisibility cuts at every node, so the witness is deterministic.  A
+    branch tries the variable's proportional share of its equality rows
+    first (``_first_value``), then alternates outward (v0, v0+1, v0-1,
+    v0+2, ...) until both ends of the box are used up; a variable in no
+    equality row starts at the low end, so it takes its values in
+    increasing order.  The search runs on an explicit stack of frames
+    (bounds, branch variable, first value, up cursor, down cursor), one
+    frame per branched variable.
     """
     program.validate()
     if (sum(con.relation == EQ for con in program.constraints) >= 2
@@ -294,6 +343,8 @@ def solve_feasibility(program: IntegerProgram) -> Optional[Assignment]:
     except ProvenInfeasible:
         return None
     order = program.variable_names()
+    # Built at the first branch: most programs are decided at the root.
+    rows_of: Optional[dict[str, list[Constraint]]] = None
 
     stack: list[list] = []
     node: Optional[dict[str, tuple[int, int]]] = bounds
@@ -305,17 +356,25 @@ def solve_feasibility(program: IntegerProgram) -> Optional[Assignment]:
                 if satisfies(program, values):
                     return Assignment(values=values)
             else:
-                lo, hi = node[branch_var]
-                stack.append([node, branch_var, lo, hi])
+                if rows_of is None:
+                    rows_of = _equality_rows(program)
+                first = _first_value(node, branch_var, rows_of.get(branch_var, []))
+                stack.append([node, branch_var, first, first, first - 1])
             node = None
         if not stack:
             return None
         frame = stack[-1]
-        parent, branch_var, value, hi = frame
-        if value > hi:
+        parent, branch_var, first, up, down = frame
+        lo, hi = parent[branch_var]
+        if up <= hi and (down < lo or up - first <= first - down):
+            value = up
+            frame[3] = up + 1
+        elif down >= lo:
+            value = down
+            frame[4] = down - 1
+        else:
             stack.pop()
             continue
-        frame[2] = value + 1
         child = dict(parent)
         child[branch_var] = (value, value)
         try:

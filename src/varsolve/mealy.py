@@ -148,8 +148,9 @@ class CensusRequirement:
     def as_dict(self) -> dict[str, int]:
         return dict(self.counts)
 
-    def letters(self) -> tuple[str, ...]:
-        return tuple(l for l, _ in self.counts)
+    def letters(self) -> list[str]:
+        # A list comprehension, not tuple(<generator>): its shrunk tuples pile up on free lists.
+        return [l for l, _ in self.counts]
 
     def total(self) -> int:
         return sum(c for _, c in self.counts)
@@ -383,5 +384,5 @@ def decompose_walk(m: MealyMachine, walk: Sequence[Transition]) -> WalkDecomposi
             merged[key][2] += count
         else:
             merged[key] = [anchor, cycle, count]
-    loops = tuple(Loop(anchor=a, cycle=cyc, count=n) for a, cyc, n in merged.values())
+    loops = tuple([Loop(anchor=a, cycle=cyc, count=n) for a, cyc, n in merged.values()])
     return WalkDecomposition(base_walk=tuple(base), loops=loops)

@@ -374,7 +374,8 @@ def splits_to_gwmm(s: SplitsInstance) -> tuple[MealyMachine, tuple, CensusRequir
         output_alphabet=frozenset(str(length) for length in range(1, longest + 1)),
         transitions=tuple(transitions),
     )
-    word = tuple(str(g) for g in s.gaps)
+    # A list comprehension, not tuple(<generator>): its shrunk tuples pile up on free lists.
+    word = tuple([str(g) for g in s.gaps])
     census = CensusRequirement.of(
         {str(length): count for length, count in s.job_census.items()})
     return machine, word, census

@@ -59,8 +59,9 @@ class Multiset:
     def total(self) -> int:
         return sum(v * m for v, m in self.entries)
 
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.entries)
+    def values(self) -> list[int]:
+        # A list comprehension, not tuple(<generator>): its shrunk tuples pile up on free lists.
+        return [v for v, _ in self.entries]
 
     def multiplicity(self, value: int) -> int:
         for v, m in self.entries:
@@ -108,7 +109,7 @@ class TripleCover:
 
 def subset_sum_program(a: Multiset, s: int) -> IntegerProgram:
     """One variable per distinct value, boxed by its multiplicity."""
-    variables = tuple((f"x{i+1}", 0, m) for i, (_, m) in enumerate(a.entries))
+    variables = tuple([(f"x{i+1}", 0, m) for i, (_, m) in enumerate(a.entries)])
     coeffs = {f"x{i+1}": v for i, (v, _) in enumerate(a.entries)}
     return IntegerProgram(variables=variables,
                           constraints=(Constraint(coeffs, EQ, s),))
@@ -265,12 +266,12 @@ def three_partition_program(a: Multiset) -> Optional[IntegerProgram]:
                 if sum(a.entries[idx][0] for idx in triple) != s:
                     continue
                 name = f"x{i+1}_{j+1}_{l+1}"
-                upper = min(n, *(a.entries[idx][1] // triple.count(idx)
-                                 for idx in triple))
+                upper = min(n, *[a.entries[idx][1] // triple.count(idx)
+                                 for idx in triple])
                 variables.append((name, 0, upper))
                 for idx in triple:
                     rows[idx][name] = rows[idx].get(name, 0) + 1
-    constraints = tuple(Constraint(row, EQ, m) for row, (_, m) in zip(rows, a.entries))
+    constraints = tuple([Constraint(row, EQ, m) for row, (_, m) in zip(rows, a.entries)])
     return IntegerProgram(variables=tuple(variables), constraints=constraints)
 
 
@@ -284,4 +285,4 @@ def solve_3partition(a: Multiset) -> Optional[TripleCover]:
     cover = _solve_cover(three_partition_program(a), a, a, a)
     if cover is None:
         return None
-    return TripleCover(triples=tuple((*sorted(t[:3]), t[3]) for t in cover.triples))
+    return TripleCover(triples=tuple([(*sorted(t[:3]), t[3]) for t in cover.triples]))

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from varsolve.cli import main
+from varsolve.formats import parse_machine_instance
+from varsolve.mealy import (EMPTY, Loop, WalkDecomposition, census_of, run,
+                            subdivide)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -64,14 +67,37 @@ def test_reduction_image_trace_golden(capsys, monkeypatch, reduction, fixture,
     assert out == (FIXTURES / golden).read_text()
 
 
+def replay_printed_ewmm(m, certificate):
+    """The output census of a printed ``ewmm --certificate``, its walk read
+    back against and run on subdivide(m)."""
+    sub = subdivide(m)
+    by_text = {t.text(): t for t in sub.transitions}
+    lines = certificate.splitlines()
+    assert lines[:2] == ["YES", "base:"]
+    base: list = []
+    loops: list = []
+    for line in lines[2:]:
+        if line.startswith("loop "):
+            _, anchor, count = line.rstrip(":").split()
+            loops.append((anchor, int(count), []))
+        else:
+            (loops[-1][2] if loops else base).append(by_text[line])
+    walk = WalkDecomposition(tuple(base), tuple(
+        Loop(anchor, tuple(cycle), count) for anchor, count, cycle in loops)).walk()
+    word = tuple(t.reads for t in walk if t.reads is not EMPTY)
+    return census_of(run(sub, word, [sub.transitions.index(t) for t in walk]))
+
+
 def test_reduce_heat_ewmm_certificate_golden(capsys, monkeypatch):
-    # A non-empty base walk and a loop anchored at the start.
+    # A non-empty base walk and loops anchored at the start.
     code, image = capture(capsys, "reduce-heat", str(FIXTURES / "heat1.txt"))
     assert code == 0
     monkeypatch.setattr("sys.stdin", io.StringIO(image))
     code, out = capture(capsys, "ewmm", "-", "--certificate")
     assert code == 0
     assert out == (FIXTURES / "heat1_ewmm.out").read_text()
+    m, census = parse_machine_instance(image)
+    assert replay_printed_ewmm(m, out) == census
 
 
 def test_reduction_output_is_reproducible(capsys):

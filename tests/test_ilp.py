@@ -138,7 +138,7 @@ def test_rank_check_rejects_inconsistent_equalities():
                                              (row, "=", 3001)])) is None
     witness = solve_feasibility(program(boxes, [(row, "=", 3000),
                                                 (row, "=", 3000)]))
-    assert [witness[name] for name in names] == [0, 0, 0, 1000, 1000, 1000]
+    assert [witness[name] for name in names] == [500] * 6
 
 
 def test_rank_check_runs_before_propagation():
@@ -171,6 +171,34 @@ def test_lattice_step_refutes_boxed_row():
     with pytest.raises(ProvenInfeasible):
         propagate_bounds(p)
     assert time.perf_counter() - start < 1.0
+
+
+def test_program_without_equalities_keeps_increasing_order():
+    # No equality row gives a proportional point, so every branch starts at
+    # the low end of its box and the witness is the first point in
+    # increasing order.
+    p = program([("x", 0, 9), ("y", 0, 9), ("z", 0, 9)],
+                [({"x": 1, "y": 1, "z": 1}, ">=", 14),
+                 ({"x": 2, "y": -1}, "<=", 3),
+                 ({"y": 1, "z": -3}, ">=", -10)])
+    assert solve_feasibility(p).values == {"x": 0, "y": 8, "z": 6}
+
+
+def test_branch_starts_at_smallest_proportional_point():
+    # Propagation leaves x in [0, 7], y in [1, 3], z in [1, 7], and the
+    # search branches on y, the narrowest box.  Its first row's right-hand
+    # side sits at 7/17 of the row's range [3, 20], which puts y at
+    # 1 + floor(2 * 7/17) = 1; the second row's, at 6/12 of [4, 16], puts it
+    # at 2.  The smaller point is tried first, and it is feasible.
+    p = program([("x", 0, 9), ("y", 0, 3), ("z", 0, 7)],
+                [({"x": 1, "y": 2, "z": 1}, "=", 10),
+                 ({"y": 3, "z": 1}, "=", 10)])
+    assert solve_feasibility(p).values == {"x": 1, "y": 1, "z": 7}
+    # x - 2z = 5 leaves x in {5, 7} and z in [0, 1]; z, with a negative
+    # coefficient, counts its share floor(1 * 2/4) = 0 down from its top.
+    p = program([("x", 0, 7), ("y", 0, 7), ("z", 0, 1)],
+                [({"x": 1, "z": -2}, "=", 5)])
+    assert solve_feasibility(p).values == {"x": 7, "y": 0, "z": 1}
 
 
 def test_search_deeper_than_recursion_limit():

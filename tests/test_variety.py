@@ -127,6 +127,17 @@ def test_3partition_cliff_solves():
     assert validate_3partition_cover(a, cover)
 
 
+def test_subsetsum_cliff_solves():
+    # Eight values near 10**6, 10**4 copies each, and a planted target: a
+    # search starting every box at its low end runs far past the limit.
+    a, s = parse_multiset((FIXTURES / "ss_cliff.txt").read_text(),
+                          expect_target=True)
+    begin = time.perf_counter()
+    cert = solve_subset_sum(a, s)
+    assert time.perf_counter() - begin < 1.0
+    assert validate_subset_certificate(a, s, cert)
+
+
 def test_3partition_non_integral_target():
     # Cardinality 6, total 13: no integral per-triple sum.
     assert solve_3partition(ms(1, 1, 1, 1, 1, 8)) is None
