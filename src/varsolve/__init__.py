@@ -8,10 +8,10 @@ to, constructive reductions between all of these, and exhaustive oracles
 for verification.
 """
 
-from .census_solvers import BudgetExceeded, solve_ewmm, solve_gwmm
-from .ilp import (Assignment, Constraint, IntegerProgram, MalformedProgram,
-                  ProvenInfeasible, dump_program, propagate_bounds,
-                  solve_feasibility)
+from .census_solvers import solve_ewmm, solve_gwmm
+from .ilp import (Assignment, BudgetExceeded, Constraint, IntegerProgram,
+                  MalformedProgram, ProvenInfeasible, dump_program,
+                  propagate_bounds, solve_feasibility)
 from .mealy import (EMPTY, CensusRequirement, Loop, MealyMachine, Transition,
                     WalkDecomposition, census_of, decompose_walk, run, subdivide)
 from .reductions import (HeatInstance, MulticoloredGraph, SplitsInstance,

@@ -3,12 +3,15 @@
 Two problems over a nondeterministic machine M and a census requirement c:
 
 * exists-word: is there any input word and computation of M whose output
-  meets c exactly?  Solved by searching base walks over the subdivided
-  machine (census- and vertex-set-deduplicated), enumerating short loops
-  anchored on the walk, and deciding loop execution counts with the exact
-  integer-program engine.  The certificate is the paper's walk
-  decomposition over the subdivided machine: a base walk plus anchored
-  loops with execution counts.
+  meets c exactly?  Solved as one integer program on M, the linear-size
+  Parikh image of Seidl, Schwentick, Muscholl and Habermehl (ICALP 2004):
+  a use count per transition, a 0/1 end state, flow conservation per state
+  and one census equality per letter.  Connectivity to the start state is
+  added lazily, one cut row per round, and the exact integer-program engine
+  decides each round within one node budget.  An Euler trail through the
+  counted transitions is the witness walk; the certificate is the paper's
+  walk decomposition of it over the subdivided machine: a base walk plus
+  anchored loops with execution counts.
 
 * given-word: for a fixed input word x, is there a computation reading all
   of x whose output meets c exactly?  Solved by a boolean table, kept as the
@@ -24,18 +27,14 @@ Two problems over a nondeterministic machine M and a census requirement c:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple, Optional, Sequence
 
-from .ilp import EQ, Constraint, IntegerProgram, solve_feasibility
-from .mealy import (EMPTY, CensusRequirement, Loop, MealyMachine, Transition,
-                    WalkDecomposition, subdivide)
+from .ilp import (EQ, LE, BudgetExceeded, Constraint, IntegerProgram,
+                  solve_feasibility)
+from .mealy import (EMPTY, CensusRequirement, MealyMachine, WalkDecomposition,
+                    decompose_walk, subdivide)
 
 DEFAULT_BUDGET = 2_000_000
-
-
-class BudgetExceeded(Exception):
-    """A solver's budget ran out; the verdict is unknown rather than no."""
 
 
 class DpIndex(NamedTuple):
@@ -47,176 +46,120 @@ class DpIndex(NamedTuple):
     propagation: int
 
 
-class _Budget:
-    def __init__(self, cap: Optional[int]):
-        self.cap = cap
-        self.used = 0
-
-    def spend(self, amount: int = 1) -> None:
-        self.used += amount
-        if self.cap is not None and self.used > self.cap:
-            raise BudgetExceeded(f"node cap {self.cap} exceeded")
-
-
-def _letter_indices(census: CensusRequirement) -> tuple[list[str], dict[str, int]]:
-    letters = census.letters()
-    return letters, {letter: j for j, letter in enumerate(letters)}
-
-
-def _enumerate_loops(m: MealyMachine, anchor: str, targets: list[int],
-                     letters: list[str], index_of: dict[str, int],
-                     by_source: dict[str, list[tuple[Transition, object, str]]],
-                     budget: _Budget) -> dict[tuple[int, ...], tuple[Transition, ...]]:
-    """Closed walks from ``anchor`` of length at most |states|, bucketed.
-
-    Returns census-vector -> representative cycle.  Loops writing any letter
-    beyond its required count, or any unrequired letter, are discarded;
-    census-neutral loops are dropped entirely.
-    """
-    max_len = len(m.states)
-    buckets: dict[tuple[int, ...], tuple[Transition, ...]] = {}
-    zero = (0,) * len(letters)
-    # Depth-first in preorder with an explicit stack: a cycle can be as long
-    # as the machine has states, beyond any recursion limit.  Moves are
-    # pushed in reverse so they are popped in order; the lists are reversed
-    # once here, as reversing them per node costs about a tenth of the time.
-    backward = {state: moves[::-1] for state, moves in by_source.items()}
-    stack = [(anchor, zero, ())]
-    while stack:
-        state, vector, path = stack.pop()
-        budget.spend()
-        if state == anchor and path and vector != zero:
-            buckets.setdefault(vector, path)
-        if len(path) == max_len:
-            continue
-        for t, writes, target in backward.get(state, ()):
-            if writes is EMPTY:
-                nxt = vector
-            else:
-                j = index_of.get(writes)
-                if j is None or vector[j] + 1 > targets[j]:
-                    continue
-                nxt = vector[:j] + (vector[j] + 1,) + vector[j + 1:]
-            stack.append((target, nxt, path + (t,)))
-    return buckets
-
-
 def solve_ewmm(m: MealyMachine, c: CensusRequirement,
                budget: Optional[int] = DEFAULT_BUDGET) -> Optional[WalkDecomposition]:
     """Decide whether any input word admits a computation meeting ``c``.
 
     Returns a walk decomposition over ``subdivide(m)`` whose ``walk()``
-    meets c, or None; the search works on the subdivided machine so the
-    underlying digraph is simple.  Base-walk prefixes are explored once per
-    (end state, output census so far, set of visited states): walk output
-    only grows, so prefixes whose census exceeds c anywhere are abandoned,
-    and a prefix adds nothing new if an already-explored prefix reached the
-    same state and census having visited a superset of its states.  At every explored prefix an exact
-    integer program decides whether anchored short-loop executions can top
-    the census up to c; the loops come in the order of its variables.
+    meets c, or None.  The integer program is built on m: a count y_i per
+    transition i, boxed by the census count of the letter it writes, or by
+    total + 1 when it writes nothing (a shortest meeting walk repeats no
+    state between two written letters, so it takes such a transition at
+    most once in each of the total + 1 stretches between them); transitions
+    writing an unrequired letter get no variable.  A 0/1 variable z_s per
+    state marks the end state, exactly one is set, and each state s
+    conserves flow: out(s) - in(s) = [s is the start] - z_s.  Each census
+    letter gets one equality row.
 
-    Spends ``budget`` (None: no cap) in exists-word search nodes: one per
-    base-walk prefix and per loop-enumeration step, and one plus the
-    variable count per integer program; raises BudgetExceeded when it is
-    spent before a verdict.
+    The counts then form a start-to-end trail plus closed walks, which a
+    walk covers only when every used transition is reached from the start.
+    So each solution is checked: let C be the sources of used transitions
+    that used transitions do not reach from the start.  If C is empty the
+    counts are a walk; otherwise the cut row
+
+        sum of y over transitions leaving states of C
+            <= (sum of their boxes) · sum of y over transitions entering C
+
+    (entering from outside C) is added and the program solved again.  The
+    row holds for every walk from the start and fails for this solution.
+    On a YES an Euler trail from the start (Hierholzer) orders the counts
+    into a walk; transition i of m is transitions 2i and 2i+1 of
+    ``subdivide(m)``, and ``decompose_walk`` turns that walk into the
+    certificate.
+
+    Spends ``budget`` (None: no cap) in integer-program search nodes,
+    summed over the cut rounds, and raises BudgetExceeded when it is spent
+    before a verdict.
     """
-    msub = subdivide(m)
-    letters, index_of = _letter_indices(c)
-    # A list comprehension, not tuple(<generator>): its shrunk tuples pile up on free lists.
-    targets = [c.get(letter) for letter in letters]
-    zero = (0,) * len(letters)
-    tracker = _Budget(budget)
+    counts = c.as_dict()
+    names = sorted(m.states)
+    number = {state: k for k, state in enumerate(names)}
+    silent_box = c.total() + 1
+    arcs = []  # (index, transition, variable, box) for each transition a walk may take
+    for i, t in enumerate(m.transitions):
+        box = silent_box if t.writes is EMPTY else counts.get(t.writes, 0)
+        if box:
+            arcs.append((i, t, f"y{i}", box))
+    variables = [(name, 0, box) for _, _, name, box in arcs]
+    variables += [(f"z{k}", 0, 1) for k in range(len(names))]
+    # The end-state rows are written negated: a branch on z_s then tries 1
+    # first (the engine counts a negative coefficient's first value from the
+    # top of the box), so the search picks an end state at once instead of
+    # fixing the z's to 0 one node at a time.
+    balance = [{f"z{k}": -1} for k in range(len(names))]
+    census_rows: dict[str, dict[str, int]] = {letter: {} for letter in counts}
+    for _, t, name, _ in arcs:
+        if t.source != t.target:
+            balance[number[t.source]][name] = -1
+            balance[number[t.target]][name] = 1
+        if t.writes is not EMPTY:
+            census_rows[t.writes][name] = 1
+    constraints = [Constraint({f"z{k}": -1 for k in range(len(names))}, EQ, -1)]
+    constraints += [Constraint(row, EQ, -int(names[k] == m.start))
+                    for k, row in enumerate(balance)]
+    constraints += [Constraint(census_rows[letter], EQ, count)
+                    for letter, count in counts.items()]
 
-    by_source: dict[str, list[tuple[Transition, object, str]]] = {}
-    for t in msub.transitions:
-        by_source.setdefault(t.source, []).append((t, t.writes, t.target))
-
-    loop_cache: dict[str, dict[tuple[int, ...], tuple[Transition, ...]]] = {}
-
-    def loops_at(state: str) -> dict[tuple[int, ...], tuple[Transition, ...]]:
-        if state not in loop_cache:
-            loop_cache[state] = _enumerate_loops(
-                msub, state, targets, letters, index_of, by_source, tracker)
-        return loop_cache[state]
-
-    ilp_cache: dict[tuple, Optional[list[tuple[tuple[int, ...], int]]]] = {}
-
-    def loops_for(deficit: tuple[int, ...], vset: frozenset[str]
-                  ) -> Optional[tuple[Loop, ...]]:
-        """Loops with execution counts covering the census deficit, or None."""
-        available: dict[tuple[int, ...], tuple[str, tuple[Transition, ...]]] = {}
-        for state in sorted(vset):
-            for vector, cycle in loops_at(state).items():
-                available.setdefault(vector, (state, cycle))
-        key = (deficit, frozenset(available))
-        if key not in ilp_cache:
-            vectors = sorted(available)
-            tracker.spend(1 + len(vectors))
-            variables = []
-            for n, vector in enumerate(vectors):
-                box = min(targets[j] // vector[j]
-                          for j in range(len(letters)) if vector[j] > 0)
-                variables.append((f"loop{n+1}", 0, box))
-            constraints = []
-            for j in range(len(letters)):
-                coeffs = {f"loop{n+1}": vector[j]
-                          for n, vector in enumerate(vectors) if vector[j] > 0}
-                constraints.append(Constraint(coeffs, EQ, deficit[j]))
-            program = IntegerProgram(tuple(variables), tuple(constraints))
-            assignment = solve_feasibility(program)
-            if assignment is None:
-                ilp_cache[key] = None
-            else:
-                ilp_cache[key] = [
-                    (vector, assignment[f"loop{n+1}"])
-                    for n, vector in enumerate(vectors) if assignment[f"loop{n+1}"]]
-        solution = ilp_cache[key]
-        if solution is None:
+    left = budget
+    while True:
+        assignment = solve_feasibility(
+            IntegerProgram(tuple(variables), tuple(constraints)), budget=left)
+        if assignment is None:
             return None
-        return tuple([Loop(*available[vector], count) for vector, count in solution])
+        if left is not None:
+            left -= assignment.nodes
+        moves: dict[str, list[list]] = {}
+        for i, t, name, _ in arcs:
+            if assignment[name]:
+                moves.setdefault(t.source, []).append([i, t, assignment[name]])
+        reached = {m.start}
+        frontier = [m.start]
+        while frontier:
+            for _, t, _ in moves.get(frontier.pop(), ()):
+                if t.target not in reached:
+                    reached.add(t.target)
+                    frontier.append(t.target)
+        stranded = set(moves) - reached
+        if not stranded:
+            break
+        leaving = [(name, box) for _, t, name, box in arcs if t.source in stranded]
+        weight = sum(box for _, box in leaving)
+        row = {name: 1 for name, _ in leaving}
+        for _, t, name, _ in arcs:
+            if t.source not in stranded and t.target in stranded:
+                row[name] = -weight
+        constraints.append(Constraint(row, LE, 0))
 
-    start_key = (msub.start, zero, frozenset((msub.start,)))
-    parents: dict[tuple, tuple] = {start_key: (None, None)}
-    explored: dict[tuple[str, tuple[int, ...]], list[frozenset[str]]] = {}
-    queue = deque([start_key])
-
-    def witness_walk(key: tuple) -> tuple[Transition, ...]:
-        walk: list[Transition] = []
-        while True:
-            parent, t = parents[key]
-            if parent is None:
-                break
-            walk.append(t)
-            key = parent
-        walk.reverse()
-        return tuple(walk)
-
-    while queue:
-        key = queue.popleft()
-        state, census, vset = key
-        tracker.spend()
-        deficit = tuple([t - v for t, v in zip(targets, census)])
-        loops = loops_for(deficit, vset)
-        if loops is not None:
-            return WalkDecomposition(base_walk=witness_walk(key), loops=loops)
-        for t, writes, target in by_source.get(state, ()):
-            if writes is EMPTY:
-                census2 = census
-            else:
-                j = index_of.get(writes)
-                if j is None or census[j] + 1 > targets[j]:
-                    continue
-                census2 = census[:j] + (census[j] + 1,) + census[j + 1:]
-            vset2 = vset | {target}
-            seen = explored.setdefault((target, census2), [])
-            if any(vset2 <= known for known in seen):
-                continue
-            seen[:] = [known for known in seen if not known <= vset2]
-            seen.append(vset2)
-            key2 = (target, census2, vset2)
-            parents[key2] = (key, t)
-            queue.append(key2)
-    return None
+    # Hierholzer: extend the trail from its last state while that state has
+    # counted transitions left, and move finished transitions to the walk.
+    trail = [(m.start, -1)]
+    walk: list[int] = []
+    while trail:
+        state, via = trail[-1]
+        pending = moves.get(state)
+        if pending:
+            move = pending[-1]
+            move[2] -= 1
+            if move[2] == 0:
+                pending.pop()
+            trail.append((move[1].target, move[0]))
+        else:
+            trail.pop()
+            if via >= 0:
+                walk.append(via)
+    walk.reverse()
+    sub = subdivide(m)
+    return decompose_walk(sub, [t for i in walk for t in sub.transitions[2 * i:2 * i + 2]])
 
 
 def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
@@ -252,7 +195,8 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
             raise ValueError("the empty letter cannot occur inside the input word")
         if letter not in m.input_alphabet:
             raise ValueError(f"input letter {letter!r} not in the input alphabet")
-    letters, index_of = _letter_indices(c)
+    letters = c.letters()
+    index_of = {letter: j for j, letter in enumerate(letters)}
     targets = [c.get(letter) for letter in letters]
     radix = [target + 1 for target in targets]
     names = sorted(m.states)

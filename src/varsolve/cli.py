@@ -4,7 +4,8 @@ Exit codes: 0 for a Yes verdict (or a clean verification run), 1 for No,
 2 for usage, parse and cardinality errors, an ``s=`` line in a problem that
 takes no target, an unreadable instance file, and any other exception (an
 internal error, printed as ``error: internal: <Type>: <message>``, never
-read as No), 3 for an unknown verdict (exists-word or given-word budget).
+read as No), 3 for an unknown verdict (a budget ran out: integer-program
+nodes for ``ewmm``, given-word table entries for ``gwmm``).
 
 Every solver subcommand is a row of ``SOLVERS`` and every reduction a row
 of ``REDUCTIONS``.  A row reaches its solver, reduction, parser and writer
@@ -22,8 +23,8 @@ import time
 from typing import Callable, NamedTuple, Optional
 
 from . import corpus, formats
-from .census_solvers import BudgetExceeded, DEFAULT_BUDGET, solve_ewmm, solve_gwmm
-from .ilp import dump_program
+from .census_solvers import DEFAULT_BUDGET, solve_ewmm, solve_gwmm
+from .ilp import BudgetExceeded, dump_program
 from .reductions import (heat_to_ewmm, mcc_to_gwmm, splits_to_gwmm,
                          subsetsum_to_partition)
 from .variety import (nmts_program, num3dm_program, partition_program,
@@ -124,7 +125,7 @@ SOLVERS = {
         parse=lambda text, path: formats.parse_machine_instance(text, path),
         solve=lambda machine, census, budget: solve_ewmm(machine, census, budget=budget),
         show=_print_walk,
-        budget="exists-word search nodes"),
+        budget="integer-program nodes (summed over connectivity-cut rounds)"),
     "gwmm": Solver(
         "does a computation on the given word meet the census?",
         parse=lambda text, path: formats.parse_machine_instance(

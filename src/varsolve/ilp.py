@@ -12,8 +12,9 @@ the bottom of its box: it first tries the smallest value that puts the
 variable at the same fraction of its box as an equality row's right-hand
 side sits in that row's range, then works outward from it.  The search
 keeps an explicit stack, one frame per branched variable, so its depth is
-not limited by Python's recursion limit.  All arithmetic is exact unbounded-magnitude Python
-integers; there is no floating-point relaxation anywhere.
+not limited by Python's recursion limit.  A budget caps the number of
+search nodes.  All arithmetic is exact unbounded-magnitude Python integers;
+there is no floating-point relaxation anywhere.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ class MalformedProgram(ValueError):
 
 class ProvenInfeasible(Exception):
     """Raised by bound propagation when infeasibility is detected."""
+
+
+class BudgetExceeded(Exception):
+    """A solver's budget ran out; the verdict is unknown rather than no."""
 
 
 class Constraint(NamedTuple):
@@ -75,6 +80,7 @@ class IntegerProgram:
 @dataclass(frozen=True)
 class Assignment:
     values: Mapping[str, int]
+    nodes: int = 0  # search nodes spent finding it, the root included
 
     def __getitem__(self, name: str) -> int:
         return self.values[name]
@@ -315,7 +321,8 @@ def _first_value(bounds: dict[str, tuple[int, int]], name: str,
     return lo if first is None else first
 
 
-def solve_feasibility(program: IntegerProgram) -> Optional[Assignment]:
+def solve_feasibility(program: IntegerProgram,
+                      budget: Optional[int] = None) -> Optional[Assignment]:
     """Decide feasibility over the boxes; return a witness or None.
 
     Complete over the box product: a None verdict means no integer point in
@@ -332,8 +339,16 @@ def solve_feasibility(program: IntegerProgram) -> Optional[Assignment]:
     increasing order.  The search runs on an explicit stack of frames
     (bounds, branch variable, first value, up cursor, down cursor), one
     frame per branched variable.
+
+    Spends one unit of ``budget`` (None: no cap) per search node: the root
+    and every child whose box is fixed to a branch value, before it is
+    propagated.  Raises BudgetExceeded when it is spent before a verdict.
     """
     program.validate()
+    cap = math.inf if budget is None else budget
+    nodes = 1
+    if nodes > cap:
+        raise BudgetExceeded(f"node cap {budget} exceeded")
     if (sum(con.relation == EQ for con in program.constraints) >= 2
             and not _equalities_consistent(program)):
         return None
@@ -354,7 +369,7 @@ def solve_feasibility(program: IntegerProgram) -> Optional[Assignment]:
             if branch_var is None:
                 values = {name: node[name][0] for name in order}
                 if satisfies(program, values):
-                    return Assignment(values=values)
+                    return Assignment(values=values, nodes=nodes)
             else:
                 if rows_of is None:
                     rows_of = _equality_rows(program)
@@ -375,6 +390,9 @@ def solve_feasibility(program: IntegerProgram) -> Optional[Assignment]:
         else:
             stack.pop()
             continue
+        nodes += 1
+        if nodes > cap:
+            raise BudgetExceeded(f"node cap {budget} exceeded")
         child = dict(parent)
         child[branch_var] = (value, value)
         try:

@@ -67,8 +67,9 @@ def test_criterion_2_variety_oracle_equivalence():
 
 def test_criterion_3_ewmm_oracle_equivalence():
     with _Criterion(3, "exists-word solver vs oracle, 300 machines", 120):
-        # the ewmm family lets BudgetExceeded propagate, so zero unknowns at the
-        # default budget is part of the assertion.
+        # the ewmm family lets BudgetExceeded propagate, so no machine running
+        # out of the default budget of integer-program nodes is part of the
+        # assertion.
         assert FAMILIES["ewmm"](SEED, 300) == 300
 
 

@@ -1,6 +1,7 @@
 """Census solvers: worked examples, oracle equivalence, certificate replay."""
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,9 @@ from varsolve.mealy import (EMPTY, CensusRequirement, Loop, MealyMachine,
                             Transition, WalkDecomposition, census_of, run,
                             subdivide)
 from varsolve.oracle import brute_ewmm, brute_gwmm
+from varsolve.reductions import heat_to_ewmm
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def machine(states, start, inputs, outputs, transitions):
@@ -56,8 +60,10 @@ def test_ewmm_self_loop_counts_five():
 
 
 def test_ewmm_long_silent_cycle_has_no_recursion_cliff():
-    # A 600-arc cycle writing nothing: loop enumeration walks it to full
-    # depth from q0, far past Python's default recursion limit.
+    # A 600-arc cycle writing nothing: 600 end-state variables and flow
+    # rows, and a witness walk around the cycle that the Euler trail and
+    # the walk decomposition follow far past Python's default recursion
+    # limit.
     n = 600
     arcs = [(f"q{i}", "a", f"q{(i + 1) % n}", EMPTY) for i in range(n)]
     m = machine({f"q{i}" for i in range(n)}, "q0", {"a"}, {"x", EMPTY},
@@ -66,6 +72,39 @@ def test_ewmm_long_silent_cycle_has_no_recursion_cliff():
     cert = solve_ewmm(m, c)
     assert cert is not None
     assert replay_ewmm(m, cert) == c
+
+
+def test_ewmm_cliff_solves():
+    # Seven states, census total 8, silent moves on a third of the
+    # transitions: machine 4 of the benchmark's seed-11 family.
+    m, c = formats.parse_machine_instance((FIXTURES / "ewmm_cliff.txt").read_text())
+    begin = time.perf_counter()
+    cert = solve_ewmm(m, c)
+    assert time.perf_counter() - begin < 1.0
+    assert cert is not None and replay_ewmm(m, cert) == c
+
+
+def test_heat_cliff_settles():
+    # Threshold 3, deadline 14, twelve jobs: the benchmark's fixed NO image.
+    m, c = heat_to_ewmm(formats.parse_heat((FIXTURES / "heat_cliff.txt").read_text()))
+    begin = time.perf_counter()
+    assert solve_ewmm(m, c) is None
+    assert time.perf_counter() - begin < 1.0
+
+
+def test_ewmm_counts_must_connect_to_the_start():
+    # Flow conservation alone holds for the x-loop at u with the walk
+    # ending at the start; only a connectivity cut rules it out.
+    cut_off = machine({"s", "u"}, "s", {"a"}, {"x", EMPTY},
+                      [("s", "a", "s", EMPTY), ("u", "a", "u", "x")])
+    assert solve_ewmm(cut_off, CensusRequirement.of({"x": 1})) is None
+    # The same loop behind two silent moves: the cut asks for the way in.
+    behind = machine({"s", "v", "u"}, "s", {"a"}, {"x", EMPTY},
+                     [("s", "a", "s", EMPTY), ("s", "a", "v", EMPTY),
+                      ("v", "a", "u", EMPTY), ("u", "a", "u", "x")])
+    c = CensusRequirement.of({"x": 1})
+    cert = solve_ewmm(behind, c)
+    assert cert is not None and replay_ewmm(behind, cert) == c
 
 
 def test_ewmm_unproducible_letter():
@@ -79,7 +118,7 @@ def test_ewmm_budget_reports_unknown():
     c = CensusRequirement.of(
         {letter: 2 for letter in sorted(m.output_alphabet - {EMPTY})[:2]})
     with pytest.raises(BudgetExceeded):
-        solve_ewmm(m, c, budget=1)
+        solve_ewmm(m, c, budget=0)
 
 
 def test_ewmm_oracle_equivalence():
@@ -175,8 +214,8 @@ def test_binary_guard_matches_oracle_on_empty_free_machines():
 
 
 def test_ewmm_loop_merge_by_census_vector_is_safe():
-    # Two distinct loops with equal per-execution counts: feasibility only
-    # depends on achievable census sums, so one representative suffices.
+    # Two distinct cycles through q that each write one x: the counts may
+    # split between them in any way, and the walk must still replay.
     m = machine({"q", "r"}, "q", {"a"}, {"x", EMPTY},
                 [("q", "a", "q", "x"), ("q", "a", "r", "x"), ("r", "a", "q", EMPTY)])
     c = CensusRequirement.of({"x": 4})

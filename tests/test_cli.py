@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -120,10 +121,24 @@ def test_gwmm_certificate_replays(capsys):
 
 
 def test_ewmm_unknown_exit_code(capsys):
+    # The instance is decided at the root node, so only a zero budget runs out.
     code, out, _ = run_cli(capsys, "ewmm", str(FIXTURES / "loop_ewmm.txt"),
-                           "--budget", "1")
+                           "--budget", "0")
     assert code == 3
     assert out.strip() == "UNKNOWN"
+
+
+def test_ewmm_budget_stops_a_scaled_census(capsys, monkeypatch):
+    # Every census count of the cliff instance times 10**5: the integer
+    # program then needs far more nodes than this budget allows.
+    head, counts = (FIXTURES / "ewmm_cliff.txt").read_text().split("census:\n")
+    scaled = "".join(f"{letter} {int(count) * 10**5}\n"
+                     for letter, count in map(str.split, counts.splitlines()))
+    monkeypatch.setattr("sys.stdin", io.StringIO(head + "census:\n" + scaled))
+    begin = time.perf_counter()
+    code, out, _ = run_cli(capsys, "ewmm", "-", "--budget", "1000")
+    assert time.perf_counter() - begin < 1.0
+    assert (code, out) == (3, "UNKNOWN\n")
 
 
 def test_gwmm_budget_reports_unknown(capsys, monkeypatch):
@@ -307,7 +322,7 @@ def test_python_m_varsolve_matches_main(capsys):
 def test_cached_parser_keeps_no_state(capsys):
     assert build_parser() is build_parser()
     ewmm = str(FIXTURES / "loop_ewmm.txt")
-    assert run_cli(capsys, "ewmm", ewmm, "--budget", "1")[0] == 3
+    assert run_cli(capsys, "ewmm", ewmm, "--budget", "0")[0] == 3
     code, out, _ = run_cli(capsys, "ewmm", ewmm)
     assert (code, out) == (0, "YES\n")
     ss1 = str(FIXTURES / "ss1.txt")

@@ -89,7 +89,7 @@ def replay_printed_ewmm(m, certificate):
 
 
 def test_reduce_heat_ewmm_certificate_golden(capsys, monkeypatch):
-    # A non-empty base walk and loops anchored at the start.
+    # A non-empty base walk and loops anchored at both of its states.
     code, image = capture(capsys, "reduce-heat", str(FIXTURES / "heat1.txt"))
     assert code == 0
     monkeypatch.setattr("sys.stdin", io.StringIO(image))

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varsolve.corpus import FAMILIES, enumerate_feasibility, make_rng, random_program
-from varsolve.ilp import (Constraint, IntegerProgram, MalformedProgram,
-                          ProvenInfeasible, dump_program, propagate_bounds,
-                          satisfies, solve_feasibility)
+from varsolve.ilp import (BudgetExceeded, Constraint, IntegerProgram,
+                          MalformedProgram, ProvenInfeasible, dump_program,
+                          propagate_bounds, satisfies, solve_feasibility)
 
 
 def program(variables, constraints):
@@ -20,6 +20,23 @@ def program(variables, constraints):
 def test_unique_solution():
     p = program([("x", 0, 2)], [({"x": 3}, "=", 6)])
     assert solve_feasibility(p).values == {"x": 2}
+
+
+def test_node_budget():
+    # 29 is the largest sum 6, 10 and 15 cannot make: the root and two
+    # children refute it, so a cap of two nodes runs out first.
+    no = program([("x", 0, 20), ("y", 0, 20), ("z", 0, 20)],
+                 [({"x": 6, "y": 10, "z": 15}, "=", 29)])
+    with pytest.raises(BudgetExceeded):
+        solve_feasibility(no, budget=2)
+    assert solve_feasibility(no, budget=3) is None
+    yes = program([("x", 0, 20), ("y", 0, 20), ("z", 0, 20)],
+                  [({"x": 6, "y": 10, "z": 15}, "=", 101)])
+    witness = solve_feasibility(yes)
+    assert witness.nodes > 1
+    assert solve_feasibility(yes, budget=10**6) == witness
+    with pytest.raises(BudgetExceeded):
+        solve_feasibility(yes, budget=witness.nodes - 1)
 
 
 def test_empty_box_against_lower_bound():
