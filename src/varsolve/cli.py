@@ -5,7 +5,8 @@ Exit codes: 0 for a Yes verdict (or a clean verification run), 1 for No,
 takes no target, an unreadable instance file, and any other exception (an
 internal error, printed as ``error: internal: <Type>: <message>``, never
 read as No), 3 for an unknown verdict (a budget ran out: integer-program
-nodes for ``ewmm``, given-word table entries for ``gwmm``).
+nodes for ``ewmm`` and the five multiset subcommands, given-word table
+entries for ``gwmm``).
 
 Every solver subcommand is a row of ``SOLVERS`` and every reduction a row
 of ``REDUCTIONS``.  A row reaches its solver, reduction, parser and writer
@@ -27,10 +28,8 @@ from .census_solvers import DEFAULT_BUDGET, solve_ewmm, solve_gwmm
 from .ilp import BudgetExceeded, dump_program
 from .reductions import (heat_to_ewmm, mcc_to_gwmm, splits_to_gwmm,
                          subsetsum_to_partition)
-from .variety import (nmts_program, num3dm_program, partition_program,
-                      solve_3partition, solve_num_3dm, solve_nmts,
-                      solve_partition, solve_subset_sum, subset_sum_program,
-                      three_partition_program)
+from .variety import (solve_3partition, solve_num_3dm, solve_nmts,
+                      solve_partition, solve_subset_sum)
 
 YES, NO, UNKNOWN = 0, 1, 3
 USAGE = 2
@@ -79,53 +78,52 @@ class Solver(NamedTuple):
 
     help: str
     parse: Callable  # (text, path) -> instance tuple
-    solve: Callable  # (*instance[, budget=N]) -> certificate, or None for NO
+    # (*instance[, budget=N][, on_program=f]) -> certificate, or None for NO
+    solve: Callable
     show: Callable   # (certificate, instance): print the certificate
-    # --dump-ilp: (*instance) -> the program the solver builds, or None
-    # where the solver answers without one.
-    program: Optional[Callable] = None
+    # --dump-ilp: solve hands the program it builds to on_program, if it
+    # builds one (a guard may answer without).
+    dump_ilp: bool = False
     budget: Optional[str] = None  # --budget N: the unit N counts, passed on to solve
 
+
+_ILP_NODES = "integer-program nodes"
 
 SOLVERS = {
     "subsetsum": Solver(
         "does a submultiset sum to the target?",
         parse=_subset_sum_instance,
-        solve=lambda multiset, target: solve_subset_sum(multiset, target),
-        show=_print_selection,
-        program=lambda multiset, target: subset_sum_program(multiset, target)),
+        solve=lambda multiset, target, **options: solve_subset_sum(
+            multiset, target, **options),
+        show=_print_selection, dump_ilp=True, budget=_ILP_NODES),
     "partition": Solver(
         "does the multiset split into two equal-sum halves?",
         parse=_multiset,
-        solve=lambda multiset: solve_partition(multiset),
-        show=_print_selection,
-        program=lambda multiset: partition_program(multiset)),
+        solve=lambda multiset, **options: solve_partition(multiset, **options),
+        show=_print_selection, dump_ilp=True, budget=_ILP_NODES),
     "threepartition": Solver(
         "does the multiset split into equal-sum triples?",
         parse=_multiset,
-        solve=lambda multiset: solve_3partition(multiset),
-        show=_print_cover,
-        program=lambda multiset: three_partition_program(multiset)),
+        solve=lambda multiset, **options: solve_3partition(multiset, **options),
+        show=_print_cover, dump_ilp=True, budget=_ILP_NODES),
     "num3dm": Solver(
         "do the three multisets match into triples summing to s?",
         parse=lambda text, path: formats.parse_multiset_sections(
             text, ("A", "B", "C"), path, expect_target=True),
-        solve=lambda a, b, c, s: solve_num_3dm(a, b, c, s),
-        show=_print_cover,
-        program=lambda a, b, c, s: num3dm_program(a, b, c, s)),
+        solve=lambda a, b, c, s, **options: solve_num_3dm(a, b, c, s, **options),
+        show=_print_cover, dump_ilp=True, budget=_ILP_NODES),
     "nmts": Solver(
         "do the three multisets match into triples with A+B=S?",
         parse=lambda text, path: formats.parse_multiset_sections(
             text, ("A", "B", "S"), path),
-        solve=lambda a, b, s: solve_nmts(a, b, s),
-        show=_print_cover,
-        program=lambda a, b, s: nmts_program(a, b, s)),
+        solve=lambda a, b, s, **options: solve_nmts(a, b, s, **options),
+        show=_print_cover, dump_ilp=True, budget=_ILP_NODES),
     "ewmm": Solver(
         "is there an input word whose output meets the census?",
         parse=lambda text, path: formats.parse_machine_instance(text, path),
         solve=lambda machine, census, budget: solve_ewmm(machine, census, budget=budget),
         show=_print_walk,
-        budget="integer-program nodes (summed over connectivity-cut rounds)"),
+        budget=f"{_ILP_NODES} (summed over connectivity-cut rounds)"),
     "gwmm": Solver(
         "does a computation on the given word meet the census?",
         parse=lambda text, path: formats.parse_machine_instance(
@@ -180,15 +178,16 @@ def _cmd_solve(args) -> int:
     row = SOLVERS[args.command]
     instance = row.parse(*_read(args.instance))
     options = {"budget": args.budget} if row.budget else {}
+    programs = []
+    if row.dump_ilp and args.dump_ilp:
+        options["on_program"] = programs.append
     try:
         cert = row.solve(*instance, **options)
     except BudgetExceeded:
         print("UNKNOWN")
         return UNKNOWN
-    if row.program and args.dump_ilp:
-        program = row.program(*instance)
-        if program is not None:
-            print(dump_program(program))
+    for program in programs:
+        print(dump_program(program))
     print("NO" if cert is None else "YES")
     if cert is None:
         return NO
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance", help="instance file, or - for stdin")
         p.add_argument("--certificate", action="store_true",
                        help="print a certificate after a YES verdict")
-        if row.program:
+        if row.dump_ilp:
             p.add_argument("--dump-ilp", action="store_true",
                            help="print the constructed integer program")
         if row.budget:

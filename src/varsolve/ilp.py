@@ -15,11 +15,19 @@ keeps an explicit stack, one frame per branched variable, so its depth is
 not limited by Python's recursion limit.  A budget caps the number of
 search nodes.  All arithmetic is exact unbounded-magnitude Python integers;
 there is no floating-point relaxation anywhere.
-"""
 
+Each solve compiles the program once into index form: boxes in two int
+lists, rows as lists of nonzero (index, coefficient) terms, and a watch
+list of rows per variable.  Propagation works from a queue of rows whose
+boxes moved (AC-3 style), so a search node revisits only the rows its
+branch touched, and every box change goes on a trail that backtracking
+undoes, so no node copies the boxes.
+"""
 from __future__ import annotations
 
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
 
@@ -99,12 +107,8 @@ def satisfies(program: IntegerProgram, assignment: Mapping[str, int]) -> bool:
     return True
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _lattice_step(bounds: dict[str, tuple[int, int]],
-                  unfixed: list[tuple[str, int]], residual: int) -> bool:
+def _lattice_step(lo: list[int], hi: list[int], unfixed: list[tuple[int, int]],
+                  residual: int) -> Optional[tuple[int, int]]:
     """Round one box of a two-variable equality row to its solution lattice.
 
     ``unfixed`` holds the row's two unfixed variables with their coefficients
@@ -112,122 +116,177 @@ def _lattice_step(bounds: dict[str, tuple[int, int]],
     all three are divisible by g = gcd(a, b).  With a' = a/g, b' = b/g and
     r' = residual/g, every integer solution has u = r' * a'^-1 (mod |b'|), so
     u's box shrinks to the nearest values of that class inside it.  Returns
-    whether the box changed; raises ProvenInfeasible when no value is left.
+    u's new box, or None when it does not change; raises ProvenInfeasible
+    when no value is left.
     """
     (u, a), (_, b) = unfixed
     g = math.gcd(a, b)
     modulus = abs(b // g)
     if modulus == 1:
-        return False
+        return None
     target = residual // g * pow(a // g, -1, modulus) % modulus
-    lo, hi = bounds[u]
-    new_lo = lo + (target - lo) % modulus
-    new_hi = hi - (hi - target) % modulus
+    new_lo = lo[u] + (target - lo[u]) % modulus
+    new_hi = hi[u] - (hi[u] - target) % modulus
     if new_lo > new_hi:
-        raise ProvenInfeasible(f"box of {u!r} holds no lattice point")
-    if (new_lo, new_hi) == (lo, hi):
-        return False
-    bounds[u] = (new_lo, new_hi)
-    return True
+        raise ProvenInfeasible(f"box of variable {u} holds no lattice point")
+    if new_lo == lo[u] and new_hi == hi[u]:
+        return None
+    return new_lo, new_hi
 
 
-def _activity(con: Constraint, bounds: dict[str, tuple[int, int]]) -> tuple[int, int]:
-    """The least and greatest value of the row's left-hand side over the boxes."""
-    min_act = 0
-    max_act = 0
-    for name, c in con.coeffs.items():
-        lo, hi = bounds[name]
-        if c >= 0:
-            min_act += c * lo
-            max_act += c * hi
+def _activity(terms: list[tuple[int, int]], lo: list[int],
+              hi: list[int]) -> tuple[int, int]:
+    """The least and greatest value of a row's left-hand side over the boxes."""
+    min_act = max_act = 0
+    for i, c in terms:
+        if c > 0:
+            min_act += c * lo[i]
+            max_act += c * hi[i]
         else:
-            min_act += c * hi
-            max_act += c * lo
+            min_act += c * hi[i]
+            max_act += c * lo[i]
     return min_act, max_act
 
 
-def _propagate(program: IntegerProgram, bounds: dict[str, tuple[int, int]]) -> None:
-    """Tighten ``bounds`` in place to a propagation fixpoint.
+class _Boxes:
+    """A program compiled to index form, with its boxes, row queue and trail.
 
-    Uses interval arithmetic on each constraint plus a gcd divisibility cut
-    on equalities.  On an equality with exactly two unfixed variables it
-    also rounds the first one's box to the row's solution lattice
-    (``_lattice_step``); interval passes alone reach the same fixpoint but
-    move the two boxes by about |a - b| per pass.  Never removes an integer
-    point satisfying all constraints.  Raises ProvenInfeasible when a box
-    empties or a cut fails.
+    Variable k is the k-th declared one.  Each row becomes (terms, relation,
+    rhs) with ``terms`` its nonzero (index, coefficient) pairs, and
+    ``watch[k]`` lists the rows that hold variable k.  The boxes are the two
+    int lists ``lo`` and ``hi``.  Every box change appends (index, old lo,
+    old hi) to ``trail`` and queues the rows watching that variable, so
+    ``undo`` restores any earlier state and ``propagate`` revisits only the
+    rows whose boxes moved.
     """
-    changed = True
-    while changed:
-        changed = False
-        for con in program.constraints:
-            if con.relation == EQ:
-                unfixed = [(name, c) for name, c in con.coeffs.items()
-                           if c and bounds[name][0] != bounds[name][1]]
-                fixed_part = sum(c * bounds[name][0]
-                                 for name, c in con.coeffs.items()
-                                 if bounds[name][0] == bounds[name][1])
-                residual = con.rhs - fixed_part
-                if not unfixed:
-                    if residual != 0:
-                        raise ProvenInfeasible("equality violated by fixed variables")
-                    continue
-                g = math.gcd(*[c for _, c in unfixed])
-                if residual % g != 0:
-                    raise ProvenInfeasible("divisibility cut on equality")
-                if len(unfixed) == 2 and _lattice_step(bounds, unfixed, residual):
-                    changed = True
 
-            # Treat as one or two one-sided forms: sum <= rhs and/or sum >= rhs.
-            min_act, max_act = _activity(con, bounds)
-            upper_side = con.relation in (LE, EQ)
-            lower_side = con.relation in (GE, EQ)
-            if upper_side and min_act > con.rhs:
-                raise ProvenInfeasible("minimum activity exceeds bound")
-            if lower_side and max_act < con.rhs:
-                raise ProvenInfeasible("maximum activity below bound")
+    __slots__ = ("rows", "watch", "lo", "hi", "trail", "queue", "queued")
 
-            for name, c in con.coeffs.items():
-                if c == 0:
-                    continue
-                lo, hi = bounds[name]
-                if upper_side:
-                    # c*x <= rhs - min activity of the other terms
-                    others = min_act - (c * lo if c > 0 else c * hi)
-                    room = con.rhs - others
+    def __init__(self, program: IntegerProgram):
+        index = {name: k for k, (name, _, _) in enumerate(program.variables)}
+        self.lo = [lo for _, lo, _ in program.variables]
+        self.hi = [hi for _, _, hi in program.variables]
+        self.watch: list[list[int]] = [[] for _ in program.variables]
+        self.rows = []
+        for r, con in enumerate(program.constraints):
+            terms = [(index[name], c) for name, c in con.coeffs.items() if c]
+            for k, _ in terms:
+                self.watch[k].append(r)
+            self.rows.append((terms, con.relation, con.rhs))
+        self.trail: list[tuple[int, int, int]] = []
+        # The first propagation visits every row.
+        self.queue = deque(range(len(self.rows)))
+        self.queued = [True] * len(self.rows)
+
+    def undo(self, mark: int) -> None:
+        """Restore the boxes as they were when the trail was ``mark`` long."""
+        trail, lo, hi = self.trail, self.lo, self.hi
+        while len(trail) > mark:
+            k, old_lo, old_hi = trail.pop()
+            lo[k] = old_lo
+            hi[k] = old_hi
+
+    def narrow(self, k: int, new_lo: int, new_hi: int) -> None:
+        """Set variable k's box, trail the old one and queue k's rows."""
+        self.trail.append((k, self.lo[k], self.hi[k]))
+        self.lo[k] = new_lo
+        self.hi[k] = new_hi
+        queue, queued = self.queue, self.queued
+        for r in self.watch[k]:
+            if not queued[r]:
+                queued[r] = True
+                queue.append(r)
+
+    def propagate(self) -> None:
+        """Tighten the boxes to a propagation fixpoint of the queued rows.
+
+        Uses interval arithmetic on each row plus a gcd divisibility cut on
+        equalities.  On an equality with exactly two unfixed variables it
+        also rounds the first one's box to the row's solution lattice
+        (``_lattice_step``); interval passes alone reach the same fixpoint
+        but move the two boxes by about |a - b| per pass.  A row whose
+        boxes change is queued again, so the queue empties only at a
+        fixpoint; every row operator narrows the boxes monotonically, so
+        that fixpoint does not depend on the queue order.  Never removes an
+        integer point satisfying all constraints.  Raises ProvenInfeasible,
+        with the queue emptied, when a box empties or a cut fails.
+        """
+        rows, lo, hi, queue, queued = self.rows, self.lo, self.hi, self.queue, self.queued
+        pop, narrow = queue.popleft, self.narrow
+        try:
+            while queue:
+                r = pop()
+                queued[r] = False
+                terms, relation, rhs = rows[r]
+                if relation == EQ:
+                    residual = rhs
+                    unfixed = []
+                    for k, c in terms:
+                        if lo[k] == hi[k]:
+                            residual -= c * lo[k]
+                        else:
+                            unfixed.append((k, c))
+                    if not unfixed:
+                        if residual != 0:
+                            raise ProvenInfeasible("equality violated by fixed variables")
+                        continue
+                    if residual % math.gcd(*[c for _, c in unfixed]) != 0:
+                        raise ProvenInfeasible("divisibility cut on equality")
+                    if len(unfixed) == 2:
+                        box = _lattice_step(lo, hi, unfixed, residual)
+                        if box is not None:
+                            narrow(unfixed[0][0], *box)
+
+                # Treat as one or two one-sided forms: sum <= rhs and/or sum >= rhs.
+                min_act, max_act = _activity(terms, lo, hi)
+                upper = relation != GE
+                lower = relation != LE
+                if upper and min_act > rhs:
+                    raise ProvenInfeasible("minimum activity exceeds bound")
+                if lower and max_act < rhs:
+                    raise ProvenInfeasible("maximum activity below bound")
+                for k, c in terms:
+                    old_lo = new_lo = lo[k]
+                    old_hi = new_hi = hi[k]
                     if c > 0:
-                        new_hi = room // c
-                        if new_hi < hi:
-                            hi = new_hi
+                        if upper:
+                            # c*x <= rhs - min activity of the other terms
+                            bound = (rhs - min_act + c * old_lo) // c
+                            if bound < new_hi:
+                                new_hi = bound
+                        if lower:
+                            # c*x >= rhs - max activity of the other terms
+                            bound = -((max_act - c * old_hi - rhs) // c)
+                            if bound > new_lo:
+                                new_lo = bound
                     else:
-                        new_lo = _ceil_div(room, c)
-                        if new_lo > lo:
-                            lo = new_lo
-                if lower_side:
-                    # c*x >= rhs - max activity of the other terms
-                    others = max_act - (c * hi if c > 0 else c * lo)
-                    need = con.rhs - others
-                    if c > 0:
-                        new_lo = _ceil_div(need, c)
-                        if new_lo > lo:
-                            lo = new_lo
-                    else:
-                        new_hi = need // c
-                        if new_hi < hi:
-                            hi = new_hi
-                if lo > hi:
-                    raise ProvenInfeasible(f"box of {name!r} emptied")
-                if (lo, hi) != bounds[name]:
-                    bounds[name] = (lo, hi)
-                    changed = True
+                        if upper:
+                            bound = -((min_act - c * old_hi - rhs) // c)
+                            if bound > new_lo:
+                                new_lo = bound
+                        if lower:
+                            bound = (rhs - max_act + c * old_lo) // c
+                            if bound < new_hi:
+                                new_hi = bound
+                    if new_lo == old_lo and new_hi == old_hi:
+                        continue
+                    if new_lo > new_hi:
+                        raise ProvenInfeasible(f"box of variable {k} emptied")
+                    narrow(k, new_lo, new_hi)
+        except ProvenInfeasible:
+            for s in queue:
+                queued[s] = False
+            queue.clear()
+            raise
 
 
 def propagate_bounds(program: IntegerProgram) -> IntegerProgram:
     """Return an equivalent program with boxes tightened to a fixpoint."""
     program.validate()
-    bounds = {name: (lo, hi) for name, lo, hi in program.variables}
-    _propagate(program, bounds)
-    variables = tuple((name, *bounds[name]) for name, _, _ in program.variables)
+    boxes = _Boxes(program)
+    boxes.propagate()
+    variables = tuple([(name, lo, hi) for (name, _, _), lo, hi
+                       in zip(program.variables, boxes.lo, boxes.hi)])
     return IntegerProgram(variables=variables, constraints=program.constraints)
 
 
@@ -269,53 +328,29 @@ def _equalities_consistent(program: IntegerProgram) -> bool:
     return True
 
 
-def _branch_variable(order: list[str],
-                     bounds: dict[str, tuple[int, int]]) -> Optional[str]:
-    """The unfixed variable with the narrowest box, ties by declaration order."""
-    branch_var = None
-    branch_width = None
-    for name in order:
-        lo, hi = bounds[name]
-        if lo == hi:
-            continue
-        width = hi - lo
-        if branch_width is None or width < branch_width:
-            branch_var = name
-            branch_width = width
-    return branch_var
-
-
-def _equality_rows(program: IntegerProgram) -> dict[str, list[Constraint]]:
-    """The equality rows each variable has a nonzero coefficient in."""
-    rows: dict[str, list[Constraint]] = {}
-    for con in program.constraints:
-        if con.relation == EQ:
-            for name, c in con.coeffs.items():
-                if c:
-                    rows.setdefault(name, []).append(con)
-    return rows
-
-
-def _first_value(bounds: dict[str, tuple[int, int]], name: str,
-                 rows: list[Constraint]) -> int:
-    """The value a branch on ``name`` tries first: its proportional share.
+def _first_value(boxes: _Boxes, k: int) -> int:
+    """The value a branch on variable k tries first: its proportional share.
 
     An equality row whose left-hand side ranges over [min, max] at these
-    bounds puts its right-hand side at the fraction (rhs - min) / (max - min)
-    of that range; the row's point for ``name`` is the same fraction of its
-    box, floored, counted from the low end for a positive coefficient and
-    from the high end for a negative one.  The first value is the smallest
-    point over the rows, or the low end when ``name`` is in no equality row.
-    ``name`` is unfixed and has a nonzero coefficient in each row, so
-    max > min; the bounds are at a propagation fixpoint, so min <= rhs <= max
-    and every point lies in the box.
+    boxes puts its right-hand side at the fraction (rhs - min) / (max - min)
+    of that range; the row's point for k is the same fraction of k's box,
+    floored, counted from the low end for a positive coefficient and from
+    the high end for a negative one.  The first value is the smallest point
+    over the equality rows in k's watch list, or the low end when k is in
+    none.  k is unfixed and has a nonzero coefficient in each watched row,
+    so max > min; the boxes are at a propagation fixpoint, so
+    min <= rhs <= max and every point lies in the box.
     """
-    lo, hi = bounds[name]
+    lo, hi = boxes.lo[k], boxes.hi[k]
     first = None
-    for con in rows:
-        min_act, max_act = _activity(con, bounds)
-        share = (hi - lo) * (con.rhs - min_act) // (max_act - min_act)
-        point = lo + share if con.coeffs[name] > 0 else hi - share
+    for r in boxes.watch[k]:
+        terms, relation, rhs = boxes.rows[r]
+        if relation != EQ:
+            continue
+        min_act, max_act = _activity(terms, boxes.lo, boxes.hi)
+        share = (hi - lo) * (rhs - min_act) // (max_act - min_act)
+        positive = next(c for i, c in terms if i == k) > 0
+        point = lo + share if positive else hi - share
         if first is None or point < first:
             first = point
     return lo if first is None else first
@@ -329,16 +364,28 @@ def solve_feasibility(program: IntegerProgram,
     the boxes satisfies all constraints.  Before root propagation, a program
     with two or more equalities is rejected at once when the equalities have
     no rational solution; interval passes alone would shave such boxes one
-    unit per pass.  The search is depth-first on the variable with the
-    narrowest current box (ties by declaration order), with propagation and
-    divisibility cuts at every node, so the witness is deterministic.  A
-    branch tries the variable's proportional share of its equality rows
-    first (``_first_value``), then alternates outward (v0, v0+1, v0-1,
-    v0+2, ...) until both ends of the box are used up; a variable in no
-    equality row starts at the low end, so it takes its values in
-    increasing order.  The search runs on an explicit stack of frames
-    (bounds, branch variable, first value, up cursor, down cursor), one
-    frame per branched variable.
+    unit per pass.
+
+    The program is compiled once per call (``_Boxes``): variables become
+    indices into two int lists of box ends, rows become lists of nonzero
+    (index, coefficient) terms, and each variable gets a watch list of the
+    rows that hold it.  The root propagates every row; a child fixes its
+    branch variable and propagates from a queue holding only that
+    variable's rows, since its parent is already at a fixpoint, and rows
+    re-enter the queue only when one of their boxes moves.  Every box change
+    goes on a trail, and trying a branch's next value undoes the trail back
+    to the mark its frame took, so no node copies the boxes.
+
+    The search is depth-first on the variable with the narrowest current
+    box (ties by declaration order), with propagation and divisibility cuts
+    at every node, so the witness is deterministic.  A branch tries the
+    variable's proportional share of its equality rows first
+    (``_first_value``), then alternates outward (v0, v0+1, v0-1, v0+2, ...)
+    until both ends of the box are used up; a variable in no equality row
+    starts at the low end, so it takes its values in increasing order.  The
+    search runs on an explicit stack of frames (branch variable, first
+    value, up cursor, down cursor, parent box of the variable, trail mark),
+    one frame per branched variable.
 
     Spends one unit of ``budget`` (None: no cap) per search node: the root
     and every child whose box is fixed to a branch value, before it is
@@ -352,54 +399,52 @@ def solve_feasibility(program: IntegerProgram,
     if (sum(con.relation == EQ for con in program.constraints) >= 2
             and not _equalities_consistent(program)):
         return None
-    bounds = {name: (lo, hi) for name, lo, hi in program.variables}
+    boxes = _Boxes(program)
     try:
-        _propagate(program, bounds)
+        boxes.propagate()
     except ProvenInfeasible:
         return None
-    order = program.variable_names()
-    # Built at the first branch: most programs are decided at the root.
-    rows_of: Optional[dict[str, list[Constraint]]] = None
+    lo, hi = boxes.lo, boxes.hi
 
     stack: list[list] = []
-    node: Optional[dict[str, tuple[int, int]]] = bounds
+    at_node = True
     while True:
-        if node is not None:
-            branch_var = _branch_variable(order, node)
-            if branch_var is None:
-                values = {name: node[name][0] for name in order}
+        if at_node:
+            widths = list(map(operator.sub, hi, lo))
+            narrowest = min(filter(None, widths), default=0)
+            if not narrowest:
+                values = dict(zip(program.variable_names(), lo))
                 if satisfies(program, values):
                     return Assignment(values=values, nodes=nodes)
             else:
-                if rows_of is None:
-                    rows_of = _equality_rows(program)
-                first = _first_value(node, branch_var, rows_of.get(branch_var, []))
-                stack.append([node, branch_var, first, first, first - 1])
-            node = None
+                # The first unfixed variable with the narrowest box.
+                k = widths.index(narrowest)
+                first = _first_value(boxes, k)
+                stack.append([k, first, first, first - 1, lo[k], hi[k], len(boxes.trail)])
+            at_node = False
         if not stack:
             return None
         frame = stack[-1]
-        parent, branch_var, first, up, down = frame
-        lo, hi = parent[branch_var]
-        if up <= hi and (down < lo or up - first <= first - down):
+        k, first, up, down, box_lo, box_hi, mark = frame
+        boxes.undo(mark)
+        if up <= box_hi and (down < box_lo or up - first <= first - down):
             value = up
-            frame[3] = up + 1
-        elif down >= lo:
+            frame[2] = up + 1
+        elif down >= box_lo:
             value = down
-            frame[4] = down - 1
+            frame[3] = down - 1
         else:
             stack.pop()
             continue
         nodes += 1
         if nodes > cap:
             raise BudgetExceeded(f"node cap {budget} exceeded")
-        child = dict(parent)
-        child[branch_var] = (value, value)
+        boxes.narrow(k, value, value)
         try:
-            _propagate(program, child)
+            boxes.propagate()
         except ProvenInfeasible:
             continue
-        node = child
+        at_node = True
 
 
 def dump_program(program: IntegerProgram) -> str:

@@ -5,7 +5,11 @@ count depends only on the number of distinct values (not on multiplicities),
 hands it to the exact feasibility engine, and converts the witness back into
 a human-checkable certificate.  A ``*_program`` builder returns the program
 its solver solves, or None where a guard answers without one: an empty
-instance is a Yes with an empty certificate, any other a No.
+instance is a Yes with an empty certificate, any other a No.  Every solver
+takes ``budget``, a cap on integer-program search nodes (None: no cap; the
+engine raises BudgetExceeded when it runs out), and ``on_program``, a
+callable handed the program before it is solved, so that a caller can show
+the program without building it again.
 """
 
 from __future__ import annotations
@@ -124,9 +128,20 @@ def _selection_certificate(a: Multiset, assignment) -> SubsetCertificate:
     return SubsetCertificate(counts=counts)
 
 
-def solve_subset_sum(a: Multiset, s: int) -> Optional[SubsetCertificate]:
+def _solve(program: Optional[IntegerProgram], budget: Optional[int],
+           on_program: Optional[Callable[[IntegerProgram], None]]):
+    """The engine's witness for ``program``, or None where a guard said No."""
+    if program is None:
+        return None
+    if on_program is not None:
+        on_program(program)
+    return solve_feasibility(program, budget=budget)
+
+
+def solve_subset_sum(a: Multiset, s: int, budget: Optional[int] = None,
+                     on_program=None) -> Optional[SubsetCertificate]:
     """Select copies of distinct values so the selection sums exactly to s."""
-    assignment = solve_feasibility(subset_sum_program(a, s))
+    assignment = _solve(subset_sum_program(a, s), budget, on_program)
     if assignment is None:
         return None
     return _selection_certificate(a, assignment)
@@ -138,10 +153,10 @@ def partition_program(a: Multiset) -> Optional[IntegerProgram]:
     return subset_sum_program(a, total // 2) if total % 2 == 0 else None
 
 
-def solve_partition(a: Multiset) -> Optional[SubsetCertificate]:
+def solve_partition(a: Multiset, budget: Optional[int] = None,
+                    on_program=None) -> Optional[SubsetCertificate]:
     """Split the multiset into two halves of equal sum."""
-    program = partition_program(a)
-    assignment = None if program is None else solve_feasibility(program)
+    assignment = _solve(partition_program(a), budget, on_program)
     if assignment is None:
         return None
     return _selection_certificate(a, assignment)
@@ -207,21 +222,24 @@ def _extract_triples(a: Multiset, b: Multiset, c: Multiset, assignment) -> Tripl
 
 
 def _solve_cover(program: Optional[IntegerProgram], a: Multiset, b: Multiset,
-                 c: Multiset) -> Optional[TripleCover]:
+                 c: Multiset, budget: Optional[int],
+                 on_program) -> Optional[TripleCover]:
     """The cover the program's witness gives, or the guard's answer."""
     if not a.cardinality() == b.cardinality() == c.cardinality():
         raise CardinalityMismatch("the three multisets must have equal cardinality")
     if program is None:
         return TripleCover(triples=()) if a.cardinality() == 0 else None
-    assignment = solve_feasibility(program)
+    assignment = _solve(program, budget, on_program)
     if assignment is None:
         return None
     return _extract_triples(a, b, c, assignment)
 
 
-def solve_num_3dm(a: Multiset, b: Multiset, c: Multiset, s: int) -> Optional[TripleCover]:
+def solve_num_3dm(a: Multiset, b: Multiset, c: Multiset, s: int,
+                  budget: Optional[int] = None,
+                  on_program=None) -> Optional[TripleCover]:
     """Perfect matching into triples (one element per source) summing to s."""
-    return _solve_cover(num3dm_program(a, b, c, s), a, b, c)
+    return _solve_cover(num3dm_program(a, b, c, s), a, b, c, budget, on_program)
 
 
 def nmts_program(a: Multiset, b: Multiset, s: Multiset) -> Optional[IntegerProgram]:
@@ -238,9 +256,10 @@ def nmts_program(a: Multiset, b: Multiset, s: Multiset) -> Optional[IntegerProgr
     return _triple_program(a, b, s, lambda va, vb: va + vb)
 
 
-def solve_nmts(a: Multiset, b: Multiset, s: Multiset) -> Optional[TripleCover]:
+def solve_nmts(a: Multiset, b: Multiset, s: Multiset, budget: Optional[int] = None,
+               on_program=None) -> Optional[TripleCover]:
     """Perfect matching into triples with first+second = third."""
-    return _solve_cover(nmts_program(a, b, s), a, b, s)
+    return _solve_cover(nmts_program(a, b, s), a, b, s, budget, on_program)
 
 
 def three_partition_program(a: Multiset) -> Optional[IntegerProgram]:
@@ -275,14 +294,15 @@ def three_partition_program(a: Multiset) -> Optional[IntegerProgram]:
     return IntegerProgram(variables=tuple(variables), constraints=constraints)
 
 
-def solve_3partition(a: Multiset) -> Optional[TripleCover]:
+def solve_3partition(a: Multiset, budget: Optional[int] = None,
+                     on_program=None) -> Optional[TripleCover]:
     """Partition the multiset into |A|/3 triples of equal sum.
 
     Each used index triple is emitted with its values sorted.
     """
     if a.cardinality() % 3 != 0:
         raise NotDivisibleBy3(f"cardinality {a.cardinality()} is not a multiple of 3")
-    cover = _solve_cover(three_partition_program(a), a, a, a)
+    cover = _solve_cover(three_partition_program(a), a, a, a, budget, on_program)
     if cover is None:
         return None
     return TripleCover(triples=tuple([(*sorted(t[:3]), t[3]) for t in cover.triples]))

@@ -12,6 +12,7 @@ import pytest
 
 import varsolve
 import varsolve.cli
+import varsolve.variety
 from varsolve.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -150,8 +151,33 @@ def test_gwmm_budget_reports_unknown(capsys, monkeypatch):
     assert out.strip() == "UNKNOWN"
 
 
+def test_multiset_budget_reports_unknown(capsys):
+    # The root node alone uses up a zero budget; the default decides it.
+    cliff = str(FIXTURES / "ss_cliff.txt")
+    assert run_cli(capsys, "subsetsum", cliff, "--budget", "0")[:2] == (3, "UNKNOWN\n")
+    assert run_cli(capsys, "subsetsum", cliff)[:2] == (0, "YES\n")
+
+
+def test_dump_ilp_builds_the_program_once(capsys, monkeypatch):
+    calls = []
+    original = varsolve.variety.num3dm_program
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # Count calls through either module a caller may reach the builder from.
+    for module in (varsolve.variety, varsolve.cli):
+        monkeypatch.setattr(module, "num3dm_program", counting, raising=False)
+    code, out, _ = run_cli(capsys, "num3dm", str(FIXTURES / "n3dm1.txt"), "--dump-ilp")
+    assert code == 0
+    assert out.endswith("YES\n") and " <= " in out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command, fixture", [("ewmm", "loop_ewmm.txt"),
-                                              ("gwmm", "ident_gwmm.txt")])
+                                              ("gwmm", "ident_gwmm.txt"),
+                                              ("partition", "part1.txt")])
 def test_negative_budget_is_usage_error(capsys, command, fixture):
     code, out, err = run_cli(capsys, command, str(FIXTURES / fixture), "--budget", "-1")
     assert code == 2

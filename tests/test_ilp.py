@@ -1,5 +1,6 @@
 """Feasibility engine: worked examples, propagation, and corpus properties."""
 
+import math
 import time
 from itertools import product
 
@@ -227,6 +228,19 @@ def test_search_deeper_than_recursion_limit():
     assert [name for name in names if values[name]] == [names[-1]]
 
 
+def test_child_revisits_only_the_rows_of_its_branch_variable():
+    # 1,000 disjoint rows x_i + y_i = 1: the search fixes x_0, ..., x_999 in
+    # turn, 1,001 nodes, and each child propagates the one row its branch
+    # variable is in, not all 1,000 rows again.
+    p = program([(f"{name}{i}", 0, 1) for i in range(1000) for name in "xy"],
+                [({f"x{i}": 1, f"y{i}": 1}, "=", 1) for i in range(1000)])
+    start = time.perf_counter()
+    witness = solve_feasibility(p)
+    assert time.perf_counter() - start < 1.0
+    assert witness.nodes == 1001
+    assert all((witness[f"x{i}"], witness[f"y{i}"]) == (0, 1) for i in range(1000))
+
+
 @st.composite
 def box_programs(draw):
     """Small box programs whose equalities include one integer combination
@@ -306,5 +320,113 @@ def test_lattice_step_matches_enumeration(p):
         assert not solutions
         return
     boxes = {name: (lo, hi) for name, lo, hi in tightened.variables}
+    for point in solutions:
+        assert all(boxes[name][0] <= point[name] <= boxes[name][1] for name in names)
+
+
+def full_sweep(p):
+    """Reference propagator: sweep every row in order until a sweep moves no
+    box.  Returns the boxes as a {name: (lo, hi)} dict, or None when a box
+    empties or a cut fails."""
+    boxes = {name: (lo, hi) for name, lo, hi in p.variables}
+    changed = True
+    while changed:
+        changed = False
+        for con in p.constraints:
+            terms = [(name, c) for name, c in con.coeffs.items() if c]
+            if con.relation == "=":
+                unfixed = [(name, c) for name, c in terms if boxes[name][0] != boxes[name][1]]
+                residual = con.rhs - sum(c * boxes[name][0] for name, c in terms
+                                         if boxes[name][0] == boxes[name][1])
+                if not unfixed:
+                    if residual:
+                        return None
+                    continue
+                if residual % math.gcd(*[c for _, c in unfixed]):
+                    return None
+                if len(unfixed) == 2:
+                    # Round the first box to the row's solution lattice.
+                    (u, a), (_, b) = unfixed
+                    g = math.gcd(a, b)
+                    modulus = abs(b // g)
+                    if modulus > 1:
+                        target = residual // g * pow(a // g, -1, modulus) % modulus
+                        lo, hi = boxes[u]
+                        box = (lo + (target - lo) % modulus, hi - (hi - target) % modulus)
+                        if box[0] > box[1]:
+                            return None
+                        if box != boxes[u]:
+                            boxes[u] = box
+                            changed = True
+            low = sum(min(c * boxes[name][0], c * boxes[name][1]) for name, c in terms)
+            high = sum(max(c * boxes[name][0], c * boxes[name][1]) for name, c in terms)
+            upper, lower = con.relation != ">=", con.relation != "<="
+            if (upper and low > con.rhs) or (lower and high < con.rhs):
+                return None
+            for name, c in terms:
+                lo, hi = boxes[name]
+                # rhs - high_others <= c*x <= rhs - low_others, on the used sides
+                most = con.rhs - (low - min(c * lo, c * hi)) if upper else None
+                least = con.rhs - (high - max(c * lo, c * hi)) if lower else None
+                if c < 0:
+                    most, least = (None if least is None else -least,
+                                   None if most is None else -most)
+                if most is not None:
+                    hi = min(hi, most // abs(c))
+                if least is not None:
+                    lo = max(lo, -(-least // abs(c)))
+                if lo > hi:
+                    return None
+                if (lo, hi) != boxes[name]:
+                    boxes[name] = (lo, hi)
+                    changed = True
+    return boxes
+
+
+@st.composite
+def mixed_programs(draw):
+    """Up to four variables in boxes of width up to 4 and up to four rows of
+    any relation, zero coefficients included, plus often an equality row in
+    two variables; right-hand sides come from a point in the boxes, kept or
+    shifted."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    variables = []
+    for name in names:
+        lo = draw(st.integers(-4, 4))
+        variables.append((name, lo, lo + draw(st.integers(0, 4))))
+    point = {name: draw(st.integers(lo, hi)) for name, lo, hi in variables}
+    shift = st.sampled_from((0, 0, 1, -1, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        used = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        coeffs = {name: draw(st.integers(-4, 4)) for name in used}
+        rhs = sum(c * point[name] for name, c in coeffs.items()) + draw(shift)
+        rows.append((coeffs, draw(st.sampled_from(("<=", "=", ">="))), rhs))
+    if len(names) >= 2 and draw(st.booleans()):
+        pair = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        coeffs = {name: draw(st.sampled_from((-5, -3, -2, 2, 3, 4, 7))) for name in pair}
+        rhs = sum(c * point[name] for name, c in coeffs.items()) + draw(shift)
+        rows.insert(draw(st.integers(0, len(rows))), (coeffs, "=", rhs))
+    return program(variables, rows)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(mixed_programs())
+def test_propagate_bounds_reaches_the_full_sweep_fixpoint(p):
+    names = p.variable_names()
+    solutions = [point for point in
+                 (dict(zip(names, values))
+                  for values in product(*(range(lo, hi + 1) for _, lo, hi in p.variables)))
+                 if satisfies(p, point)]
+    try:
+        tightened = propagate_bounds(p)
+    except ProvenInfeasible:
+        assert full_sweep(p) is None
+        assert not solutions
+        return
+    boxes = {name: (lo, hi) for name, lo, hi in tightened.variables}
+    # No row the reference sweeps can move a box any further.
+    assert full_sweep(tightened) == boxes
+    assert full_sweep(p) == boxes
     for point in solutions:
         assert all(boxes[name][0] <= point[name] <= boxes[name][1] for name in names)
