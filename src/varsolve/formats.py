@@ -148,14 +148,15 @@ def parse_machine_instance(text: str, path: str = "<instance>",
     Layout: ``states:``, ``start:``, ``input:``, ``output:`` header lines,
     one transition per line as ``from read -> to write``, then for the
     given-word problem a ``word:`` line, then ``census:`` followed by
-    ``letter count`` lines.
+    ``letter count`` lines.  The empty letter ``_`` neither occurs in the
+    word nor takes a census count, and every word letter is an ``input:`` one.
     """
     reader = _Reader.of(text, path)
     headers: dict[str, list[str]] = {}
     transitions: list[Transition] = []
     census: dict[str, int] = {}
     census_seen = False
-    word: list[str] | None = None
+    word = None  # (line, [(token, column), ...]) of the ``word:`` line
     mode = "machine"
     for line, parts in reader.tokens():
         token, column = parts[0]
@@ -165,7 +166,7 @@ def parse_machine_instance(text: str, path: str = "<instance>",
         if token == "word:":
             if not with_word:
                 reader.fail(line, column, "this problem takes no input word")
-            word = [t for t, _ in parts[1:]]
+            word = line, parts[1:]
             continue
         if token == "census:":
             census_seen = True
@@ -178,6 +179,8 @@ def parse_machine_instance(text: str, path: str = "<instance>",
             count = _int(reader, count_token, line, count_column, "census count")
             if count < 0:
                 reader.fail(line, count_column, "census counts are non-negative")
+            if token == "_":
+                reader.fail(line, column, "the empty letter '_' takes no census count")
             if token in census:
                 reader.fail(line, column, f"duplicate census letter {token!r}")
             census[token] = count
@@ -208,7 +211,13 @@ def parse_machine_instance(text: str, path: str = "<instance>",
     if with_word:
         if word is None:
             reader.fail(len(reader.lines) or 1, 1, "missing 'word:' line")
-        return machine, tuple(word), requirement
+        word_line, letters = word
+        for letter, column in letters:
+            if letter == "_":
+                reader.fail(word_line, column, "the empty letter '_' cannot occur in the word")
+            if letter not in machine.input_alphabet:
+                reader.fail(word_line, column, f"input letter {letter!r} not in the input alphabet")
+        return machine, tuple([letter for letter, _ in letters]), requirement
     return machine, requirement
 
 

@@ -161,10 +161,6 @@ def census_of(word: Iterable) -> CensusRequirement:
     return CensusRequirement.of(Counter(l for l in word if l is not EMPTY))
 
 
-def meets(word: Iterable, census: CensusRequirement) -> bool:
-    return census_of(word) == census
-
-
 def subdivide(m: MealyMachine) -> MealyMachine:
     """Split every transition through a fresh state so the digraph is simple.
 

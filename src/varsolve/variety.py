@@ -3,13 +3,16 @@
 Each solver encodes its instance as a small integer program whose variable
 count depends only on the number of distinct values (not on multiplicities),
 hands it to the exact feasibility engine, and converts the witness back into
-a human-checkable certificate.  A ``*_program`` builder returns the program
-its solver solves, or None where a guard answers without one: an empty
-instance is a Yes with an empty certificate, any other a No.  Every solver
-takes ``budget``, a cap on integer-program search nodes (None: no cap; the
-engine raises BudgetExceeded when it runs out), and ``on_program``, a
-callable handed the program before it is solved, so that a caller can show
-the program without building it again.
+a human-checkable certificate.  The three triple problems share one cover
+program, a count per value triple: 3-Partition over the triples i <= j <= l
+of A, Numerical 3-DM over A x B x C, and Numerical Matching with Target Sums
+as Numerical 3-DM on (A, B, -S) with target 0.  A ``*_program`` builder
+returns the program its solver solves, or None where a guard answers without
+one: an empty instance is a Yes with an empty certificate, any other a No.
+Every solver takes ``budget``, a cap on integer-program search nodes (None:
+no cap; the engine raises BudgetExceeded when it runs out), and
+``on_program``, a callable handed the program before it is solved, so that a
+caller can show the program without building it again.
 """
 
 from __future__ import annotations
@@ -162,38 +165,39 @@ def solve_partition(a: Multiset, budget: Optional[int] = None,
     return _selection_certificate(a, assignment)
 
 
-def _triple_program(a: Multiset, b: Multiset, c: Multiset,
-                    third: Callable[[int, int], int]) -> IntegerProgram:
-    """Counting variables for value triples (va, vb, third(va, vb)).
+def _cover_program(sources: tuple[Multiset, ...], patterns) -> IntegerProgram:
+    """Counting variables for the patterns of a cover by triples.
 
-    Variables exist only for (i, j, l) index triples whose third value is
-    the one ``third`` asks for; omitted triples are exactly those forced to
-    zero.  Row constraints make every element of each source multiset
-    appear in some triple.
+    A pattern is a tuple of (source, entry) slots, indices into ``sources``
+    and into that source's entries; its variable ``x{i}_{j}_{l}`` is named by
+    the 1-based entry indices and declared in pattern order.  Its coefficient
+    in an entry's ``=`` row is the number of slots holding that entry, so each
+    row states that the entry is used exactly its multiplicity times.  Its box
+    is the cover size (the total cardinality // 3), or less where a slotted
+    entry's multiplicity // its slot count is smaller.
     """
-    variables = []
-    sources = (a, b, c)
+    cover = sum([ms.cardinality() for ms in sources]) // 3
     rows: list[list[dict[str, int]]] = [[{} for _ in ms.entries] for ms in sources]
-    for i, (va, ma) in enumerate(a.entries):
-        for j, (vb, mb) in enumerate(b.entries):
-            wanted = third(va, vb)
-            for l, (vc, mc) in enumerate(c.entries):
-                if vc != wanted:
-                    continue
-                name = f"x{i+1}_{j+1}_{l+1}"
-                variables.append((name, 0, min(ma, mb, mc)))
-                for row, index in zip(rows, (i, j, l)):
-                    row[index][name] = 1
-    constraints = []
-    for ms, row in zip(sources, rows):
-        for index, (_, m) in enumerate(ms.entries):
-            constraints.append(Constraint(row[index], EQ, m))
+    variables = []
+    for slots in patterns:
+        (_, i), (_, j), (_, l) = slots
+        name = f"x{i+1}_{j+1}_{l+1}"
+        upper = cover
+        for source, entry in slots:
+            row = rows[source][entry]
+            slotted = row[name] = row.get(name, 0) + 1
+            # m // slotted only falls as slotted grows, so the last one binds.
+            upper = min(upper, sources[source].entries[entry][1] // slotted)
+        variables.append((name, 0, upper))
+    constraints = [Constraint(row, EQ, m)
+                   for ms, source_rows in zip(sources, rows)
+                   for row, (_, m) in zip(source_rows, ms.entries)]
     return IntegerProgram(variables=tuple(variables), constraints=tuple(constraints))
 
 
 def num3dm_program(a: Multiset, b: Multiset, c: Multiset,
                    s: int) -> Optional[IntegerProgram]:
-    """Triple program with the condition first+second+third = s.
+    """Cover program for the triples (i, j, l) with first+second+third = s.
 
     None when a multiset is empty or s lies outside the triple sums' range.
     """
@@ -203,14 +207,21 @@ def num3dm_program(a: Multiset, b: Multiset, c: Multiset,
     hi = max(a.values()) + max(b.values()) + max(c.values())
     if not lo <= s <= hi:
         return None
-    return _triple_program(a, b, c, lambda va, vb: s - va - vb)
+    third = {vc: l for l, (vc, _) in enumerate(c.entries)}
+    patterns = []
+    for i, (va, _) in enumerate(a.entries):
+        for j, (vb, _) in enumerate(b.entries):
+            l = third.get(s - va - vb)
+            if l is not None:
+                patterns.append(((0, i), (1, j), (2, l)))
+    return _cover_program((a, b, c), patterns)
 
 
 def _extract_triples(a: Multiset, b: Multiset, c: Multiset, assignment) -> TripleCover:
     """Read every used variable ``x{i}_{j}_{l}`` back as a value triple.
 
-    The triple builders name their variables by 1-based entry indices into
-    (a, b, c) and declare them in index order, so the cover lists triples in
+    The cover program names its variables by 1-based entry indices into
+    (a, b, c) and declares them in index order, so the cover lists triples in
     that order.
     """
     triples = []
@@ -243,17 +254,8 @@ def solve_num_3dm(a: Multiset, b: Multiset, c: Multiset, s: int,
 
 
 def nmts_program(a: Multiset, b: Multiset, s: Multiset) -> Optional[IntegerProgram]:
-    """Triple program with the condition first+second = third.
-
-    None when a multiset is empty or the pair sums' range misses S's range.
-    """
-    if not (a.entries and b.entries and s.entries):
-        return None
-    if min(a.values()) + min(b.values()) > max(s.values()):
-        return None
-    if max(a.values()) + max(b.values()) < min(s.values()):
-        return None
-    return _triple_program(a, b, s, lambda va, vb: va + vb)
+    """Numerical 3-DM on (A, B, -S) with target 0: first+second = third."""
+    return num3dm_program(a, b, Multiset(tuple([(-v, m) for v, m in s.entries])), 0)
 
 
 def solve_nmts(a: Multiset, b: Multiset, s: Multiset, budget: Optional[int] = None,
@@ -263,35 +265,25 @@ def solve_nmts(a: Multiset, b: Multiset, s: Multiset, budget: Optional[int] = No
 
 
 def three_partition_program(a: Multiset) -> Optional[IntegerProgram]:
-    """One counting variable per unordered index triple i <= j <= l.
+    """Cover program for the unordered index triples i <= j <= l of sum |A|/3.
 
-    The coefficient of a triple variable in the row of value i is the number
-    of positions of that triple holding value i (1, 2, or 3), so each row
-    states that value i is consumed exactly multiplicity(i) times; the box
-    of a triple is the number of copies its scarcest value allows.  None
-    when there is no triple or the total does not split evenly among them.
+    A value repeated in a triple has that many slots in it, so its row
+    coefficient is 1, 2 or 3.  None when there is no triple or the total does
+    not split evenly among them.
     """
     n = a.cardinality() // 3
     if n == 0 or a.total() % n != 0:
         return None
     s = a.total() // n
-    variables = []
-    rows: list[dict[str, int]] = [{} for _ in a.entries]
-    k = a.variety()
-    for i in range(k):
-        for j in range(i, k):
-            for l in range(j, k):
-                triple = (i, j, l)
-                if sum(a.entries[idx][0] for idx in triple) != s:
-                    continue
-                name = f"x{i+1}_{j+1}_{l+1}"
-                upper = min(n, *[a.entries[idx][1] // triple.count(idx)
-                                 for idx in triple])
-                variables.append((name, 0, upper))
-                for idx in triple:
-                    rows[idx][name] = rows[idx].get(name, 0) + 1
-    constraints = tuple([Constraint(row, EQ, m) for row, (_, m) in zip(rows, a.entries)])
-    return IntegerProgram(variables=tuple(variables), constraints=constraints)
+    values = a.values()
+    index = {v: l for l, v in enumerate(values)}
+    patterns = []
+    for i, vi in enumerate(values):
+        for j in range(i, len(values)):
+            l = index.get(s - vi - values[j])
+            if l is not None and l >= j:
+                patterns.append(((0, i), (0, j), (0, l)))
+    return _cover_program((a,), patterns)
 
 
 def solve_3partition(a: Multiset, budget: Optional[int] = None,

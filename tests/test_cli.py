@@ -260,6 +260,17 @@ def test_threepartition_requires_multiple_of_three(capsys):
     assert "multiple of 3" in err
 
 
+def test_census_of_the_empty_letter_is_usage_error(capsys, tmp_path):
+    # A malformed census, not a census no walk meets: exit 2, never 1 (No).
+    path = tmp_path / "instance.txt"
+    path.write_text("states: q\nstart: q\ninput: a\noutput: a\nq a -> q a\n"
+                    "census:\na 1\n_ 2\n")
+    code, out, err = run_cli(capsys, "ewmm", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{path}:8:1: the empty letter '_' takes no census count" in err
+
+
 def test_directory_instance_is_usage_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "subsetsum", str(tmp_path))
     assert code == 2

@@ -99,6 +99,19 @@ def test_machine_bad_transition_line():
     assert ":5:1" in str(info.value)
 
 
+@pytest.mark.parametrize("word, census, where, message", [
+    ("a b", "a 1", "6:9", "input letter 'b' not in the input alphabet"),
+    ("a _", "a 1", "6:9", "the empty letter '_' cannot occur in the word"),
+    ("a", "a 1\n_ 2", "9:1", "the empty letter '_' takes no census count"),
+])
+def test_machine_letter_errors_located_at_their_token(word, census, where, message):
+    text = ("states: q\nstart: q\ninput: _ a\noutput: a\nq a -> q a\n"
+            f"word: {word}\ncensus:\n{census}\n")
+    with pytest.raises(ParseError) as info:
+        parse_machine_instance(text, path="m.txt", with_word=True)
+    assert str(info.value) == f"m.txt:{where}: {message}"
+
+
 def test_graph_roundtrip():
     g = MulticoloredGraph(k=2, classes=(("a1", "a2"), ("b1",)),
                           edges=(("a1", "b1"), ("a2", "b1")))

@@ -5,10 +5,13 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from varsolve.formats import parse_multiset
-from varsolve.oracle import (brute_num3dm, brute_partition, brute_subset_sum,
-                             validate_3partition_cover, validate_num3dm_cover,
+from varsolve.oracle import (brute_3partition, brute_nmts, brute_num3dm,
+                             brute_partition, brute_subset_sum,
+                             validate_3partition_cover, validate_nmts_cover,
+                             validate_num3dm_cover,
                              validate_partition_certificate,
                              validate_subset_certificate)
 from varsolve.variety import (CardinalityMismatch, Multiset, NotDivisibleBy3,
@@ -189,3 +192,129 @@ def test_negative_values_accepted():
     assert cert is not None
     assert validate_subset_certificate(a, 2, cert)
     assert brute_subset_sum(a, 2)
+
+
+# Oracle comparisons on small instances: each cardinality stays far under the
+# oracle's cap of 20, values run negative, and every multiset may be empty.
+# A planted instance is a YES by construction, a perturbed one mostly a NO.
+VALUES = st.integers(-6, 9)
+ORACLE_SETTINGS = settings(derandomize=True, database=None, max_examples=150,
+                           deadline=None)
+
+
+@st.composite
+def subset_sum_instances(draw):
+    picked = draw(st.lists(VALUES, max_size=5))
+    rest = draw(st.lists(VALUES, max_size=5))
+    s = draw(st.one_of(st.just(sum(picked)), st.integers(-30, 40)))
+    return Multiset.from_values(picked + rest), s
+
+
+@st.composite
+def partition_instances(draw):
+    half = draw(st.lists(VALUES, max_size=5))
+    other = draw(st.lists(VALUES, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        other[-1] += sum(half) - sum(other)
+    return Multiset.from_values(half + other)
+
+
+@st.composite
+def triple_columns(draw, rule):
+    """Three equal-length columns whose rows obey ``rule(x, y)`` until
+    perturbed: one entry moved off its row, or the third column redrawn."""
+    n = draw(st.integers(0, 5))
+    first = draw(st.lists(VALUES, min_size=n, max_size=n))
+    second = draw(st.lists(VALUES, min_size=n, max_size=n))
+    third = [rule(x, y) for x, y in zip(first, second)]
+    mode = draw(st.sampled_from(["planted", "perturbed", "free"]))
+    if mode == "perturbed" and n:
+        third[0] += draw(st.sampled_from([-2, -1, 1, 2]))
+    elif mode == "free":
+        third = draw(st.lists(VALUES, min_size=n, max_size=n))
+    return first, second, third
+
+
+@st.composite
+def num3dm_instances(draw):
+    s = draw(st.integers(-12, 20))
+    a, b, c = draw(triple_columns(lambda x, y: s - x - y))
+    return Multiset.from_values(a), Multiset.from_values(b), Multiset.from_values(c), s
+
+
+@st.composite
+def nmts_instances(draw):
+    a, b, s = draw(triple_columns(lambda x, y: x + y))
+    # A shifted S lies wholly outside the pair sums' range: the guard's No.
+    shift = draw(st.sampled_from([0, 0, 0, 40, -40]))
+    return (Multiset.from_values(a), Multiset.from_values(b),
+            Multiset.from_values([v + shift for v in s]))
+
+
+@st.composite
+def three_partition_instances(draw):
+    target = draw(st.integers(-6, 20))
+    first, second, third = draw(triple_columns(lambda x, y: target - x - y))
+    values = first + second + third
+    if draw(st.integers(0, 4)) == 0:
+        values += draw(st.lists(VALUES, min_size=1, max_size=2))
+    return Multiset.from_values(values)
+
+
+@ORACLE_SETTINGS
+@given(subset_sum_instances())
+@example((Multiset(), 0))
+@example((Multiset(), 3))
+def test_subset_sum_matches_oracle(instance):
+    a, s = instance
+    cert = solve_subset_sum(a, s)
+    assert (cert is not None) == brute_subset_sum(a, s)
+    if cert is not None:
+        assert validate_subset_certificate(a, s, cert)
+
+
+@ORACLE_SETTINGS
+@given(partition_instances())
+@example(Multiset())
+def test_partition_matches_oracle(a):
+    cert = solve_partition(a)
+    assert (cert is not None) == brute_partition(a)
+    if cert is not None:
+        assert validate_partition_certificate(a, cert)
+
+
+@ORACLE_SETTINGS
+@given(num3dm_instances())
+@example((Multiset(), Multiset(), Multiset(), 0))
+def test_num3dm_matches_oracle(instance):
+    a, b, c, s = instance
+    cover = solve_num_3dm(a, b, c, s)
+    assert (cover is not None) == brute_num3dm(a, b, c, s)
+    if cover is not None:
+        assert validate_num3dm_cover(a, b, c, s, cover)
+
+
+@ORACLE_SETTINGS
+@given(nmts_instances())
+@example((Multiset(), Multiset(), Multiset()))
+def test_nmts_matches_oracle(instance):
+    a, b, s = instance
+    cover = solve_nmts(a, b, s)
+    assert (cover is not None) == brute_nmts(a, b, s)
+    if cover is not None:
+        assert validate_nmts_cover(a, b, s, cover)
+
+
+@ORACLE_SETTINGS
+@given(three_partition_instances())
+@example(Multiset())
+def test_3partition_matches_oracle(a):
+    if a.cardinality() % 3:
+        with pytest.raises(NotDivisibleBy3):
+            solve_3partition(a)
+        assert not brute_3partition(a)
+        return
+    cover = solve_3partition(a)
+    assert (cover is not None) == brute_3partition(a)
+    if cover is not None:
+        assert validate_3partition_cover(a, cover)
