@@ -14,20 +14,21 @@ Two problems over a nondeterministic machine M and a census requirement c:
   anchored loops with execution counts.
 
 * given-word: for a fixed input word x, is there a computation reading all
-  of x whose output meets c exactly?  Solved by a boolean table, kept as the
-  set of its true entries (state, partial census, input position, trailing
-  empty-move count), each packed into one int, filled forward from the
-  start configuration; traces are rebuilt by a second backward pass over
-  the table, without back-pointers.  Entries whose census can no longer be
-  met from the rest of x are never stored (each move runs only the checks
-  it can fail), so a census total above |x| on a machine whose empty-read
-  moves write no tracked letter is rejected before the first entry, however
-  large its counts.  A budget caps the number of stored entries.
+  of x whose output meets c exactly?  Solved in one forward pass by a
+  boolean table, kept as the set of its true entries (state, partial
+  census, input position), each packed into one int, filled depth-first
+  from the start configuration; each pending entry links to the move that
+  reached it and the entry it left, and a YES reads its trace back along
+  those links.  Entries whose census can no longer be met from the rest of
+  x are never stored (each move runs only the checks it can fail), so a
+  census total above |x| on a machine whose empty-read moves write no
+  tracked letter is rejected before the first entry, however large its
+  counts.  A budget caps the number of stored entries.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .ilp import (EQ, LE, BudgetExceeded, Constraint, IntegerProgram,
                   solve_feasibility)
@@ -35,15 +36,6 @@ from .mealy import (EMPTY, CensusRequirement, MealyMachine, WalkDecomposition,
                     decompose_walk, subdivide)
 
 DEFAULT_BUDGET = 2_000_000
-
-
-class DpIndex(NamedTuple):
-    """A given-word table entry, decoded from its packed int."""
-
-    state: str
-    partial_census: tuple[int, ...]
-    input_position: int
-    propagation: int
 
 
 def solve_ewmm(m: MealyMachine, c: CensusRequirement,
@@ -167,15 +159,15 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
     """Decide whether a computation reading all of ``x`` meets ``c`` exactly.
 
     Returns a transition-index trace replayable through the machine, or None.
-    An entry (s, counts, i, p) is true when some computation reads the first
-    i letters of x, writes each required letter exactly counts-many times,
-    ends with p trailing moves that read and write the empty letter, and sits
-    in state s.  The table is the set of true entries, filled depth-first
-    from the start entry; p is capped below |states| since longer all-empty
-    runs revisit a state and can be cut without changing census or reading
-    position.  Each entry is one int, ((code·(|x|+1) + i)·|S| + p)·|S| + s,
-    where code is the counts in mixed radix (digit j runs over 0..c_j) and s
-    is the state's index; ``DpIndex`` is its decoded view.
+    An entry (s, counts, i) is true when some computation reads the first i
+    letters of x, writes each required letter exactly counts-many times and
+    sits in state s.  The table is the set of true entries, filled depth-first
+    from the start entry; a move to a stored entry is cut, which also ends
+    runs of moves that read and write the empty letter.  Each entry is one
+    int, (code·(|x|+1) + i)·|S| + s, where code is the counts in mixed radix
+    (digit j runs over 0..c_j) and s is the state's index.  Each pending
+    entry keeps the index of the move that reached it and the entry it left,
+    so a YES reads its trace back along these forward links.
 
     An entry is pruned when the rest of x cannot make up its census
     deficit: per letter, when only reading moves write that letter, and in
@@ -205,12 +197,11 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
     n = len(x)
     cap = budget if budget is not None else float("inf")
 
-    # Place values in a key: a head is a key with p and s zero, so a move
-    # adds its step to the head (one input position, one written letter)
-    # and a stored key is head + p·|S| + s.
-    position_unit = n_states * n_states
+    # Place values in a key: a head is a key with s zero, so a move adds its
+    # step to the head (one input position, one written letter) and a stored
+    # key is head + s.
     unit = []
-    place = (n + 1) * position_unit
+    place = (n + 1) * n_states
     for r in radix:
         unit.append(place)
         place *= r
@@ -222,7 +213,6 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
     # writing j reads, or None when an empty-read move writes j.
     eps_moves: list[list[tuple[int, int, int, int]]] = [[] for _ in names]
     by_letter: dict[object, list[list[tuple[int, int, int, int]]]] = {}
-    into: list[list[tuple[int, object, int, int]]] = [[] for _ in names]
     writers: list[Optional[set]] = [set() for _ in letters]
     for index, t in enumerate(m.transitions):
         if t.writes is EMPTY:
@@ -233,7 +223,6 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
                 continue
             step = unit[jw]
         source, target = number[t.source], number[t.target]
-        into[target].append((index, t.reads, jw, source))
         if t.reads is EMPTY:
             eps_moves[source].append((index, jw, target, step))
             if jw >= 0:
@@ -241,7 +230,7 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
         else:
             if t.reads not in by_letter:
                 by_letter[t.reads] = [[] for _ in names]
-            by_letter[t.reads][source].append((index, jw, target, step + position_unit))
+            by_letter[t.reads][source].append((index, jw, target, step + n_states))
             if jw >= 0 and writers[jw] is not None:
                 writers[jw].add(t.reads)
     free_writers = None in writers
@@ -268,17 +257,24 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
                    for j, w in enumerate(writers)))
 
     table: set[int] = set()
-    final: Optional[int] = None
+    # On a YES, (move index, link) for the last move: the start item when
+    # the empty computation meets c, else (index, item the move left).
+    final: Optional[tuple] = None
     if not dead:
         table.add(start)
         if len(table) > cap:
             raise BudgetExceeded(f"table entry cap {cap} exceeded")
+        # Stack items: (index of the move that reached it, the item it was
+        # reached from, state index, head, position, census still owed); the
+        # start item has neither.  An item stays alive while a pending item
+        # links to it, so links cost memory along the open paths only.
+        item = (-1, None, start, 0, 0, total)
         if total == 0 and n == 0:
-            final = start
-        # Stack items: (state index, head, position, p, census still owed).
-        stack = [(start, 0, 0, 0, total)]
+            final = item
+        stack = [item]
         while stack and final is None:
-            state, head, position, p, owed = stack.pop()
+            item = stack.pop()
+            _, _, state, head, position, owed = item
             if position < n:
                 checks = checks_at[position]
                 short = [j for j, u, r, need in checks
@@ -305,87 +301,34 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
                             if len(table) > cap:
                                 raise BudgetExceeded(f"table entry cap {cap} exceeded")
                             if owed2 == 0 and position + 1 == n:
-                                final = key
+                                final = (index, item)
                                 break
-                            stack.append((target, head2, position + 1, 0, owed2))
+                            stack.append((index, item, target, head2, position + 1, owed2))
                     if final is not None:
                         break
             for index, jw, target, step in eps_moves[state]:
                 if jw < 0:
-                    p2 = p + 1
-                    if p2 == n_states:
-                        continue
                     owed2 = owed
                 else:
                     if head // unit[jw] % radix[jw] == targets[jw]:
                         continue
-                    p2 = 0
                     owed2 = owed - 1
                 head2 = head + step
-                key = head2 + p2 * n_states + target
+                key = head2 + target
                 if key not in table:
                     table.add(key)
                     if len(table) > cap:
                         raise BudgetExceeded(f"table entry cap {cap} exceeded")
                     if owed2 == 0 and position == n:
-                        final = key
+                        final = (index, item)
                         break
-                    stack.append((target, head2, position, p2, owed2))
+                    stack.append((index, item, target, head2, position, owed2))
 
     if final is None:
         return None
-
-    def decode(key: int) -> DpIndex:
-        rest, state = divmod(key, n_states)
-        rest, p = divmod(rest, n_states)
-        code, position = divmod(rest, n + 1)
-        census = []
-        for r in radix:
-            code, digit = divmod(code, r)
-            census.append(digit)
-        return DpIndex(names[state], tuple(census), position, p)
-
-    # Backward pass: rebuild one trace by locating, for each true entry, a
-    # true predecessor entry under the transition relation, trying moves in
-    # transition order.  An entry with p > 0 follows a move that reads and
-    # writes the empty letter; one with p = 0 any other move, whose source
-    # head is found once and then tried with each p.
-    trace: list[int] = []
-    key = final
-    while key != start:
-        rest, state = divmod(key, n_states)
-        p = rest % n_states
-        head = key - p * n_states - state
-        position = head // position_unit % (n + 1)
-        found = None
-        for index, reads, jw, source in into[state]:
-            previous = head
-            if reads is EMPTY and jw < 0:
-                if p == 0:
-                    continue
-                runs = (p - 1,)
-            else:
-                if p > 0:
-                    continue
-                runs = range(n_states)
-                if reads is not EMPTY:
-                    if position == 0 or x[position - 1] != reads:
-                        continue
-                    previous -= position_unit
-                if jw >= 0:
-                    if head // unit[jw] % radix[jw] == 0:
-                        continue
-                    previous -= unit[jw]
-            for run in runs:
-                if previous + run * n_states + source in table:
-                    found = (index, previous + run * n_states + source)
-                    break
-            if found:
-                break
-        if found is None:
-            raise AssertionError(
-                f"true table entry {decode(key)} without a true predecessor")
-        trace.append(found[0])
-        key = found[1]
+    trace = []
+    while final[1] is not None:
+        trace.append(final[0])
+        final = final[1]
     trace.reverse()
     return tuple(trace)

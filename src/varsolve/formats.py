@@ -148,12 +148,15 @@ def parse_machine_instance(text: str, path: str = "<instance>",
     Layout: ``states:``, ``start:``, ``input:``, ``output:`` header lines,
     one transition per line as ``from read -> to write``, then for the
     given-word problem a ``word:`` line, then ``census:`` followed by
-    ``letter count`` lines.  The empty letter ``_`` neither occurs in the
-    word nor takes a census count, and every word letter is an ``input:`` one.
+    ``letter count`` lines.  Each header and the word come once, ``start:``
+    names one of the states, every endpoint is a ``states:`` one, every
+    letter read or written is in its alphabet, and no transition repeats.
+    The empty letter ``_`` neither occurs in the word nor takes a census
+    count, and every word letter is an ``input:`` one.
     """
     reader = _Reader.of(text, path)
-    headers: dict[str, list[str]] = {}
-    transitions: list[Transition] = []
+    headers: dict[str, tuple[int, list]] = {}  # name -> (line, parts) of its header line
+    rows = []  # (line, parts) of each transition line
     census: dict[str, int] = {}
     census_seen = False
     word = None  # (line, [(token, column), ...]) of the ``word:`` line
@@ -161,11 +164,15 @@ def parse_machine_instance(text: str, path: str = "<instance>",
     for line, parts in reader.tokens():
         token, column = parts[0]
         if token in ("states:", "start:", "input:", "output:"):
-            headers[token[:-1]] = [t for t, _ in parts[1:]]
+            if token[:-1] in headers:
+                reader.fail(line, column, f"second {token!r} line; each header is given once")
+            headers[token[:-1]] = line, parts
             continue
         if token == "word:":
             if not with_word:
                 reader.fail(line, column, "this problem takes no input word")
+            if word is not None:
+                reader.fail(line, column, "second 'word:' line; the word is given once")
             word = line, parts[1:]
             continue
         if token == "census:":
@@ -186,8 +193,7 @@ def parse_machine_instance(text: str, path: str = "<instance>",
             census[token] = count
             continue
         if len(parts) == 5 and parts[2][0] == "->":
-            transitions.append(Transition(parts[0][0], _letter(parts[1][0]),
-                                          parts[3][0], _letter(parts[4][0])))
+            rows.append((line, parts))
             continue
         reader.fail(line, column, "expected 'from read -> to write'")
     for required in ("states", "start", "input", "output"):
@@ -195,19 +201,36 @@ def parse_machine_instance(text: str, path: str = "<instance>",
             reader.fail(len(reader.lines) or 1, 1, f"missing '{required}:' header")
     if not census_seen:
         reader.fail(len(reader.lines) or 1, 1, "missing 'census:' section")
-    if len(headers["start"]) != 1:
-        reader.fail(1, 1, "start: expects exactly one state")
-    try:
-        machine = MealyMachine(
-            states=frozenset(headers["states"]),
-            start=headers["start"][0],
-            input_alphabet=frozenset(_letter(t) for t in headers["input"]),
-            output_alphabet=frozenset(_letter(t) for t in headers["output"]),
-            transitions=tuple(transitions),
-        )
-        requirement = CensusRequirement.of(census)
-    except ValueError as error:
-        reader.fail(len(reader.lines) or 1, 1, str(error))
+    states = {token for token, _ in headers["states"][1][1:]}
+    inputs = {_letter(token) for token, _ in headers["input"][1][1:]}
+    outputs = {_letter(token) for token, _ in headers["output"][1][1:]}
+    line, start = headers["start"]
+    if len(start) != 2:
+        # Located at the second state, or at ``start:`` when none is named.
+        token, column = start[2] if len(start) > 2 else start[0]
+        reader.fail(line, column, "start: expects exactly one state")
+    if start[1][0] not in states:
+        reader.fail(line, start[1][1], f"start state {start[1][0]!r} not among states")
+    transitions: dict[Transition, None] = {}  # in file order
+    for line, ((source, source_column), (reads, reads_column), _,
+               (target, target_column), (writes, writes_column)) in rows:
+        t = Transition(source, _letter(reads), target, _letter(writes))
+        if source not in states:
+            reader.fail(line, source_column, f"state {source!r} not among states")
+        if t.reads not in inputs:
+            reader.fail(line, reads_column, f"read letter {reads!r} not in the input alphabet")
+        if target not in states:
+            reader.fail(line, target_column, f"state {target!r} not among states")
+        if t.writes not in outputs:
+            reader.fail(line, writes_column, f"write letter {writes!r} not in the output alphabet")
+        if t in transitions:
+            reader.fail(line, source_column, f"duplicate transition {t.text()!r}")
+        transitions[t] = None
+    machine = MealyMachine(states=frozenset(states), start=start[1][0],
+                           input_alphabet=frozenset(inputs),
+                           output_alphabet=frozenset(outputs),
+                           transitions=tuple(transitions))
+    requirement = CensusRequirement.of(census)
     if with_word:
         if word is None:
             reader.fail(len(reader.lines) or 1, 1, "missing 'word:' line")
@@ -215,7 +238,7 @@ def parse_machine_instance(text: str, path: str = "<instance>",
         for letter, column in letters:
             if letter == "_":
                 reader.fail(word_line, column, "the empty letter '_' cannot occur in the word")
-            if letter not in machine.input_alphabet:
+            if letter not in inputs:
                 reader.fail(word_line, column, f"input letter {letter!r} not in the input alphabet")
         return machine, tuple([letter for letter, _ in letters]), requirement
     return machine, requirement

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from varsolve import census_solvers, cli, formats
-from varsolve.census_solvers import (DEFAULT_BUDGET, BudgetExceeded, DpIndex,
+from varsolve.census_solvers import (DEFAULT_BUDGET, BudgetExceeded,
                                      solve_ewmm, solve_gwmm)
 from varsolve.corpus import (FAMILIES, make_rng, random_gwmm_census,
                              random_machine, random_word)
@@ -138,8 +138,8 @@ def test_gwmm_rejects_empty_in_word():
 
 
 def test_gwmm_base_entry_is_unique_seed():
-    # Only the start state is true at position 0, propagation 0, zero census;
-    # an empty-move chain reaches the other state at propagation 1.
+    # Only the start state is true at position 0 with zero census by itself;
+    # one empty move reaches the other state at the same position.
     m = machine({"q", "r"}, "q", {"a", EMPTY}, {"a", EMPTY},
                 [("q", EMPTY, "r", EMPTY), ("r", "a", "r", "a")])
     c = CensusRequirement.of({"a": 1})
@@ -154,6 +154,21 @@ def test_gwmm_empty_move_chains_bounded():
                 [("q", EMPTY, "r", EMPTY), ("r", EMPTY, "q", EMPTY)])
     assert solve_gwmm(m, "", CensusRequirement.of({})) is not None
     assert solve_gwmm(m, "a", CensusRequirement.of({})) is None
+
+
+def test_gwmm_stores_one_entry_per_configuration():
+    # Empty moves join every pair of six states, and the second a would
+    # write b again: NO.  Its 12 configurations (six states at position 0,
+    # six at position 1 with b = 1) are exactly the entries stored.
+    states = [f"q{i}" for i in range(6)]
+    m = machine(states, "q0", {"a", EMPTY}, {"b", EMPTY},
+                [(s, EMPTY, t, EMPTY) for s in states for t in states if s != t]
+                + [("q5", "a", "q5", "b")])
+    c = CensusRequirement.of({"b": 1})
+    assert not brute_gwmm(m, "aa", c)
+    assert solve_gwmm(m, "aa", c, budget=12) is None
+    with pytest.raises(BudgetExceeded):
+        solve_gwmm(m, "aa", c, budget=11)
 
 
 def test_gwmm_trace_replays_to_census():
@@ -319,14 +334,6 @@ def test_subdivision_preserves_census_reachability():
         original = _achievable_censuses(m, word)
         padded = _achievable_censuses(sub, word)
         assert original == padded
-
-
-def test_dpindex_shape():
-    index = DpIndex("q", (1, 0), 2, 0)
-    assert index.state == "q"
-    assert index.partial_census == (1, 0)
-    assert index.input_position == 2
-    assert index.propagation == 0
 
 
 @st.composite

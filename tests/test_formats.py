@@ -112,6 +112,30 @@ def test_machine_letter_errors_located_at_their_token(word, census, where, messa
     assert str(info.value) == f"m.txt:{where}: {message}"
 
 
+MACHINE = ("states: q r\nstart: q\ninput: _ a\noutput: b\nq a -> r b\n"
+           "word: a\ncensus:\nb 1\n")
+
+
+@pytest.mark.parametrize("old, new, where, message", [
+    ("word: a\n", "word: a\nword: a a\n", "7:1",
+     "second 'word:' line; the word is given once"),
+    ("output: b\n", "output: b\ninput: a\n", "5:1",
+     "second 'input:' line; each header is given once"),
+    ("start: q\n", "start: q r\n", "2:10", "start: expects exactly one state"),
+    ("start: q\n", "start: s\n", "2:8", "start state 's' not among states"),
+    ("q a -> r b", "q a -> s b", "5:8", "state 's' not among states"),
+    ("q a -> r b", "q c -> r b", "5:3", "read letter 'c' not in the input alphabet"),
+    ("q a -> r b", "q a -> r z", "5:10", "write letter 'z' not in the output alphabet"),
+    ("q a -> r b\n", "q a -> r b\nq a -> r b\n", "6:1",
+     "duplicate transition 'q a -> r b'"),
+], ids=["second-word", "second-header", "two-starts", "start-outside-states",
+        "endpoint-outside-states", "read-letter", "write-letter", "duplicate-transition"])
+def test_machine_errors_located_at_their_token(old, new, where, message):
+    with pytest.raises(ParseError) as info:
+        parse_machine_instance(MACHINE.replace(old, new), path="m.txt", with_word=True)
+    assert str(info.value) == f"m.txt:{where}: {message}"
+
+
 def test_graph_roundtrip():
     g = MulticoloredGraph(k=2, classes=(("a1", "a2"), ("b1",)),
                           edges=(("a1", "b1"), ("a2", "b1")))
