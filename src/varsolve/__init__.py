@@ -13,7 +13,8 @@ from .ilp import (Assignment, BudgetExceeded, Constraint, IntegerProgram,
                   MalformedProgram, ProvenInfeasible, dump_program,
                   propagate_bounds, solve_feasibility)
 from .mealy import (EMPTY, CensusRequirement, Loop, MealyMachine, Transition,
-                    WalkDecomposition, census_of, decompose_walk, run, subdivide)
+                    WalkDecomposition, census_of, decompose_counts, decompose_walk,
+                    run, subdivide)
 from .reductions import (HeatInstance, MulticoloredGraph, SplitsInstance,
                          heat_to_ewmm, mcc_to_gwmm, splits_to_gwmm,
                          subsetsum_to_partition)
@@ -27,9 +28,9 @@ __all__ = [
     "MealyMachine", "MulticoloredGraph",
     "Multiset", "ProvenInfeasible", "SplitsInstance", "SubsetCertificate",
     "Transition", "TripleCover", "WalkDecomposition", "census_of",
-    "combined_variety", "decompose_walk", "dump_program", "heat_to_ewmm",
-    "mcc_to_gwmm", "propagate_bounds", "run", "solve_3partition", "solve_ewmm",
-    "solve_feasibility", "solve_gwmm", "solve_nmts",
+    "combined_variety", "decompose_counts", "decompose_walk", "dump_program",
+    "heat_to_ewmm", "mcc_to_gwmm", "propagate_bounds", "run", "solve_3partition",
+    "solve_ewmm", "solve_feasibility", "solve_gwmm", "solve_nmts",
     "solve_num_3dm", "solve_partition", "solve_subset_sum", "splits_to_gwmm",
     "subdivide", "subsetsum_to_partition",
 ]

@@ -8,10 +8,10 @@ Two problems over a nondeterministic machine M and a census requirement c:
   a use count per transition, a 0/1 end state, flow conservation per state
   and one census equality per letter.  Connectivity to the start state is
   added lazily, one cut row per round, and the exact integer-program engine
-  decides each round within one node budget.  An Euler trail through the
-  counted transitions is the witness walk; the certificate is the paper's
-  walk decomposition of it over the subdivided machine: a base walk plus
-  anchored loops with execution counts.
+  decides each round within one node budget.  The certificate is the
+  paper's walk decomposition, peeled straight from the transition counts
+  over the subdivided machine: a base walk plus anchored loops with
+  execution counts.
 
 * given-word: for a fixed input word x, is there a computation reading all
   of x whose output meets c exactly?  Solved in one forward pass by a
@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 from .ilp import (EQ, LE, BudgetExceeded, Constraint, IntegerProgram,
                   solve_feasibility)
 from .mealy import (EMPTY, CensusRequirement, MealyMachine, WalkDecomposition,
-                    decompose_walk, subdivide)
+                    decompose_counts, subdivide)
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -64,10 +64,8 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
 
     (entering from outside C) is added and the program solved again.  The
     row holds for every walk from the start and fails for this solution.
-    On a YES an Euler trail from the start (Hierholzer) orders the counts
-    into a walk; transition i of m is transitions 2i and 2i+1 of
-    ``subdivide(m)``, and ``decompose_walk`` turns that walk into the
-    certificate.
+    On a YES, count y_i goes to transitions 2i and 2i+1 of ``subdivide(m)``,
+    and ``decompose_counts`` peels those counts into the certificate.
 
     Spends ``budget`` (None: no cap) in integer-program search nodes,
     summed over the cut rounds, and raises BudgetExceeded when it is spent
@@ -110,17 +108,17 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
             return None
         if left is not None:
             left -= assignment.nodes
-        moves: dict[str, list[list]] = {}
-        for i, t, name, _ in arcs:
+        moves: dict[str, list[str]] = {}  # targets of used transitions by source
+        for _, t, name, _ in arcs:
             if assignment[name]:
-                moves.setdefault(t.source, []).append([i, t, assignment[name]])
+                moves.setdefault(t.source, []).append(t.target)
         reached = {m.start}
         frontier = [m.start]
         while frontier:
-            for _, t, _ in moves.get(frontier.pop(), ()):
-                if t.target not in reached:
-                    reached.add(t.target)
-                    frontier.append(t.target)
+            for target in moves.get(frontier.pop(), ()):
+                if target not in reached:
+                    reached.add(target)
+                    frontier.append(target)
         stranded = set(moves) - reached
         if not stranded:
             break
@@ -132,26 +130,11 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
                 row[name] = -weight
         constraints.append(Constraint(row, LE, 0))
 
-    # Hierholzer: extend the trail from its last state while that state has
-    # counted transitions left, and move finished transitions to the walk.
-    trail = [(m.start, -1)]
-    walk: list[int] = []
-    while trail:
-        state, via = trail[-1]
-        pending = moves.get(state)
-        if pending:
-            move = pending[-1]
-            move[2] -= 1
-            if move[2] == 0:
-                pending.pop()
-            trail.append((move[1].target, move[0]))
-        else:
-            trail.pop()
-            if via >= 0:
-                walk.append(via)
-    walk.reverse()
     sub = subdivide(m)
-    return decompose_walk(sub, [t for i in walk for t in sub.transitions[2 * i:2 * i + 2]])
+    counts = {}
+    for i, _, name, _ in arcs:
+        counts[sub.transitions[2 * i]] = counts[sub.transitions[2 * i + 1]] = assignment[name]
+    return decompose_counts(sub, counts)
 
 
 def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,

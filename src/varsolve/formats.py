@@ -47,11 +47,15 @@ class _Reader:
         raise ParseError(self.path, line, column, message)
 
 
-def _int(reader: _Reader, token: str, line: int, column: int, what: str) -> int:
+def _int(reader: _Reader, token: str, line: int, column: int, what: str,
+         least: int | None = None) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         reader.fail(line, column, f"expected {what}, got {token!r}")
+    if least is not None and value < least:
+        reader.fail(line, column, f"{what} must be at least {least}, got {value}")
+    return value
 
 
 def _target(reader: _Reader, parts, line: int, previous: int | None,
@@ -291,15 +295,17 @@ def parse_heat(text: str, path: str = "<instance>") -> HeatInstance:
     for line, parts in reader.tokens():
         token, column = parts[0]
         if threshold is None:
-            threshold = _int(reader, token, line, column, "temperature threshold")
+            threshold = _int(reader, token, line, column, "temperature threshold", 0)
             continue
         if deadline is None:
-            deadline = _int(reader, token, line, column, "deadline")
+            deadline = _int(reader, token, line, column, "deadline", 0)
             continue
         if token != "job" or len(parts) != 3:
             reader.fail(line, column, "expected 'job heat count'")
         heat = _int(reader, parts[1][0], line, parts[1][1], "heat level")
-        count = _int(reader, parts[2][0], line, parts[2][1], "job count")
+        count = _int(reader, parts[2][0], line, parts[2][1], "job count", 0)
+        if not 0 <= heat <= 2 * threshold:
+            reader.fail(line, parts[1][1], f"heat level {heat} outside 0..{2 * threshold}")
         if heat in census:
             reader.fail(line, parts[1][1], f"duplicate heat level {heat}")
         census[heat] = count
@@ -319,12 +325,14 @@ def parse_splits(text: str, path: str = "<instance>") -> SplitsInstance:
     for line, parts in reader.tokens():
         token, column = parts[0]
         if token == "gaps:":
-            gaps = tuple([_int(reader, t, line, c, "gap") for t, c in parts[1:]])
+            if gaps is not None:
+                reader.fail(line, column, "second 'gaps:' line; the gaps are given once")
+            gaps = tuple([_int(reader, t, line, c, "gap", 1) for t, c in parts[1:]])
             continue
         if token != "job" or len(parts) != 3:
             reader.fail(line, column, "expected 'job length count'")
-        length = _int(reader, parts[1][0], line, parts[1][1], "job length")
-        count = _int(reader, parts[2][0], line, parts[2][1], "job count")
+        length = _int(reader, parts[1][0], line, parts[1][1], "job length", 1)
+        count = _int(reader, parts[2][0], line, parts[2][1], "job count", 0)
         if length in census:
             reader.fail(line, parts[1][1], f"duplicate job length {length}")
         census[length] = count

@@ -3,8 +3,9 @@
 A machine reads one input letter (or the empty letter) per transition and
 writes one output letter (or the empty letter).  This module provides the
 machine model, execution, transition subdivision to a simple underlying
-digraph, exact output-letter censuses, and the decomposition of a walk into
-a short base walk plus anchored short loops with execution counts.
+digraph, exact output-letter censuses, and the decomposition of a walk, or
+of its transition counts, into a short base walk plus anchored short loops
+with execution counts.
 """
 
 from __future__ import annotations
@@ -272,79 +273,94 @@ class WalkDecomposition:
         return tuple(walk)
 
 
-def _walk_states(m: MealyMachine, walk: Sequence[Transition]) -> list[str]:
+def decompose_walk(m: MealyMachine, walk: Sequence[Transition]) -> WalkDecomposition:
+    """Rewrite a walk from the start as a short base walk plus anchored
+    short loop counts: ``decompose_counts`` of its transition counts.
+    Requires a simple underlying digraph."""
+    if not m.is_simple():
+        raise NotAWalk("underlying digraph has parallel transitions; subdivide first")
     state = m.start
-    states = [state]
-    known = set(m.transitions)
     for t in walk:
-        if t not in known:
-            raise NotAWalk(f"transition {t.text()} does not belong to the machine")
         if t.source != state:
             raise NotAWalk(f"transition {t.text()} does not continue from {state!r}")
         state = t.target
-        states.append(state)
-    return states
+    return decompose_counts(m, Counter(walk))
 
 
-def decompose_walk(m: MealyMachine, walk: Sequence[Transition]) -> WalkDecomposition:
-    """Rewrite a walk as a short base walk plus anchored short loop counts.
+def decompose_counts(m: MealyMachine,
+                     counts: Mapping[Transition, int]) -> WalkDecomposition:
+    """Decompose the transition counts of a walk from the start into a base
+    walk of at most |states|**2 transitions plus loops of at most |states|
+    transitions with execution counts, each anchored on the base walk, that
+    together keep every count.
 
-    Requires a simple underlying digraph.  The result traverses every
-    transition exactly as often as the input walk, the base walk has length
-    at most |states|**2, every loop cycle has length at most |states|, and
-    every loop anchor lies on the base walk.
+    From the start, counted transitions are followed until a state repeats
+    or none leaves the current state.  A repeat closes a simple cycle, which
+    is peeled off as often as its scarcest transition allows and bucketed
+    by (anchor, arc census); the walk goes on from the anchor.  Where no
+    counted transition leaves, the walk ends, and the simple path followed
+    is the base walk.  What is left balances at every state, so following
+    it from any counted transition only closes cycles, peeled the same way.
+    Each peel zeroes a count, so the work does not grow with the counts.
+    A cycle anchored off the base walk is rotated to a state it shares with
+    it; while none does, one run of a cycle anchored on the base walk that
+    reaches new states is spliced into it.
 
-    The walk is scanned left to right; each time a state repeats, the cycle
-    back to its previous occurrence is excised and bucketed by (anchor, arc
-    census).  A repeated state always closes a cycle of at most |states|
-    transitions because the retained prefix is repetition-free.  Excision can
-    strand a bucket's anchor off the reduced walk, so afterwards stranded
-    cycles are re-anchored by rotating them to a state they share with the
-    base walk, splicing one execution of a connecting cycle into the base
-    walk whenever no shared state exists yet.
+    Raises NotAWalk for counts that are not a walk's from the start: a
+    negative count, a transition not of m, counts that do not balance, or
+    counted transitions the start does not reach.
     """
-    if not m.is_simple():
-        raise NotAWalk("underlying digraph has parallel transitions; subdivide first")
-    states = _walk_states(m, walk)
-
-    base: list[Transition] = []
-    position: dict[str, int] = {states[0]: 0}
+    known = set(m.transitions)
+    for t, n in counts.items():
+        if n < 0 or (n and t not in known):
+            raise NotAWalk(f"count {n} of {t.text()!r}: negative, or not a transition of m")
+    # Counted transitions per source in reverse machine order: a walk
+    # follows the last one, so one whose count runs out is popped off.
+    left = {t: counts[t] for t in m.transitions if counts.get(t, 0) > 0}
+    out: dict[str, list[Transition]] = {}
+    for t in reversed(left):
+        out.setdefault(t.source, []).append(t)
     buckets: dict[tuple, list] = {}
 
-    def bucket_key(anchor: str, cycle: Sequence[Transition]) -> tuple:
-        return (anchor, frozenset(Counter(cycle).items()))
+    def add(into: dict, anchor: str, cycle: tuple, times: int) -> None:
+        """Count ``times`` runs of ``cycle`` in its (anchor, arc census) bucket."""
+        key = (anchor, frozenset(Counter(cycle).items()))
+        into.setdefault(key, [anchor, cycle, 0])[2] += times
 
-    for t in walk:
-        base.append(t)
-        target = t.target
-        if target in position:
-            start_index = position[target]
-            cycle = tuple(base[start_index:])
-            for removed in cycle:
-                del position[removed.target]
-            position[target] = start_index
-            del base[start_index:]
-            key = bucket_key(target, cycle)
-            if key in buckets:
-                buckets[key][2] += 1
-            else:
-                buckets[key] = [target, cycle, 1]
-        else:
-            position[target] = len(base)
+    def follow(state: str) -> list[Transition]:
+        """Peel the cycles met from ``state``; return the simple path left."""
+        path: list[Transition] = []
+        position = {state: 0}
+        while out.get(state):
+            t = out[state][-1]
+            path.append(t)
+            state = t.target
+            if state not in position:
+                position[state] = len(path)
+                continue
+            start_index = position[state]
+            cycle = tuple(path[start_index:])
+            del path[start_index:]
+            times = min(left[a] for a in cycle)
+            for a in cycle:
+                del position[a.target]
+                left[a] -= times
+                if not left[a]:
+                    out[a.source].pop()
+            position[state] = start_index
+            add(buckets, state, cycle, times)
+        return path
 
-    def on_base(states_on_base: set[str], cycle: Sequence[Transition]) -> str | None:
-        for t in cycle:
-            if t.source in states_on_base:
-                return t.source
-        return None
+    base = follow(m.start)
+    for t in base:
+        left[t] -= 1
+        if not left[t]:
+            out[t.source].pop()
+    for state in list(out):
+        if follow(state):
+            raise NotAWalk("transition counts do not balance as a walk's do")
 
-    def rotate(cycle: tuple[Transition, ...], anchor: str) -> tuple[Transition, ...]:
-        for i, t in enumerate(cycle):
-            if t.source == anchor:
-                return cycle[i:] + cycle[:i]
-        raise AssertionError("rotation anchor not on cycle")
-
-    base_vertices = {states[0]}
+    base_vertices = {m.start}
     base_vertices.update(t.target for t in base)
     # Re-anchor stranded buckets; splice connector cycles into the base walk.
     pending = list(buckets.values())
@@ -352,21 +368,20 @@ def decompose_walk(m: MealyMachine, walk: Sequence[Transition]) -> WalkDecomposi
         stranded = [b for b in pending if b[0] not in base_vertices]
         if not stranded:
             break
-        rotatable = next(
-            (b for b in stranded if on_base(base_vertices, b[1]) is not None), None)
-        if rotatable is not None:
-            anchor = on_base(base_vertices, rotatable[1])
-            rotatable[0] = anchor
-            rotatable[1] = rotate(rotatable[1], anchor)
+        shared = next(((b, i) for b in stranded for i, t in enumerate(b[1])
+                       if t.source in base_vertices), None)
+        if shared is not None:
+            b, i = shared
+            b[0], b[1] = b[1][i].source, b[1][i:] + b[1][:i]
             continue
         connector = next(
             (b for b in pending
              if b[0] in base_vertices
              and any(t.target not in base_vertices for t in b[1])), None)
         if connector is None:
-            raise AssertionError("no connector cycle for stranded loop")
+            raise NotAWalk("counted transitions are not reached from the start")
         insert_at = next(i for i, s in enumerate(
-            [states[0]] + [t.target for t in base]) if s == connector[0])
+            [m.start] + [t.target for t in base]) if s == connector[0])
         base[insert_at:insert_at] = list(connector[1])
         base_vertices.update(t.target for t in connector[1])
         connector[2] -= 1
@@ -374,11 +389,7 @@ def decompose_walk(m: MealyMachine, walk: Sequence[Transition]) -> WalkDecomposi
             pending.remove(connector)
 
     merged: dict[tuple, list] = {}
-    for anchor, cycle, count in pending:
-        key = bucket_key(anchor, cycle)
-        if key in merged:
-            merged[key][2] += count
-        else:
-            merged[key] = [anchor, cycle, count]
+    for bucket in pending:
+        add(merged, *bucket)
     loops = tuple([Loop(anchor=a, cycle=cyc, count=n) for a, cyc, n in merged.values()])
     return WalkDecomposition(base_walk=tuple(base), loops=loops)

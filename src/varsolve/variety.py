@@ -107,12 +107,6 @@ class TripleCover:
 
     triples: tuple[tuple[int, int, int, int], ...]
 
-    def expanded(self) -> list[tuple[int, int, int]]:
-        out = []
-        for a, b, c, count in self.triples:
-            out.extend([(a, b, c)] * count)
-        return out
-
 
 def subset_sum_program(a: Multiset, s: int) -> IntegerProgram:
     """One variable per distinct value, boxed by its multiplicity."""

@@ -61,9 +61,8 @@ def test_ewmm_self_loop_counts_five():
 
 def test_ewmm_long_silent_cycle_has_no_recursion_cliff():
     # A 600-arc cycle writing nothing: 600 end-state variables and flow
-    # rows, and a witness walk around the cycle that the Euler trail and
-    # the walk decomposition follow far past Python's default recursion
-    # limit.
+    # rows, and a 1,200-arc cycle of the subdivided machine that the
+    # decomposition follows far past Python's default recursion limit.
     n = 600
     arcs = [(f"q{i}", "a", f"q{(i + 1) % n}", EMPTY) for i in range(n)]
     m = machine({f"q{i}" for i in range(n)}, "q0", {"a"}, {"x", EMPTY},

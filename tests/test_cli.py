@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, verdict lines, pipelines, errors."""
 
+import ast
 import gc
 import io
 import os
@@ -232,6 +233,32 @@ def test_ewmm_certificate_format(capsys):
     assert lines[0] == "YES"
     assert lines[1] == "base:"
     assert lines[2] == "loop q 5:"
+
+
+def test_ewmm_certificate_work_does_not_grow_with_the_census(capsys, monkeypatch):
+    # The loops are peeled from the transition counts: no walk of 2·10⁹
+    # transitions is built.
+    text = (FIXTURES / "loop_ewmm.txt").read_text().replace("b 5\n", "b 1000000000\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    begin = time.perf_counter()
+    code, out, _ = run_cli(capsys, "ewmm", "-", "--certificate")
+    assert time.perf_counter() - begin < 1.0
+    assert code == 0
+    assert out.splitlines()[:3] == ["YES", "base:", "loop q 1000000000:"]
+
+
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies; this keeps that true.
+    for path in sorted(Path(varsolve.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
 def test_verify_single_family(capsys):

@@ -161,6 +161,23 @@ def test_splits_roundtrip():
     assert parse_splits(write_splits(s)) == s
 
 
+@pytest.mark.parametrize("parse, text, where, message", [
+    (parse_heat, "1\n5\njob 0 -1\n\n", "3:7", "job count must be at least 0, got -1"),
+    (parse_heat, "1\n5\njob 3 1\n\n", "3:5", "heat level 3 outside 0..2"),
+    (parse_heat, "-1\n5\n", "1:1", "temperature threshold must be at least 0, got -1"),
+    (parse_splits, "gaps: 1\njob 1 -1\n\n", "2:7", "job count must be at least 0, got -1"),
+    (parse_splits, "gaps: 1 0\njob 1 1\n\n", "1:9", "gap must be at least 1, got 0"),
+    (parse_splits, "gaps: 1\njob 0 1\n\n", "2:5", "job length must be at least 1, got 0"),
+    (parse_splits, "gaps: 1 2\ngaps: 3\njob 3 1\n", "2:1",
+     "second 'gaps:' line; the gaps are given once"),
+], ids=["heat-negative-count", "heat-level", "threshold", "splits-negative-count",
+        "gap", "job-length", "second-gaps"])
+def test_job_errors_located_at_their_token(parse, text, where, message):
+    with pytest.raises(ParseError) as info:
+        parse(text, path="j.txt")
+    assert str(info.value) == f"j.txt:{where}: {message}"
+
+
 def test_splits_size_mismatch_reported_as_parse_error():
     with pytest.raises(ParseError) as info:
         parse_splits("gaps: 1 1\njob 1 1\n")

@@ -8,7 +8,7 @@ from varsolve.corpus import make_rng, random_machine
 from varsolve.mealy import (EMPTY, CensusRequirement, IllegalChoice,
                             InputNotConsumed, Loop, MealyMachine, NotAWalk,
                             Transition, WalkDecomposition, census_of,
-                            decompose_walk, run, subdivide)
+                            decompose_counts, decompose_walk, run, subdivide)
 
 
 def machine(states, start, inputs, outputs, transitions):
@@ -148,15 +148,32 @@ def test_decompose_simple_path():
 
 
 def test_decompose_stranded_anchor_is_repaired():
-    # Walk a b c b d a: the first excised cycle anchors at b, which the
-    # second excision removes from the reduced walk; the repair must leave
-    # every anchor on the base walk.
-    m = machine({"a", "b", "c", "d"}, "a", {"g"}, {"x"},
-                [("a", "g", "b", "x"), ("b", "g", "c", "x"), ("c", "g", "b", "x"),
-                 ("b", "g", "d", "x"), ("d", "g", "a", "x")])
-    walk = [m.transitions[i] for i in (0, 1, 2, 3, 4)]
-    d = decompose_walk(m, walk)
-    _check_shape(m, walk, d)
+    # Walk a b c b d a: the cycle b c b is peeled at b, which the later peel
+    # of a b d a removes from the base walk.  Walk s a b c b a, ending at a:
+    # the base walk is s a, and the cycle b c b shares no state with it, so
+    # one run of the cycle a b a is spliced in to connect it.  Either way
+    # the repair must leave every anchor on the base walk.
+    for states in ("a b c b d a", "s a b c b a"):
+        hops = list(zip(states.split(), states.split()[1:]))
+        m = machine(set(states.split()), hops[0][0], {"g"}, {"x"},
+                    [(u, "g", v, "x") for u, v in hops])
+        walk = list(m.transitions)
+        d = decompose_walk(m, walk)
+        _check_shape(m, walk, d)
+
+
+@pytest.mark.parametrize("counts, message", [
+    ({("s", "a"): 1, ("a", "b"): 2}, "do not balance"),
+    ({("s", "a"): 1, ("b", "c"): 1, ("c", "b"): 1}, "not reached from the start"),
+    ({("s", "a"): -1}, "negative"),
+], ids=["unbalanced", "cycle-off-the-start", "negative"])
+def test_decompose_counts_rejects_counts_of_no_walk(counts, message):
+    m = machine({"s", "a", "b", "c"}, "s", {"g"}, {"x"},
+                [("s", "g", "a", "x"), ("a", "g", "b", "x"), ("b", "g", "c", "x"),
+                 ("c", "g", "b", "x")])
+    arc = {(t.source, t.target): t for t in m.transitions}
+    with pytest.raises(NotAWalk, match=message):
+        decompose_counts(m, {arc[hop]: n for hop, n in counts.items()})
 
 
 def test_walk_splices_loops_at_first_anchor_visit():
