@@ -19,11 +19,12 @@ Two problems over a nondeterministic machine M and a census requirement c:
   census, input position), each packed into one int, filled depth-first
   from the start configuration; each pending entry links to the move that
   reached it and the entry it left, and a YES reads its trace back along
-  those links.  Entries whose census can no longer be met from the rest of
-  x are never stored (each move runs only the checks it can fail), so a
-  census total above |x| on a machine whose empty-read moves write no
-  tracked letter is rejected before the first entry, however large its
-  counts.  A budget caps the number of stored entries.
+  those links.  Before the fill, one backward pass with no partial census
+  in its table bounds the census of every (position, state) pair reachable
+  from the start, field by field, by what the rest of x can still write;
+  an entry outside its pair's bounds has no completion and is never stored.  So a census that
+  the word cannot produce is rejected before the first entry, however
+  large its counts.  A budget caps the number of stored entries.
 """
 
 from __future__ import annotations
@@ -146,21 +147,33 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
     letters of x, writes each required letter exactly counts-many times and
     sits in state s.  The table is the set of true entries, filled depth-first
     from the start entry; a move to a stored entry is cut, which also ends
-    runs of moves that read and write the empty letter.  Each entry is one
-    int, (code·(|x|+1) + i)·|S| + s, where code is the counts in mixed radix
-    (digit j runs over 0..c_j) and s is the state's index.  Each pending
-    entry keeps the index of the move that reached it and the entry it left,
-    so a YES reads its trace back along these forward links.
+    runs of moves that read and write the empty letter.  Each pending entry
+    keeps the index of the move that reached it and the entry it left, so a
+    YES reads its trace back along these forward links.
 
-    An entry is pruned when the rest of x cannot make up its census
-    deficit: per letter, when only reading moves write that letter, and in
-    total, when no empty-read move writes a tracked letter.  The start entry
-    gets both checks, so a census totalling more than |x| on such a machine,
-    even with counts given in binary, is rejected without a table.  From a
-    stored entry a move runs only the checks it can fail: a move reading
-    x[i] the per-letter check of the letters x[i] can be turned into, other
-    than the one it writes, and the total check if it writes nothing; an
-    empty-read move none.
+    The counts are packed into one int of uniform fields, each w bits wide
+    with w - 1 the bit length of the census total: one field per required
+    letter and one for the total written so far, the top bit of each a
+    guard bit that a count never reaches.  An entry is the int
+    counts·2^b + i·|S| + s, where s is the state's index and
+    2^b > (|x| + 1)·|S|, so a move adds one precomputed step.
+
+    Before the fill, one backward pass over the (position, state) pairs
+    reachable from the start, a table with no partial census in it, bounds
+    each pair by what its completions (moves reading the rest of x, with
+    empty-read moves anywhere) that write no letter beyond c can write:
+    field by field, the counts there must lie in [need, cap], where cap is
+    c less the least such a completion writes and need is c less the most,
+    floored at 0.  need is 0 in the fields of letters that an empty-read move
+    writes, and in the total field when any does, since such a move may
+    repeat.  A pair with no such completion gets no bound and is dead.  A
+    child entry is stored only when need <= counts <= cap in every field:
+    two guard-bit subtractions on one int, with no loop over letters.
+    Every skipped entry has no completion, and neither has any entry
+    reached from it, so the live entries are found in the same order from
+    the same parents as without the bounds; a census that cannot be met
+    from the start is rejected before the first entry, however large its
+    counts.
 
     Spends one unit of ``budget`` per stored entry (None: no cap) and
     raises BudgetExceeded when it is spent; otherwise exact.
@@ -171,141 +184,165 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
         if letter not in m.input_alphabet:
             raise ValueError(f"input letter {letter!r} not in the input alphabet")
     letters = c.letters()
-    index_of = {letter: j for j, letter in enumerate(letters)}
-    targets = [c.get(letter) for letter in letters]
-    radix = [target + 1 for target in targets]
     names = sorted(m.states)
     number = {state: k for k, state in enumerate(names)}
     n_states = len(names)
     n = len(x)
-    cap = budget if budget is not None else float("inf")
+    limit = budget if budget is not None else float("inf")
 
-    # Place values in a key: a head is a key with s zero, so a move adds its
-    # step to the head (one input position, one written letter) and a stored
-    # key is head + s.
-    unit = []
-    place = (n + 1) * n_states
-    for r in radix:
-        unit.append(place)
-        place *= r
+    # Field f of the counts starts at bit shift + f·w, below them sits the
+    # low part i·|S| + s of a key; field len(letters) is the total.  ones
+    # has a 1 at the bottom of every field, guards the top bit of every
+    # field, and full the value bits of one field.
+    total = c.total()
+    w = total.bit_length() + 1
+    shift = ((n + 1) * n_states).bit_length()
+    low_mask = (1 << shift) - 1
+    ones = sum(1 << (shift + f * w) for f in range(len(letters) + 1))
+    guards = ones << (w - 1)
+    full = (1 << (w - 1)) - 1
+    written = 1 << (shift + len(letters) * w)
+    weight_of = {letter: (1 << (shift + j * w)) + written for j, letter in enumerate(letters)}
+    goal = sum(count * weight_of[letter] for letter, count in c.counts)
 
-    # Move tables by state index; transitions writing a letter with a zero
-    # requirement can never be taken and are left out.  A move is (index,
-    # written letter's index or -1, target, step); read_at[i] holds the
-    # moves reading x[i].  writers[j] is the set of input letters a move
-    # writing j reads, or None when an empty-read move writes j.
-    eps_moves: list[list[tuple[int, int, int, int]]] = [[] for _ in names]
-    by_letter: dict[object, list[list[tuple[int, int, int, int]]]] = {}
-    writers: list[Optional[set]] = [set() for _ in letters]
+    # Moves by state index, each (index, step): step adds the written
+    # letter and the total to the counts, and moves the low part to the
+    # target's.  Transitions writing a letter with a zero requirement can
+    # never be taken and are left out.  read_at[i] holds the moves reading
+    # x[i]; read_at[n] has none.  free marks the fields that an empty-read
+    # move writes.
+    eps_moves: list[list[tuple[int, int]]] = [[] for _ in names]
+    by_letter: dict[object, list[list[tuple[int, int]]]] = {}
+    weight_of[EMPTY] = 0
+    free = 0
     for index, t in enumerate(m.transitions):
-        if t.writes is EMPTY:
-            jw, step = -1, 0
-        else:
-            jw = index_of.get(t.writes, -2)
-            if jw < 0:
-                continue
-            step = unit[jw]
+        weight = weight_of.get(t.writes)
+        if weight is None:
+            continue
         source, target = number[t.source], number[t.target]
         if t.reads is EMPTY:
-            eps_moves[source].append((index, jw, target, step))
-            if jw >= 0:
-                writers[jw] = None
+            eps_moves[source].append((index, weight + target - source))
+            free |= weight * full
         else:
             if t.reads not in by_letter:
                 by_letter[t.reads] = [[] for _ in names]
-            by_letter[t.reads][source].append((index, jw, target, step + n_states))
-            if jw >= 0 and writers[jw] is not None:
-                writers[jw].add(t.reads)
-    free_writers = None in writers
+            by_letter[t.reads][source].append((index, weight + n_states + target - source))
+    silent = any(eps_moves)
     no_moves = [()] * n_states
-    read_at = [by_letter.get(letter, no_moves) for letter in x]
+    read_at = [by_letter.get(letter, no_moves) for letter in x] + [no_moves]
 
-    # checks_at[i]: (j, unit, radix, need) for each letter j whose count of
-    # future writing positions drops at i, where need > 0 is the count j
-    # must already have for the positions after i to make up the rest.
-    turns_into = {letter: [j for j, w in enumerate(writers)
-                           if w is not None and letter in w]
-                  for letter in by_letter}
-    after = [0] * len(letters)
-    checks_at: list[list[tuple[int, int, int, int]]] = [[] for _ in x]
-    for i in range(n - 1, -1, -1):
-        for j in turns_into.get(x[i], ()):
-            if targets[j] > after[j]:
-                checks_at[i].append((j, unit[j], radix[j], targets[j] - after[j]))
-            after[j] += 1
-    total = sum(targets)
+    # bounds[i·|S| + s] is (need, cap) for the pair (i, s), or None.  cap
+    # is kept with every guard bit and every low bit set, so a key k fits
+    # the bound exactly when ((k | guards) - need) & (cap - k) keeps every
+    # guard bit: a guard bit survives a - b exactly where a's field is at
+    # least b's.
+    bounds: list[Optional[tuple[int, int]]] = [None] * ((n + 1) * n_states)
+
+    def via(bound, low, step):
+        """The bound of pair ``low`` widened by the move ``step`` from it."""
+        moved = low + step
+        low2 = moved & low_mask
+        after = bounds[low2]
+        if after is None:
+            return bound
+        weight = moved - low2
+        need, cap = after
+        cap -= weight
+        if cap & guards != guards:
+            return bound
+        # need falls by what the move writes, but not below 0.
+        need -= weight & ((((need | guards) - ones) & guards) >> (w - 1))
+        if bound is None:
+            return need, cap
+        # Field-wise min of the needs and max of the caps.
+        old_need, old_cap = bound
+        lower = ((((old_need | guards) - need) & guards) >> (w - 1)) * full
+        higher = (((cap - (old_cap ^ guards)) & guards) >> (w - 1)) * full
+        return (old_need ^ ((old_need ^ need) & lower),
+                old_cap ^ ((old_cap ^ cap) & higher))
+
+    # The pairs reachable from the start at each position, closed under
+    # empty-read moves, with the census ignored.
     start = number[m.start]
-    dead = ((not free_writers and total > n)
-            or any(w is not None and after[j] < targets[j]
-                   for j, w in enumerate(writers)))
+    reach = []
+    here = {start}
+    for moves in read_at:
+        if silent:
+            frontier = list(here)
+            while frontier:
+                low = frontier.pop()
+                for _, step in eps_moves[low % n_states]:
+                    low2 = (low + step) & low_mask
+                    if low2 not in here:
+                        here.add(low2)
+                        frontier.append(low2)
+        reach.append(here)
+        here = {(low + step) & low_mask for low in here for _, step in moves[low % n_states]}
 
+    # The backward pass.  At each position the empty-read moves are closed
+    # by passes until no bound changes; a move only lowers what it passes
+    # on, so the number of passes does not grow with the census.
+    for position in range(n, -1, -1):
+        here = reach[position]
+        moves = read_at[position]
+        for low in here:
+            bound = (goal & ~free, goal | guards | low_mask) if position == n else None
+            for _, step in moves[low % n_states]:
+                bound = via(bound, low, step)
+            bounds[low] = bound
+        changed = silent
+        while changed:
+            changed = False
+            for low in here:
+                bound = bounds[low]
+                for _, step in eps_moves[low % n_states]:
+                    bound = via(bound, low, step)
+                if bound != bounds[low]:
+                    bounds[low] = bound
+                    changed = True
+
+    end = n * n_states
     table: set[int] = set()
     # On a YES, (move index, link) for the last move: the start item when
     # the empty computation meets c, else (index, item the move left).
     final: Optional[tuple] = None
-    if not dead:
+    # The start entry writes nothing, so it fits its bound when that needs
+    # nothing.
+    bound = bounds[start]
+    if bound is not None and not bound[0]:
         table.add(start)
-        if len(table) > cap:
-            raise BudgetExceeded(f"table entry cap {cap} exceeded")
+        if len(table) > limit:
+            raise BudgetExceeded(f"table entry cap {limit} exceeded")
         # Stack items: (index of the move that reached it, the item it was
-        # reached from, state index, head, position, census still owed); the
-        # start item has neither.  An item stays alive while a pending item
-        # links to it, so links cost memory along the open paths only.
-        item = (-1, None, start, 0, 0, total)
-        if total == 0 and n == 0:
+        # reached from, key); the start item has neither.  An item stays
+        # alive while a pending item links to it, so links cost memory
+        # along the open paths only.
+        item = (-1, None, start)
+        if n == 0 and total == 0:
             final = item
         stack = [item]
         while stack and final is None:
             item = stack.pop()
-            _, _, state, head, position, owed = item
-            if position < n:
-                checks = checks_at[position]
-                short = [j for j, u, r, need in checks
-                         if head // u % r < need] if checks else ()
-                if len(short) < 2:
-                    # With one letter short, only a move writing it survives.
-                    needed = short[0] if short else None
-                    silent_ok = free_writers or owed < n - position
-                    for index, jw, target, step in read_at[position][state]:
-                        if needed is not None and jw != needed:
-                            continue
-                        if jw < 0:
-                            if not silent_ok:
-                                continue
-                            owed2 = owed
-                        else:
-                            if head // unit[jw] % radix[jw] == targets[jw]:
-                                continue
-                            owed2 = owed - 1
-                        head2 = head + step
-                        key = head2 + target
-                        if key not in table:
-                            table.add(key)
-                            if len(table) > cap:
-                                raise BudgetExceeded(f"table entry cap {cap} exceeded")
-                            if owed2 == 0 and position + 1 == n:
-                                final = (index, item)
-                                break
-                            stack.append((index, item, target, head2, position + 1, owed2))
-                    if final is not None:
-                        break
-            for index, jw, target, step in eps_moves[state]:
-                if jw < 0:
-                    owed2 = owed
-                else:
-                    if head // unit[jw] % radix[jw] == targets[jw]:
+            key = item[2]
+            position, state = divmod(key & low_mask, n_states)
+            for moves in (read_at[position][state], eps_moves[state]):
+                for index, step in moves:
+                    key2 = key + step
+                    low2 = key2 & low_mask
+                    bound = bounds[low2]
+                    if (bound is None
+                            or ((key2 | guards) - bound[0]) & (bound[1] - key2) & guards != guards
+                            or key2 in table):
                         continue
-                    owed2 = owed - 1
-                head2 = head + step
-                key = head2 + target
-                if key not in table:
-                    table.add(key)
-                    if len(table) > cap:
-                        raise BudgetExceeded(f"table entry cap {cap} exceeded")
-                    if owed2 == 0 and position == n:
+                    table.add(key2)
+                    if len(table) > limit:
+                        raise BudgetExceeded(f"table entry cap {limit} exceeded")
+                    if low2 >= end and key2 - low2 == goal:
                         final = (index, item)
                         break
-                    stack.append((index, item, target, head2, position, owed2))
+                    stack.append((index, item, key2))
+                if final is not None:
+                    break
 
     if final is None:
         return None

@@ -43,6 +43,10 @@ class _Reader:
             if parts:
                 yield number, parts
 
+    def last(self) -> int:
+        """The last non-blank line (or 1), where whole-instance errors go."""
+        return max((number for number, _ in self.tokens()), default=1)
+
     def fail(self, line: int, column: int, message: str):
         raise ParseError(self.path, line, column, message)
 
@@ -104,7 +108,7 @@ def parse_multiset(text: str, path: str = "<instance>",
             continue
         entries.append(_entry(reader, parts, line, seen))
     if expect_target and target is None:
-        reader.fail(len(reader.lines) or 1, 1, "missing 's=<int>' line")
+        reader.fail(reader.last(), 1, "missing 's=<int>' line")
     return Multiset(tuple(entries)), target
 
 
@@ -131,7 +135,7 @@ def parse_multiset_sections(text: str, names: tuple[str, ...],
         sections[current].append(
             _entry(reader, parts, line, seen[current], f" in section {current}"))
     if expect_target and target is None:
-        reader.fail(len(reader.lines) or 1, 1, "missing 's=<int>' line")
+        reader.fail(reader.last(), 1, "missing 's=<int>' line")
     # A list comprehension, not tuple(<generator>): its shrunk tuples pile up on free lists.
     multisets = [Multiset(tuple(sections[name])) for name in names]
     return (*multisets, target) if expect_target else tuple(multisets)
@@ -202,9 +206,9 @@ def parse_machine_instance(text: str, path: str = "<instance>",
         reader.fail(line, column, "expected 'from read -> to write'")
     for required in ("states", "start", "input", "output"):
         if required not in headers:
-            reader.fail(len(reader.lines) or 1, 1, f"missing '{required}:' header")
+            reader.fail(reader.last(), 1, f"missing '{required}:' header")
     if not census_seen:
-        reader.fail(len(reader.lines) or 1, 1, "missing 'census:' section")
+        reader.fail(reader.last(), 1, "missing 'census:' section")
     states = {token for token, _ in headers["states"][1][1:]}
     inputs = {_letter(token) for token, _ in headers["input"][1][1:]}
     outputs = {_letter(token) for token, _ in headers["output"][1][1:]}
@@ -237,7 +241,7 @@ def parse_machine_instance(text: str, path: str = "<instance>",
     requirement = CensusRequirement.of(census)
     if with_word:
         if word is None:
-            reader.fail(len(reader.lines) or 1, 1, "missing 'word:' line")
+            reader.fail(reader.last(), 1, "missing 'word:' line")
         word_line, letters = word
         for letter, column in letters:
             if letter == "_":
@@ -283,7 +287,7 @@ def parse_graph(text: str, path: str = "<instance>") -> MulticoloredGraph:
             k=k, classes=tuple([tuple(classes[i]) for i in range(1, k + 1)]),
             edges=tuple(edges))
     except ValueError as error:
-        reader.fail(len(reader.lines) or 1, 1, str(error))
+        reader.fail(reader.last(), 1, str(error))
 
 
 def parse_heat(text: str, path: str = "<instance>") -> HeatInstance:
@@ -310,11 +314,11 @@ def parse_heat(text: str, path: str = "<instance>") -> HeatInstance:
             reader.fail(line, parts[1][1], f"duplicate heat level {heat}")
         census[heat] = count
     if threshold is None or deadline is None:
-        reader.fail(len(reader.lines) or 1, 1, "expected threshold and deadline lines")
+        reader.fail(reader.last(), 1, "expected threshold and deadline lines")
     try:
         return HeatInstance(threshold=threshold, job_census=census, deadline=deadline)
     except ValueError as error:
-        reader.fail(len(reader.lines) or 1, 1, str(error))
+        reader.fail(reader.last(), 1, str(error))
 
 
 def parse_splits(text: str, path: str = "<instance>") -> SplitsInstance:
@@ -341,7 +345,7 @@ def parse_splits(text: str, path: str = "<instance>") -> SplitsInstance:
     try:
         return SplitsInstance(gaps=gaps, job_census=census)
     except ValueError as error:
-        reader.fail(len(reader.lines) or 1, 1, str(error))
+        reader.fail(reader.last(), 1, str(error))
 
 
 def write_multiset(a: Multiset, target: int | None = None) -> str:

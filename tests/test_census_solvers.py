@@ -155,19 +155,47 @@ def test_gwmm_empty_move_chains_bounded():
     assert solve_gwmm(m, "a", CensusRequirement.of({})) is None
 
 
-def test_gwmm_stores_one_entry_per_configuration():
+def test_gwmm_bounds_refute_before_the_first_entry():
     # Empty moves join every pair of six states, and the second a would
-    # write b again: NO.  Its 12 configurations (six states at position 0,
-    # six at position 1 with b = 1) are exactly the entries stored.
+    # write b again: NO.  Every completion from the start writes b twice,
+    # so the start pair has no bound and no entry is stored.
     states = [f"q{i}" for i in range(6)]
     m = machine(states, "q0", {"a", EMPTY}, {"b", EMPTY},
                 [(s, EMPTY, t, EMPTY) for s in states for t in states if s != t]
                 + [("q5", "a", "q5", "b")])
     c = CensusRequirement.of({"b": 1})
     assert not brute_gwmm(m, "aa", c)
-    assert solve_gwmm(m, "aa", c, budget=12) is None
+    assert solve_gwmm(m, "aa", c, budget=0) is None
+
+
+def test_gwmm_bounds_ignore_unreachable_writers():
+    # Only an unreachable state writes y, and an empty self-loop may write
+    # x without end: the start pair's bound already asks for one y.
+    m = machine({"q", "r"}, "q", {"a", EMPTY}, {"x", "y", EMPTY},
+                [("q", EMPTY, "q", "x"), ("q", "a", "q", EMPTY), ("r", "a", "r", "y")])
+    c = CensusRequirement.of({"x": 10**9, "y": 1})
+    assert solve_gwmm(m, "aaa", c, budget=0) is None
+
+
+def test_gwmm_stores_one_entry_per_configuration():
+    # Empty moves join every pair of six start states s0..s5 and of six end
+    # states u0..u5.  From s5, either a writes b into the end states, or an
+    # empty move writes x into t, which then reads a and writes nothing; one
+    # b and one x together are out of reach: NO.  The bounds cut t, whose
+    # completions write no b, and let the other 12 configurations through
+    # (six start states with nothing written, six end states with b = 1),
+    # and each is stored once.
+    starts = [f"s{i}" for i in range(6)]
+    ends = [f"u{i}" for i in range(6)]
+    m = machine(starts + ends + ["t", "v"], "s0", {"a", EMPTY}, {"b", "x", EMPTY},
+                [(p, EMPTY, q, EMPTY) for group in (starts, ends)
+                 for p in group for q in group if p != q]
+                + [("s5", "a", "u0", "b"), ("s5", EMPTY, "t", "x"), ("t", "a", "v", EMPTY)])
+    c = CensusRequirement.of({"b": 1, "x": 1})
+    assert not brute_gwmm(m, "a", c)
+    assert solve_gwmm(m, "a", c, budget=12) is None
     with pytest.raises(BudgetExceeded):
-        solve_gwmm(m, "aa", c, budget=11)
+        solve_gwmm(m, "a", c, budget=11)
 
 
 def test_gwmm_trace_replays_to_census():
@@ -339,11 +367,12 @@ def test_subdivision_preserves_census_reachability():
 def small_gwmm_instances(draw):
     """Machines on up to three states with empty-read moves and empty writes.
 
-    ``free`` lets empty-read moves write a letter, so both settings of the
-    total check are drawn.  ``big`` (with ``free``) adds 10**12 to the count
-    of ``x``, which sorts first, so ``y`` sits above it in the mixed-radix
-    code; empty-read moves then only run from a lower to a higher state, so
-    ``x`` stays far below its count and the table small.
+    ``free`` lets empty-read moves write a letter, so fields with and
+    without a need bound are both drawn.  ``big`` (with ``free``) adds 10**12
+    to the count of ``x``, which widens every packed field to 41 bits;
+    empty-read moves then only run from a lower to a higher state, so no
+    cycle writes ``x``, and ``x`` stays far below its count and the table
+    small.
     """
     free = draw(st.booleans())
     big = free and draw(st.booleans())
@@ -356,7 +385,7 @@ def small_gwmm_instances(draw):
     transitions = set()
     if free:
         # One empty-read move that writes; x when big, so that x has no
-        # per-letter check and the start entry can survive.
+        # need bound and the start entry can survive.
         source = draw(st.integers(0, n - 2 if big else n - 1))
         target = draw(st.integers(source + 1 if big else 0, n - 1))
         writes = "x" if big else draw(st.sampled_from("xy"))
@@ -404,6 +433,15 @@ def census_given_images(seed):
 
 
 def test_census_given_stays_far_below_the_budget():
-    # The largest table of the seed-13 round holds about 23,000 entries.
+    # The largest table of the seed-13 round holds 3,692 entries.
     for m, x, c in census_given_images(13):
-        solve_gwmm(m, x, c, budget=DEFAULT_BUDGET // 50)
+        solve_gwmm(m, x, c, budget=DEFAULT_BUDGET // 400)
+
+
+def test_dense_mcc_image_decided_within_the_budget():
+    # Three classes of five; a-b and b-c edges join equal parities and a-c
+    # edges unequal ones, so no triangle exists.  About 634,000 entries.
+    row = cli.REDUCTIONS["reduce-mcc"]
+    text = row.write(row.reduce(row.parse((FIXTURES / "parity_mcc.txt").read_text(), "parity")))
+    m, x, c = formats.parse_machine_instance(text, "parity", with_word=True)
+    assert solve_gwmm(m, x, c, budget=DEFAULT_BUDGET) is None
