@@ -27,7 +27,7 @@ print("exists-word: can it ever emit exactly 2 snacks and 3 tunes?")
 census = CensusRequirement.of({"snack": 2, "tune": 3})
 cert = solve_ewmm(machine, census)  # a walk decomposition over subdivide(machine)
 walk = cert.walk()
-word = [t.reads for t in walk if t.reads is not EMPTY]
+word = [t.reads for t in walk if t.reads != EMPTY]
 print("  one such input word:", " ".join(word))
 simple = subdivide(machine)
 choices = [simple.transitions.index(t) for t in walk]

@@ -26,7 +26,7 @@ instance = HeatInstance(threshold=3, job_census={4: 2, 1: 2}, deadline=6)
 machine, census = heat_to_ewmm(instance)
 cert = solve_ewmm(machine, census)
 if cert:
-    order = [t.writes for t in cert.walk() if t.writes is not EMPTY]
+    order = [t.writes for t in cert.walk() if t.writes != EMPTY]
     print("feasible heat order:", " ".join(order))
 else:
     print("infeasible")

@@ -78,7 +78,7 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
     silent_box = c.total() + 1
     arcs = []  # (index, transition, variable, box) for each transition a walk may take
     for i, t in enumerate(m.transitions):
-        box = silent_box if t.writes is EMPTY else counts.get(t.writes, 0)
+        box = silent_box if t.writes == EMPTY else counts.get(t.writes, 0)
         if box:
             arcs.append((i, t, f"y{i}", box))
     variables = [(name, 0, box) for _, _, name, box in arcs]
@@ -93,7 +93,7 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
         if t.source != t.target:
             balance[number[t.source]][name] = -1
             balance[number[t.target]][name] = 1
-        if t.writes is not EMPTY:
+        if t.writes != EMPTY:
             census_rows[t.writes][name] = 1
     constraints = [Constraint({f"z{k}": -1 for k in range(len(names))}, EQ, -1)]
     constraints += [Constraint(row, EQ, -int(names[k] == m.start))
@@ -179,7 +179,7 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
     raises BudgetExceeded when it is spent; otherwise exact.
     """
     for letter in x:
-        if letter is EMPTY:
+        if letter == EMPTY:
             raise ValueError("the empty letter cannot occur inside the input word")
         if letter not in m.input_alphabet:
             raise ValueError(f"input letter {letter!r} not in the input alphabet")
@@ -212,7 +212,7 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
     # x[i]; read_at[n] has none.  free marks the fields that an empty-read
     # move writes.
     eps_moves: list[list[tuple[int, int]]] = [[] for _ in names]
-    by_letter: dict[object, list[list[tuple[int, int]]]] = {}
+    by_letter: dict[str, list[list[tuple[int, int]]]] = {}
     weight_of[EMPTY] = 0
     free = 0
     for index, t in enumerate(m.transitions):
@@ -220,7 +220,7 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
         if weight is None:
             continue
         source, target = number[t.source], number[t.target]
-        if t.reads is EMPTY:
+        if t.reads == EMPTY:
             eps_moves[source].append((index, weight + target - source))
             free |= weight * full
         else:

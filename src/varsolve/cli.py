@@ -6,7 +6,7 @@ takes no target, an unreadable instance file, and any other exception (an
 internal error, printed as ``error: internal: <Type>: <message>``, never
 read as No), 3 for an unknown verdict (a budget ran out: integer-program
 nodes for ``ewmm`` and the five multiset subcommands, given-word table
-entries for ``gwmm``).
+entries for ``gwmm``; stderr then says which, as ``budget: <message>``).
 
 Every solver subcommand is a row of ``SOLVERS`` and every reduction a row
 of ``REDUCTIONS``.  A row reaches its solver, reduction, parser and writer
@@ -21,7 +21,7 @@ import argparse
 import functools
 import sys
 import time
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from . import corpus, formats
 from .census_solvers import DEFAULT_BUDGET, solve_ewmm, solve_gwmm
@@ -78,13 +78,13 @@ class Solver(NamedTuple):
 
     help: str
     parse: Callable  # (text, path) -> instance tuple
-    # (*instance[, budget=N][, on_program=f]) -> certificate, or None for NO
+    # (*instance, budget=N[, on_program=f]) -> certificate, or None for NO
     solve: Callable
     show: Callable   # (certificate, instance): print the certificate
+    budget: str      # --budget N: the unit N counts, passed on to solve
     # --dump-ilp: solve hands the program it builds to on_program, if it
     # builds one (a guard may answer without).
     dump_ilp: bool = False
-    budget: Optional[str] = None  # --budget N: the unit N counts, passed on to solve
 
 
 _ILP_NODES = "integer-program nodes"
@@ -177,14 +177,15 @@ REDUCTIONS = {
 def _cmd_solve(args) -> int:
     row = SOLVERS[args.command]
     instance = row.parse(*_read(args.instance))
-    options = {"budget": args.budget} if row.budget else {}
+    options = {"budget": args.budget}
     programs = []
     if row.dump_ilp and args.dump_ilp:
         options["on_program"] = programs.append
     try:
         cert = row.solve(*instance, **options)
-    except BudgetExceeded:
+    except BudgetExceeded as error:
         print("UNKNOWN")
+        print(f"budget: {error}", file=sys.stderr)
         return UNKNOWN
     for program in programs:
         print(dump_program(program))
@@ -243,9 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
         if row.dump_ilp:
             p.add_argument("--dump-ilp", action="store_true",
                            help="print the constructed integer program")
-        if row.budget:
-            p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
-                           help=f"cap on {row.budget} before reporting UNKNOWN")
+        p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                       help=f"cap on {row.budget} before reporting UNKNOWN")
         p.set_defaults(handler=_cmd_solve)
     for name, row in REDUCTIONS.items():
         p = sub.add_parser(name, help=row.help)

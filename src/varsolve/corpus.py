@@ -189,7 +189,7 @@ def random_walk(rng: random.Random, m: MealyMachine, max_len: int = 40):
 def random_census(rng: random.Random, m: MealyMachine,
                   max_total: int = 6) -> CensusRequirement:
     """Half the time the census of an actual random walk, else random counts."""
-    letters = sorted(l for l in m.output_alphabet if l is not EMPTY)
+    letters = sorted(l for l in m.output_alphabet if l != EMPTY)
     if rng.random() < 0.5:
         counts: dict[str, int] = {}
         state = m.start
@@ -198,7 +198,7 @@ def random_census(rng: random.Random, m: MealyMachine,
             if not moves:
                 break
             t = rng.choice(moves)
-            if t.writes is not EMPTY:
+            if t.writes != EMPTY:
                 counts[t.writes] = counts.get(t.writes, 0) + 1
             state = t.target
         return CensusRequirement.of(counts)
@@ -213,7 +213,7 @@ def random_census(rng: random.Random, m: MealyMachine,
 
 
 def random_word(rng: random.Random, m: MealyMachine, max_len: int = 6) -> tuple:
-    letters = sorted(l for l in m.input_alphabet if l is not EMPTY)
+    letters = sorted(l for l in m.input_alphabet if l != EMPTY)
     if not letters:
         return ()
     return tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len)))
@@ -228,13 +228,13 @@ def random_gwmm_census(rng: random.Random, m: MealyMachine,
         counts: dict[str, int] = {}
         for _ in range(len(x) + 2 * len(m.states) + 2):
             moves = [t for t in m.transitions_from(state)
-                     if t.reads is EMPTY or (pos < len(x) and t.reads == x[pos])]
+                     if t.reads == EMPTY or (pos < len(x) and t.reads == x[pos])]
             if not moves:
                 break
             t = rng.choice(moves)
-            if t.reads is not EMPTY:
+            if t.reads != EMPTY:
                 pos += 1
-            if t.writes is not EMPTY:
+            if t.writes != EMPTY:
                 counts[t.writes] = counts.get(t.writes, 0) + 1
             state = t.target
             if pos == len(x) and rng.random() < 0.4:
@@ -358,7 +358,7 @@ def _walk_replays(m: MealyMachine, c: CensusRequirement, decomposition) -> bool:
     """Whether the decomposition's walk runs on ``subdivide(m)`` and meets c."""
     sub = subdivide(m)
     walk = decomposition.walk()
-    word = tuple(t.reads for t in walk if t.reads is not EMPTY)
+    word = tuple(t.reads for t in walk if t.reads != EMPTY)
     return census_of(run(sub, word, [sub.transitions.index(t) for t in walk])) == c
 
 
@@ -425,7 +425,7 @@ def _check_gwmm_guard(seed: int, count: int = 30) -> int:
     while checked < count:
         m = random_machine(rng, allow_empty=False)
         x = random_word(rng, m)
-        letters = sorted(l for l in m.output_alphabet if l is not EMPTY)
+        letters = sorted(l for l in m.output_alphabet if l != EMPTY)
         counts: dict[str, int] = {}
         for _ in range(len(x) + rng.randint(1, 3)):
             letter = rng.choice(letters)

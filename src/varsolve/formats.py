@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mealy import EMPTY, CensusRequirement, MealyMachine, Transition
+from .mealy import (EMPTY, CensusRequirement, MealyMachine, Transition,
+                    letter_text)
 from .reductions import HeatInstance, MulticoloredGraph, SplitsInstance
 from .variety import Multiset
 
@@ -62,6 +63,13 @@ def _int(reader: _Reader, token: str, line: int, column: int, what: str,
     return value
 
 
+def _alone(reader: _Reader, parts, line: int, what: str) -> None:
+    """Reject a token after the first on a line that holds only ``what``."""
+    if len(parts) > 1:
+        extra, column = parts[1]
+        reader.fail(line, column, f"unexpected {extra!r} after the {what}")
+
+
 def _target(reader: _Reader, parts, line: int, previous: int | None,
             expected: bool) -> int:
     """The integer of an ``s=<int>`` line that stands alone, comes once, and
@@ -71,9 +79,7 @@ def _target(reader: _Reader, parts, line: int, previous: int | None,
         reader.fail(line, column, "unexpected 's=' line; this problem takes no target")
     if previous is not None:
         reader.fail(line, column, "second 's=' line; the target is given once")
-    if len(parts) > 1:
-        extra, extra_column = parts[1]
-        reader.fail(line, extra_column, f"unexpected {extra!r} after the target")
+    _alone(reader, parts, line, "target")
     return _int(reader, token[2:], line, column + 2, "target integer")
 
 
@@ -141,12 +147,8 @@ def parse_multiset_sections(text: str, names: tuple[str, ...],
     return (*multisets, target) if expect_target else tuple(multisets)
 
 
-def _letter(token: str):
+def _letter(token: str) -> str:
     return EMPTY if token == "_" else token
-
-
-def _letter_text(letter) -> str:
-    return "_" if letter is EMPTY else str(letter)
 
 
 def parse_machine_instance(text: str, path: str = "<instance>",
@@ -253,17 +255,23 @@ def parse_machine_instance(text: str, path: str = "<instance>",
 
 
 def parse_graph(text: str, path: str = "<instance>") -> MulticoloredGraph:
-    """First line k, then ``class i: v1 v2 ...`` lines, then ``edge u v``."""
+    """First line k, then ``class i: v1 v2 ...`` lines, then ``edge u v``.
+
+    No vertex is listed twice, and every edge joins two listed vertices of
+    different classes and comes once.
+    """
     reader = _Reader.of(text, path)
     k = None
     classes: dict[int, list[str]] = {}
-    edges: list[tuple[str, str]] = []
+    owner: dict[str, int] = {}  # vertex -> its class index
+    edges = []  # (line, parts) of each edge line
     for line, parts in reader.tokens():
         token, column = parts[0]
         if k is None:
             k = _int(reader, token, line, column, "class count k")
             if k < 1:
                 reader.fail(line, column, "k must be positive")
+            _alone(reader, parts, line, "class count k")
             classes = {i: [] for i in range(1, k + 1)}
             continue
         if token == "class":
@@ -272,22 +280,33 @@ def parse_graph(text: str, path: str = "<instance>") -> MulticoloredGraph:
             index = _int(reader, parts[1][0][:-1], line, parts[1][1], "class index")
             if index not in classes:
                 reader.fail(line, parts[1][1], f"class index {index} outside 1..{k}")
-            classes[index].extend(t for t, _ in parts[2:])
+            for vertex, vertex_column in parts[2:]:
+                if vertex in owner:
+                    reader.fail(line, vertex_column, f"vertex {vertex!r} appears twice")
+                owner[vertex] = index
+                classes[index].append(vertex)
             continue
         if token == "edge":
             if len(parts) != 3:
                 reader.fail(line, column, "expected 'edge u v'")
-            edges.append((parts[1][0], parts[2][0]))
+            edges.append((line, parts))
             continue
         reader.fail(line, column, f"unexpected token {token!r}")
     if k is None:
         reader.fail(1, 1, "empty graph instance")
-    try:
-        return MulticoloredGraph(
-            k=k, classes=tuple([tuple(classes[i]) for i in range(1, k + 1)]),
-            edges=tuple(edges))
-    except ValueError as error:
-        reader.fail(reader.last(), 1, str(error))
+    seen = set()
+    for line, ((_, column), (u, u_column), (v, v_column)) in edges:
+        for vertex, vertex_column in ((u, u_column), (v, v_column)):
+            if vertex not in owner:
+                reader.fail(line, vertex_column, f"edge endpoint {vertex!r} not a vertex")
+        if owner[u] == owner[v]:
+            reader.fail(line, column, f"edge {u!r}-{v!r} inside one class")
+        if frozenset((u, v)) in seen:
+            reader.fail(line, column, f"duplicate edge {u!r}-{v!r}")
+        seen.add(frozenset((u, v)))
+    return MulticoloredGraph(
+        k=k, classes=tuple([tuple(classes[i]) for i in range(1, k + 1)]),
+        edges=tuple([(parts[1][0], parts[2][0]) for _, parts in edges]))
 
 
 def parse_heat(text: str, path: str = "<instance>") -> HeatInstance:
@@ -300,9 +319,11 @@ def parse_heat(text: str, path: str = "<instance>") -> HeatInstance:
         token, column = parts[0]
         if threshold is None:
             threshold = _int(reader, token, line, column, "temperature threshold", 0)
+            _alone(reader, parts, line, "temperature threshold")
             continue
         if deadline is None:
             deadline = _int(reader, token, line, column, "deadline", 0)
+            _alone(reader, parts, line, "deadline")
             continue
         if token != "job" or len(parts) != 3:
             reader.fail(line, column, "expected 'job heat count'")
@@ -370,8 +391,8 @@ def write_machine_instance(m: MealyMachine, census: CensusRequirement,
     lines = [
         "states: " + " ".join(sorted(m.states)),
         "start: " + m.start,
-        "input: " + " ".join(_letter_text(l) for l in sorted(m.input_alphabet)),
-        "output: " + " ".join(_letter_text(l) for l in sorted(m.output_alphabet)),
+        "input: " + " ".join(letter_text(l) for l in sorted(m.input_alphabet)),
+        "output: " + " ".join(letter_text(l) for l in sorted(m.output_alphabet)),
     ]
     lines.extend(t.text() for t in m.transitions)
     if word is not None:

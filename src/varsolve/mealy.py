@@ -1,11 +1,12 @@
 """Nondeterministic dual-alphabet transition systems with letter censuses.
 
 A machine reads one input letter (or the empty letter) per transition and
-writes one output letter (or the empty letter).  This module provides the
-machine model, execution, transition subdivision to a simple underlying
-digraph, exact output-letter censuses, and the decomposition of a walk, or
-of its transition counts, into a short base walk plus anchored short loops
-with execution counts.
+writes one output letter (or the empty letter).  Letters are strings; the
+empty letter ``EMPTY`` is the empty string ``""``, spelled ``_`` in machine
+files.  This module provides the machine model, execution, transition
+subdivision to a simple underlying digraph, exact output-letter censuses,
+and the decomposition of a walk, or of its transition counts, into a short
+base walk plus anchored short loops with execution counts.
 """
 
 from __future__ import annotations
@@ -15,41 +16,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
-class EmptyLetter:
-    """Distinguished empty letter; a sentinel, not the absence of a letter."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "EMPTY"
-
-    def __deepcopy__(self, memo):
-        return self
-
-    def __copy__(self):
-        return self
-
-    # Orderable against letters so transition tuples sort deterministically;
-    # the empty letter sorts before everything else.
-    def __lt__(self, other):
-        return other is not self
-
-    def __gt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return True
-
-    def __ge__(self, other):
-        return other is self
+# The empty letter is the empty word.  Every letter a machine reads or writes
+# is a non-empty string, so "" stands apart from them and sorts before them.
+EMPTY = ""
 
 
-EMPTY = EmptyLetter()
+def letter_text(letter: str) -> str:
+    """A letter as machine files spell it: the empty letter is ``_``."""
+    return "_" if letter == EMPTY else str(letter)
 
 
 class IllegalChoice(ValueError):
@@ -66,14 +40,13 @@ class NotAWalk(ValueError):
 
 class Transition(NamedTuple):
     source: str
-    reads: object
+    reads: str
     target: str
-    writes: object
+    writes: str
 
     def text(self) -> str:
-        reads = "_" if self.reads is EMPTY else str(self.reads)
-        writes = "_" if self.writes is EMPTY else str(self.writes)
-        return f"{self.source} {reads} -> {self.target} {writes}"
+        return (f"{self.source} {letter_text(self.reads)} -> "
+                f"{self.target} {letter_text(self.writes)}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +54,9 @@ class MealyMachine:
     """States, a start state, two alphabets, and a set of transitions.
 
     Nondeterminism is allowed: several transitions may share the same
-    (source, reads) pair.  Either alphabet may contain EMPTY; machines that
-    avoid the empty letter simply never list it.
+    (source, reads) pair.  Letters are non-empty strings, except that either
+    alphabet may contain the empty letter EMPTY, the empty string ``""``;
+    machines that avoid the empty letter simply never list it.
     """
 
     states: frozenset[str]
@@ -126,7 +100,7 @@ class CensusRequirement:
     def __post_init__(self):
         seen = set()
         for letter, count in self.counts:
-            if letter is EMPTY:
+            if letter == EMPTY:
                 raise ValueError("the empty letter carries no census entry")
             if count < 0:
                 raise ValueError(f"negative census count for {letter!r}")
@@ -159,7 +133,7 @@ class CensusRequirement:
 
 def census_of(word: Iterable) -> CensusRequirement:
     """Exact letter counts of an output word, with EMPTY dropped."""
-    return CensusRequirement.of(Counter(l for l in word if l is not EMPTY))
+    return CensusRequirement.of(Counter(l for l in word if l != EMPTY))
 
 
 def subdivide(m: MealyMachine) -> MealyMachine:
@@ -210,12 +184,12 @@ def run(m: MealyMachine, word: Sequence, choices: Sequence[int]) -> tuple:
         if t.source != state:
             raise IllegalChoice(
                 f"step {step}: transition {t.text()} does not leave state {state!r}")
-        if t.reads is not EMPTY:
+        if t.reads != EMPTY:
             if pos >= len(word) or word[pos] != t.reads:
                 raise IllegalChoice(
                     f"step {step}: transition {t.text()} cannot read input position {pos}")
             pos += 1
-        if t.writes is not EMPTY:
+        if t.writes != EMPTY:
             output.append(t.writes)
         state = t.target
     if pos != len(word):

@@ -182,7 +182,7 @@ def brute_ewmm(m: MealyMachine, c: CensusRequirement,
         for t in m.transitions:
             if t.source != state:
                 continue
-            if t.writes is EMPTY:
+            if t.writes == EMPTY:
                 census2 = census
             else:
                 j = index_of.get(t.writes)
@@ -220,9 +220,9 @@ def brute_gwmm(m: MealyMachine, x, c: CensusRequirement,
         for t in m.transitions:
             if t.source != state:
                 continue
-            if t.reads is EMPTY:
+            if t.reads == EMPTY:
                 pos2 = pos
-                run2 = run + 1 if t.writes is EMPTY else 0
+                run2 = run + 1 if t.writes == EMPTY else 0
                 if run2 >= limit:
                     continue
             else:
@@ -230,7 +230,7 @@ def brute_gwmm(m: MealyMachine, x, c: CensusRequirement,
                     continue
                 pos2 = pos + 1
                 run2 = 0
-            if t.writes is EMPTY:
+            if t.writes == EMPTY:
                 census2 = census
             else:
                 j = index_of.get(t.writes)

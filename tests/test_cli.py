@@ -124,10 +124,11 @@ def test_gwmm_certificate_replays(capsys):
 
 def test_ewmm_unknown_exit_code(capsys):
     # The instance is decided at the root node, so only a zero budget runs out.
-    code, out, _ = run_cli(capsys, "ewmm", str(FIXTURES / "loop_ewmm.txt"),
-                           "--budget", "0")
+    code, out, err = run_cli(capsys, "ewmm", str(FIXTURES / "loop_ewmm.txt"),
+                             "--budget", "0")
     assert code == 3
     assert out.strip() == "UNKNOWN"
+    assert err == "budget: node cap 0 exceeded\n"
 
 
 def test_ewmm_budget_stops_a_scaled_census(capsys, monkeypatch):
@@ -147,15 +148,17 @@ def test_gwmm_budget_reports_unknown(capsys, monkeypatch):
     code, reduced, _ = run_cli(capsys, "reduce-mcc", str(FIXTURES / "triangle.txt"))
     assert code == 0
     monkeypatch.setattr("sys.stdin", io.StringIO(reduced))
-    code, out, _ = run_cli(capsys, "gwmm", "-", "--budget", "10")
+    code, out, err = run_cli(capsys, "gwmm", "-", "--budget", "10")
     assert code == 3
     assert out.strip() == "UNKNOWN"
+    assert err == "budget: table entry cap 10 exceeded\n"
 
 
 def test_multiset_budget_reports_unknown(capsys):
     # The root node alone uses up a zero budget; the default decides it.
     cliff = str(FIXTURES / "ss_cliff.txt")
-    assert run_cli(capsys, "subsetsum", cliff, "--budget", "0")[:2] == (3, "UNKNOWN\n")
+    assert run_cli(capsys, "subsetsum", cliff, "--budget", "0") == (
+        3, "UNKNOWN\n", "budget: node cap 0 exceeded\n")
     assert run_cli(capsys, "subsetsum", cliff)[:2] == (0, "YES\n")
 
 
@@ -259,6 +262,22 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_package_compares_the_empty_letter_by_value():
+    # EMPTY is the string "": an ``is`` on it holds only while CPython interns "".
+    def empty(node):
+        return (isinstance(node, ast.Name) and node.id == "EMPTY"
+                or isinstance(node, ast.Attribute) and node.attr == "EMPTY")
+
+    for path in sorted(Path(varsolve.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                if isinstance(op, (ast.Is, ast.IsNot)):
+                    assert not (empty(left) or empty(right)), (path.name, node.lineno)
 
 
 def test_verify_single_family(capsys):

@@ -150,6 +150,24 @@ def test_graph_errors():
     assert "inside one class" in str(info.value)
 
 
+GRAPH = "2\nclass 1: a1 a2\nclass 2: b1 b2\nedge a1 b1\nedge a2 b2\n"
+
+
+@pytest.mark.parametrize("old, new, where, message", [
+    ("2\n", "2 7\n", "1:3", "unexpected '7' after the class count k"),
+    ("class 2: b1 b2", "class 2: b1 a1", "3:13", "vertex 'a1' appears twice"),
+    ("edge a1 b1", "edge zz b1", "4:6", "edge endpoint 'zz' not a vertex"),
+    ("edge a1 b1", "edge a1 zz", "4:9", "edge endpoint 'zz' not a vertex"),
+    ("edge a1 b1", "edge a1 a2", "4:1", "edge 'a1'-'a2' inside one class"),
+    ("edge a1 b1\n", "edge a1 b1\nedge b1 a1\n", "5:1", "duplicate edge 'b1'-'a1'"),
+], ids=["k-line", "vertex-twice", "first-endpoint", "second-endpoint", "in-class-edge",
+        "duplicate-edge"])
+def test_graph_errors_located_at_their_token(old, new, where, message):
+    with pytest.raises(ParseError) as info:
+        parse_graph(GRAPH.replace(old, new, 1), path="g.txt")
+    assert str(info.value) == f"g.txt:{where}: {message}"
+
+
 def test_heat_roundtrip():
     h = HeatInstance(threshold=2, job_census={1: 2, 4: 1}, deadline=5)
     assert parse_heat(write_heat(h)) == h
@@ -165,13 +183,15 @@ def test_splits_roundtrip():
     (parse_heat, "1\n5\njob 0 -1\n\n", "3:7", "job count must be at least 0, got -1"),
     (parse_heat, "1\n5\njob 3 1\n\n", "3:5", "heat level 3 outside 0..2"),
     (parse_heat, "-1\n5\n", "1:1", "temperature threshold must be at least 0, got -1"),
+    (parse_heat, "2 5\n5\njob 0 1\n", "1:3", "unexpected '5' after the temperature threshold"),
+    (parse_heat, "1\n2 5\njob 0 1\n", "2:3", "unexpected '5' after the deadline"),
     (parse_splits, "gaps: 1\njob 1 -1\n\n", "2:7", "job count must be at least 0, got -1"),
     (parse_splits, "gaps: 1 0\njob 1 1\n\n", "1:9", "gap must be at least 1, got 0"),
     (parse_splits, "gaps: 1\njob 0 1\n\n", "2:5", "job length must be at least 1, got 0"),
     (parse_splits, "gaps: 1 2\ngaps: 3\njob 3 1\n", "2:1",
      "second 'gaps:' line; the gaps are given once"),
-], ids=["heat-negative-count", "heat-level", "threshold", "splits-negative-count",
-        "gap", "job-length", "second-gaps"])
+], ids=["heat-negative-count", "heat-level", "threshold", "threshold-line", "deadline-line",
+        "splits-negative-count", "gap", "job-length", "second-gaps"])
 def test_job_errors_located_at_their_token(parse, text, where, message):
     with pytest.raises(ParseError) as info:
         parse(text, path="j.txt")
