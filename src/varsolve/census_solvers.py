@@ -103,8 +103,11 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
 
     left = budget
     while True:
-        assignment = solve_feasibility(
-            IntegerProgram(tuple(variables), tuple(constraints)), budget=left)
+        try:
+            assignment = solve_feasibility(
+                IntegerProgram(tuple(variables), tuple(constraints)), budget=left)
+        except BudgetExceeded:
+            raise BudgetExceeded(f"node cap {budget} exceeded") from None
         if assignment is None:
             return None
         if left is not None:

@@ -362,7 +362,7 @@ def parse_splits(text: str, path: str = "<instance>") -> SplitsInstance:
             reader.fail(line, parts[1][1], f"duplicate job length {length}")
         census[length] = count
     if gaps is None:
-        reader.fail(1, 1, "missing 'gaps:' line")
+        reader.fail(reader.last(), 1, "missing 'gaps:' line")
     try:
         return SplitsInstance(gaps=gaps, job_census=census)
     except ValueError as error:

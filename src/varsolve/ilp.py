@@ -16,12 +16,13 @@ not limited by Python's recursion limit.  A budget caps the number of
 search nodes.  All arithmetic is exact unbounded-magnitude Python integers;
 there is no floating-point relaxation anywhere.
 
-Each solve compiles the program once into index form: boxes in two int
-lists, rows as lists of nonzero (index, coefficient) terms, and a watch
-list of rows per variable.  Propagation works from a queue of rows whose
-boxes moved (AC-3 style), so a search node revisits only the rows its
-branch touched, and every box change goes on a trail that backtracking
-undoes, so no node copies the boxes.
+Each solve reads the program once: the compile rejects a malformed program
+and turns it into index form, with boxes in two int lists, rows as lists of
+nonzero (index, coefficient) terms (a ``>=`` row stored as the ``<=`` row of
+its negation) and a watch list of rows per variable.  Propagation works
+from a queue of rows whose boxes moved (AC-3 style), so a search node
+revisits only the rows its branch touched, and every box change goes on a
+trail that backtracking undoes, so no node copies the boxes.
 """
 from __future__ import annotations
 
@@ -62,23 +63,6 @@ class IntegerProgram:
 
     variables: tuple[tuple[str, int, int], ...]
     constraints: tuple[Constraint, ...]
-
-    def validate(self) -> None:
-        seen = set()
-        for name, lower, upper in self.variables:
-            if name in seen:
-                raise MalformedProgram(f"duplicate variable {name!r}")
-            seen.add(name)
-            if lower > upper:
-                raise MalformedProgram(
-                    f"variable {name!r} has empty box [{lower}, {upper}]")
-        for con in self.constraints:
-            if con.relation not in _RELATIONS:
-                raise MalformedProgram(f"unknown relation {con.relation!r}")
-            for name in con.coeffs:
-                if name not in seen:
-                    raise MalformedProgram(
-                        f"coefficient on undeclared variable {name!r}")
 
     def variable_names(self) -> list[str]:
         # A list comprehension, not tuple(<generator>): its shrunk tuples pile up on free lists.
@@ -152,27 +136,44 @@ class _Boxes:
     """A program compiled to index form, with its boxes, row queue and trail.
 
     Variable k is the k-th declared one.  Each row becomes (terms, relation,
-    rhs) with ``terms`` its nonzero (index, coefficient) pairs, and
-    ``watch[k]`` lists the rows that hold variable k.  The boxes are the two
-    int lists ``lo`` and ``hi``.  Every box change appends (index, old lo,
-    old hi) to ``trail`` and queues the rows watching that variable, so
-    ``undo`` restores any earlier state and ``propagate`` revisits only the
-    rows whose boxes moved.
+    rhs) with ``terms`` its nonzero (index, coefficient) pairs; a ``>=`` row
+    is stored as the ``<=`` row of its negation, so relation is ``<=`` or
+    ``=``.  ``watch[k]`` lists the rows that hold variable k.  The boxes are
+    the two int lists ``lo`` and ``hi``.  Every box change appends (index,
+    old lo, old hi) to ``trail`` and queues the rows watching that variable,
+    so ``undo`` restores any earlier state and ``propagate`` revisits only
+    the rows whose boxes moved.  Compiling raises MalformedProgram on a
+    duplicate variable, an empty box, an unknown relation or a coefficient
+    on an undeclared variable.
     """
 
     __slots__ = ("rows", "watch", "lo", "hi", "trail", "queue", "queued")
 
     def __init__(self, program: IntegerProgram):
-        index = {name: k for k, (name, _, _) in enumerate(program.variables)}
+        index: dict[str, int] = {}
+        for name, lo, hi in program.variables:
+            if name in index:
+                raise MalformedProgram(f"duplicate variable {name!r}")
+            if lo > hi:
+                raise MalformedProgram(f"variable {name!r} has empty box [{lo}, {hi}]")
+            index[name] = len(index)
         self.lo = [lo for _, lo, _ in program.variables]
         self.hi = [hi for _, _, hi in program.variables]
         self.watch: list[list[int]] = [[] for _ in program.variables]
         self.rows = []
         for r, con in enumerate(program.constraints):
-            terms = [(index[name], c) for name, c in con.coeffs.items() if c]
-            for k, _ in terms:
-                self.watch[k].append(r)
-            self.rows.append((terms, con.relation, con.rhs))
+            if con.relation not in _RELATIONS:
+                raise MalformedProgram(f"unknown relation {con.relation!r}")
+            sign = -1 if con.relation == GE else 1
+            terms = []
+            for name, c in con.coeffs.items():
+                k = index.get(name)
+                if k is None:
+                    raise MalformedProgram(f"coefficient on undeclared variable {name!r}")
+                if c:
+                    terms.append((k, sign * c))
+                    self.watch[k].append(r)
+            self.rows.append((terms, EQ if con.relation == EQ else LE, sign * con.rhs))
         self.trail: list[tuple[int, int, int]] = []
         # The first propagation visits every row.
         self.queue = deque(range(len(self.rows)))
@@ -237,11 +238,10 @@ class _Boxes:
                         if box is not None:
                             narrow(unfixed[0][0], *box)
 
-                # Treat as one or two one-sided forms: sum <= rhs and/or sum >= rhs.
+                # sum <= rhs, and for an equality also sum >= rhs.
                 min_act, max_act = _activity(terms, lo, hi)
-                upper = relation != GE
-                lower = relation != LE
-                if upper and min_act > rhs:
+                lower = relation == EQ
+                if min_act > rhs:
                     raise ProvenInfeasible("minimum activity exceeds bound")
                 if lower and max_act < rhs:
                     raise ProvenInfeasible("maximum activity below bound")
@@ -249,21 +249,19 @@ class _Boxes:
                     old_lo = new_lo = lo[k]
                     old_hi = new_hi = hi[k]
                     if c > 0:
-                        if upper:
-                            # c*x <= rhs - min activity of the other terms
-                            bound = (rhs - min_act + c * old_lo) // c
-                            if bound < new_hi:
-                                new_hi = bound
+                        # c*x <= rhs - min activity of the other terms
+                        bound = (rhs - min_act + c * old_lo) // c
+                        if bound < new_hi:
+                            new_hi = bound
                         if lower:
                             # c*x >= rhs - max activity of the other terms
                             bound = -((max_act - c * old_hi - rhs) // c)
                             if bound > new_lo:
                                 new_lo = bound
                     else:
-                        if upper:
-                            bound = -((min_act - c * old_hi - rhs) // c)
-                            if bound > new_lo:
-                                new_lo = bound
+                        bound = -((min_act - c * old_hi - rhs) // c)
+                        if bound > new_lo:
+                            new_lo = bound
                         if lower:
                             bound = (rhs - max_act + c * old_lo) // c
                             if bound < new_hi:
@@ -282,7 +280,6 @@ class _Boxes:
 
 def propagate_bounds(program: IntegerProgram) -> IntegerProgram:
     """Return an equivalent program with boxes tightened to a fixpoint."""
-    program.validate()
     boxes = _Boxes(program)
     boxes.propagate()
     variables = tuple([(name, lo, hi) for (name, _, _), lo, hi
@@ -290,36 +287,35 @@ def propagate_bounds(program: IntegerProgram) -> IntegerProgram:
     return IntegerProgram(variables=variables, constraints=program.constraints)
 
 
-def _equalities_consistent(program: IntegerProgram) -> bool:
-    """Whether the equality rows have a rational solution, ignoring boxes.
+def _equalities_consistent(rows: list[tuple[list[tuple[int, int]], str, int]]) -> bool:
+    """Whether the compiled equality rows have a rational solution, ignoring boxes.
 
     Fraction-free Gaussian elimination over sparse integer rows, with the
     right-hand side carried along and each row divided by its gcd; the
     equalities are inconsistent exactly when a row reduces to ``0 = r`` with
     r != 0.
     """
-    pivots: list[tuple[str, dict[str, int], int]] = []
-    for con in program.constraints:
-        if con.relation != EQ:
+    pivots: list[tuple[int, dict[int, int], int]] = []
+    for terms, relation, rhs in rows:
+        if relation != EQ:
             continue
-        row = {name: c for name, c in con.coeffs.items() if c}
-        rhs = con.rhs
+        row = dict(terms)
         for var, prow, prhs in pivots:
             c = row.get(var)
             if not c:
                 continue
             p = prow[var]
-            row = {name: p * c_row for name, c_row in row.items()}
-            for name, c_piv in prow.items():
-                value = row.get(name, 0) - c * c_piv
+            row = {k: p * c_row for k, c_row in row.items()}
+            for k, c_piv in prow.items():
+                value = row.get(k, 0) - c * c_piv
                 if value:
-                    row[name] = value
+                    row[k] = value
                 else:
-                    row.pop(name, None)
+                    row.pop(k, None)
             rhs = p * rhs - c * prhs
             g = math.gcd(rhs, *row.values())
             if g > 1:
-                row = {name: value // g for name, value in row.items()}
+                row = {k: value // g for k, value in row.items()}
                 rhs //= g
         if row:
             pivots.append((next(iter(row)), row, rhs))
@@ -366,10 +362,10 @@ def solve_feasibility(program: IntegerProgram,
     no rational solution; interval passes alone would shave such boxes one
     unit per pass.
 
-    The program is compiled once per call (``_Boxes``): variables become
-    indices into two int lists of box ends, rows become lists of nonzero
-    (index, coefficient) terms, and each variable gets a watch list of the
-    rows that hold it.  The root propagates every row; a child fixes its
+    The program is compiled once per call (``_Boxes``), and the rank check
+    reads the compiled rows: variables become indices into two int lists of
+    box ends, rows become lists of nonzero (index, coefficient) terms, and
+    each variable gets a watch list of the rows that hold it.  The root propagates every row; a child fixes its
     branch variable and propagates from a queue holding only that
     variable's rows, since its parent is already at a fixpoint, and rows
     re-enter the queue only when one of their boxes moves.  Every box change
@@ -390,16 +386,17 @@ def solve_feasibility(program: IntegerProgram,
     Spends one unit of ``budget`` (None: no cap) per search node: the root
     and every child whose box is fixed to a branch value, before it is
     propagated.  Raises BudgetExceeded when it is spent before a verdict.
+    A witness is re-checked on the program (``satisfies``); a failure is a
+    fault of the engine and raises AssertionError.
     """
-    program.validate()
+    boxes = _Boxes(program)
     cap = math.inf if budget is None else budget
     nodes = 1
     if nodes > cap:
         raise BudgetExceeded(f"node cap {budget} exceeded")
-    if (sum(con.relation == EQ for con in program.constraints) >= 2
-            and not _equalities_consistent(program)):
+    if (sum(relation == EQ for _, relation, _ in boxes.rows) >= 2
+            and not _equalities_consistent(boxes.rows)):
         return None
-    boxes = _Boxes(program)
     try:
         boxes.propagate()
     except ProvenInfeasible:
@@ -414,13 +411,14 @@ def solve_feasibility(program: IntegerProgram,
             narrowest = min(filter(None, widths), default=0)
             if not narrowest:
                 values = dict(zip(program.variable_names(), lo))
-                if satisfies(program, values):
-                    return Assignment(values=values, nodes=nodes)
-            else:
-                # The first unfixed variable with the narrowest box.
-                k = widths.index(narrowest)
-                first = _first_value(boxes, k)
-                stack.append([k, first, first, first - 1, lo[k], hi[k], len(boxes.trail)])
+                if not satisfies(program, values):
+                    raise AssertionError("propagation fixed every box to a point that "
+                                         "fails a constraint")
+                return Assignment(values=values, nodes=nodes)
+            # The first unfixed variable with the narrowest box.
+            k = widths.index(narrowest)
+            first = _first_value(boxes, k)
+            stack.append([k, first, first, first - 1, lo[k], hi[k], len(boxes.trail)])
             at_node = False
         if not stack:
             return None

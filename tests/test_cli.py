@@ -131,6 +131,14 @@ def test_ewmm_unknown_exit_code(capsys):
     assert err == "budget: node cap 0 exceeded\n"
 
 
+@pytest.mark.parametrize("budget", ["2", "3", "4"])
+def test_ewmm_budget_message_names_the_given_cap(capsys, budget):
+    # The budget runs out in a later connectivity-cut round, after earlier
+    # rounds spent part of it; from 5 nodes up the instance answers NO.
+    assert run_cli(capsys, "ewmm", str(FIXTURES / "ewmm_rounds.txt"), "--budget", budget) == (
+        3, "UNKNOWN\n", f"budget: node cap {budget} exceeded\n")
+
+
 def test_ewmm_budget_stops_a_scaled_census(capsys, monkeypatch):
     # Every census count of the cliff instance times 10**5: the integer
     # program then needs far more nodes than this budget allows.

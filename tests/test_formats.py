@@ -202,9 +202,10 @@ def test_job_errors_located_at_their_token(parse, text, where, message):
     (parse_heat, "1\n1\njob 0 2\n\n", "3:1", "more jobs than time slots"),
     (parse_splits, "gaps: 1 1\njob 1 1\n\n", "2:1",
      "census total must equal the number of gaps: one job per step"),
+    (parse_splits, "\njob 1 1\n\n", "2:1", "missing 'gaps:' line"),
     (parse_graph, "2\nclass 1: a b\nclass 2: c\nedge a b\n\n \n", "4:1",
      "edge 'a'-'b' inside one class"),
-], ids=["heat", "splits", "graph"])
+], ids=["heat", "splits", "splits-no-gaps", "graph"])
 def test_instance_errors_located_at_the_last_nonblank_line(parse, text, where, message):
     with pytest.raises(ParseError) as info:
         parse(text, path="x.txt")

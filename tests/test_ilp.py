@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from varsolve import ilp
 from varsolve.corpus import FAMILIES, enumerate_feasibility, make_rng, random_program
 from varsolve.ilp import (BudgetExceeded, Constraint, IntegerProgram,
                           MalformedProgram, ProvenInfeasible, dump_program,
@@ -64,6 +65,28 @@ def test_undeclared_coefficient_rejected():
     p = program([("x", 0, 1)], [({"y": 1}, "<=", 1)])
     with pytest.raises(MalformedProgram):
         solve_feasibility(p)
+
+
+@pytest.mark.parametrize("variables, constraints, message", [
+    ([("x", 0, 1), ("x", 0, 2)], [], "duplicate variable 'x'"),
+    ([("x", 3, 1)], [], "variable 'x' has empty box [3, 1]"),
+    ([("x", 0, 1)], [({"x": 1}, "<", 1)], "unknown relation '<'"),
+    ([("x", 0, 1)], [({"x": 1, "y": 0}, ">=", 1)],
+     "coefficient on undeclared variable 'y'"),
+], ids=["duplicate", "empty-box", "relation", "undeclared-zero-coefficient"])
+@pytest.mark.parametrize("entry", [solve_feasibility, propagate_bounds])
+def test_malformed_program_messages(entry, variables, constraints, message):
+    with pytest.raises(MalformedProgram) as info:
+        entry(program(variables, constraints))
+    assert str(info.value) == message
+
+
+def test_leaf_failing_the_recheck_is_an_engine_fault(monkeypatch):
+    # Propagation fixes every box only to a point that meets every row, so a
+    # failed re-check must not be passed over, which could end in a wrong NO.
+    monkeypatch.setattr(ilp, "satisfies", lambda program, values: False)
+    with pytest.raises(AssertionError):
+        solve_feasibility(program([("x", 0, 2)], [({"x": 3}, "=", 6)]))
 
 
 def test_empty_program_constant_constraints():
@@ -137,12 +160,18 @@ def test_determinism():
 
 
 def test_dump_format():
-    p = program([("x1", 0, 2), ("x2", 0, 1)], [({"x1": 3, "x2": 5}, "<=", 11)])
-    assert dump_program(p).splitlines() == [
-        "0 <= x1 <= 2",
-        "0 <= x2 <= 1",
-        "3*x1 + 5*x2 <= 11",
-    ]
+    p = program([("x1", 0, 2), ("x2", 0, 1)],
+                [({"x1": 3, "x2": 5}, "<=", 11), ({"x1": 1, "x2": -2}, ">=", -1)])
+    # The engine stores the >= row negated; the program and the one
+    # propagate_bounds returns keep it as written.
+    assert solve_feasibility(p) is not None
+    for dumped in (p, propagate_bounds(p)):
+        assert dump_program(dumped).splitlines() == [
+            "0 <= x1 <= 2",
+            "0 <= x2 <= 1",
+            "3*x1 + 5*x2 <= 11",
+            "1*x1 + -2*x2 >= -1",
+        ]
 
 
 def test_rank_check_rejects_inconsistent_equalities():
