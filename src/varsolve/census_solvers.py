@@ -7,11 +7,11 @@ Two problems over a nondeterministic machine M and a census requirement c:
   Parikh image of Seidl, Schwentick, Muscholl and Habermehl (ICALP 2004):
   a use count per transition, a 0/1 end state, flow conservation per state
   and one census equality per letter.  Connectivity to the start state is
-  added lazily, one cut row per round, and the exact integer-program engine
-  decides each round within one node budget.  The certificate is the
-  paper's walk decomposition, peeled straight from the transition counts
-  over the subdivided machine: a base walk plus anchored loops with
-  execution counts.
+  added lazily: one engine call checks each solution it finds, takes a
+  cut row for each disconnected one and searches again, within one node
+  budget.  The certificate is the paper's walk decomposition, peeled
+  straight from the transition counts over the subdivided machine: a base
+  walk plus anchored loops with execution counts.
 
 * given-word: for a fixed input word x, is there a computation reading all
   of x whose output meets c exactly?  Solved in one forward pass by a
@@ -56,21 +56,21 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
 
     The counts then form a start-to-end trail plus closed walks, which a
     walk covers only when every used transition is reached from the start.
-    So each solution is checked: let C be the sources of used transitions
-    that used transitions do not reach from the start.  If C is empty the
-    counts are a walk; otherwise the cut row
+    So the engine's ``cut`` checks each solution: let C be the sources of
+    used transitions that used transitions do not reach from the start.  If
+    C is empty the counts are a walk; otherwise the cut row
 
         sum of y over transitions leaving states of C
             <= (sum of their boxes) · sum of y over transitions entering C
 
-    (entering from outside C) is added and the program solved again.  The
-    row holds for every walk from the start and fails for this solution.
+    (entering from outside C) goes back to the engine, which searches again.
+    The row holds for every walk from the start and fails for this solution.
     On a YES, count y_i goes to transitions 2i and 2i+1 of ``subdivide(m)``,
     and ``decompose_counts`` peels those counts into the certificate.
 
     Spends ``budget`` (None: no cap) in integer-program search nodes,
-    summed over the cut rounds, and raises BudgetExceeded when it is spent
-    before a verdict.
+    summed over the engine's searches, and raises BudgetExceeded when it is
+    spent before a verdict.
     """
     counts = c.as_dict()
     names = sorted(m.states)
@@ -101,20 +101,11 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
     constraints += [Constraint(census_rows[letter], EQ, count)
                     for letter, count in counts.items()]
 
-    left = budget
-    while True:
-        try:
-            assignment = solve_feasibility(
-                IntegerProgram(tuple(variables), tuple(constraints)), budget=left)
-        except BudgetExceeded:
-            raise BudgetExceeded(f"node cap {budget} exceeded") from None
-        if assignment is None:
-            return None
-        if left is not None:
-            left -= assignment.nodes
+    def connected(values: dict[str, int]) -> Optional[Constraint]:
+        """None when the used transitions are reached from the start, else a cut row."""
         moves: dict[str, list[str]] = {}  # targets of used transitions by source
         for _, t, name, _ in arcs:
-            if assignment[name]:
+            if values[name]:
                 moves.setdefault(t.source, []).append(t.target)
         reached = {m.start}
         frontier = [m.start]
@@ -125,15 +116,19 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
                     frontier.append(target)
         stranded = set(moves) - reached
         if not stranded:
-            break
+            return None
         leaving = [(name, box) for _, t, name, box in arcs if t.source in stranded]
         weight = sum(box for _, box in leaving)
         row = {name: 1 for name, _ in leaving}
         for _, t, name, _ in arcs:
             if t.source not in stranded and t.target in stranded:
                 row[name] = -weight
-        constraints.append(Constraint(row, LE, 0))
+        return Constraint(row, LE, 0)
 
+    assignment = solve_feasibility(IntegerProgram(tuple(variables), tuple(constraints)),
+                                   budget=budget, cut=connected)
+    if assignment is None:
+        return None
     sub = subdivide(m)
     counts = {}
     for i, _, name, _ in arcs:

@@ -178,17 +178,15 @@ def _cmd_solve(args) -> int:
     row = SOLVERS[args.command]
     instance = row.parse(*_read(args.instance))
     options = {"budget": args.budget}
-    programs = []
     if row.dump_ilp and args.dump_ilp:
-        options["on_program"] = programs.append
+        # Printed as soon as it is built, so an UNKNOWN verdict follows it too.
+        options["on_program"] = lambda program: print(dump_program(program))
     try:
         cert = row.solve(*instance, **options)
     except BudgetExceeded as error:
         print("UNKNOWN")
         print(f"budget: {error}", file=sys.stderr)
         return UNKNOWN
-    for program in programs:
-        print(dump_program(program))
     print("NO" if cert is None else "YES")
     if cert is None:
         return NO
@@ -221,7 +219,7 @@ def _cmd_verify(args) -> int:
 
 
 def _budget(text: str) -> int:
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected a whole number >= 0, not {text!r}")
     return int(text)
 

@@ -54,10 +54,12 @@ class _Reader:
 
 def _int(reader: _Reader, token: str, line: int, column: int, what: str,
          least: int | None = None) -> int:
-    try:
-        value = int(token)
-    except ValueError:
+    """The integer an ASCII ``-?[0-9]+`` token spells; Python's other
+    spellings (``+5``, ``1_0``, non-ASCII digits) are located errors."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
         reader.fail(line, column, f"expected {what}, got {token!r}")
+    value = int(token)
     if least is not None and value < least:
         reader.fail(line, column, f"{what} must be at least {least}, got {value}")
     return value

@@ -12,17 +12,18 @@ the bottom of its box: it first tries the smallest value that puts the
 variable at the same fraction of its box as an equality row's right-hand
 side sits in that row's range, then works outward from it.  The search
 keeps an explicit stack, one frame per branched variable, so its depth is
-not limited by Python's recursion limit.  A budget caps the number of
-search nodes.  All arithmetic is exact unbounded-magnitude Python integers;
-there is no floating-point relaxation anywhere.
+not limited by Python's recursion limit.  A cut row from the caller restarts
+it from the root, and a budget caps its nodes over all restarts.  All
+arithmetic is exact unbounded-magnitude Python integers; there is no
+floating-point relaxation anywhere.
 
-Each solve reads the program once: the compile rejects a malformed program
-and turns it into index form, with boxes in two int lists, rows as lists of
-nonzero (index, coefficient) terms (a ``>=`` row stored as the ``<=`` row of
-its negation) and a watch list of rows per variable.  Propagation works
-from a queue of rows whose boxes moved (AC-3 style), so a search node
-revisits only the rows its branch touched, and every box change goes on a
-trail that backtracking undoes, so no node copies the boxes.
+Each solve reads and rank-checks the program once: the compile rejects a
+malformed program and turns it into index form, with boxes in two int lists,
+rows as lists of nonzero (index, coefficient) terms (a ``>=`` row stored as
+the ``<=`` row of its negation) and a watch list of rows per variable.
+Propagation works from a queue of rows whose boxes moved (AC-3 style), so a
+search node revisits only the rows its branch touched, and every box change
+goes on a trail that backtracking undoes, so no node copies the boxes.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 LE = "<="
 EQ = "="
@@ -72,7 +73,7 @@ class IntegerProgram:
 @dataclass(frozen=True)
 class Assignment:
     values: Mapping[str, int]
-    nodes: int = 0  # search nodes spent finding it, the root included
+    nodes: int = 0  # search nodes spent finding it, every root included
 
     def __getitem__(self, name: str) -> int:
         return self.values[name]
@@ -147,35 +148,43 @@ class _Boxes:
     on an undeclared variable.
     """
 
-    __slots__ = ("rows", "watch", "lo", "hi", "trail", "queue", "queued")
+    __slots__ = ("index", "rows", "watch", "lo", "hi", "trail", "queue", "queued")
 
     def __init__(self, program: IntegerProgram):
-        index: dict[str, int] = {}
+        self.index: dict[str, int] = {}
         for name, lo, hi in program.variables:
-            if name in index:
+            if name in self.index:
                 raise MalformedProgram(f"duplicate variable {name!r}")
             if lo > hi:
                 raise MalformedProgram(f"variable {name!r} has empty box [{lo}, {hi}]")
-            index[name] = len(index)
+            self.index[name] = len(self.index)
         self.lo = [lo for _, lo, _ in program.variables]
         self.hi = [hi for _, _, hi in program.variables]
         self.watch: list[list[int]] = [[] for _ in program.variables]
         self.rows = []
-        for r, con in enumerate(program.constraints):
-            if con.relation not in _RELATIONS:
-                raise MalformedProgram(f"unknown relation {con.relation!r}")
-            sign = -1 if con.relation == GE else 1
-            terms = []
-            for name, c in con.coeffs.items():
-                k = index.get(name)
-                if k is None:
-                    raise MalformedProgram(f"coefficient on undeclared variable {name!r}")
-                if c:
-                    terms.append((k, sign * c))
-                    self.watch[k].append(r)
-            self.rows.append((terms, EQ if con.relation == EQ else LE, sign * con.rhs))
+        for con in program.constraints:
+            self.add(con)
         self.trail: list[tuple[int, int, int]] = []
-        # The first propagation visits every row.
+        self.restart()
+
+    def add(self, con: Constraint) -> None:
+        """Compile one more row; the next ``restart`` queues it."""
+        if con.relation not in _RELATIONS:
+            raise MalformedProgram(f"unknown relation {con.relation!r}")
+        sign = -1 if con.relation == GE else 1
+        terms = []
+        for name, c in con.coeffs.items():
+            k = self.index.get(name)
+            if k is None:
+                raise MalformedProgram(f"coefficient on undeclared variable {name!r}")
+            if c:
+                terms.append((k, sign * c))
+                self.watch[k].append(len(self.rows))
+        self.rows.append((terms, EQ if con.relation == EQ else LE, sign * con.rhs))
+
+    def restart(self) -> None:
+        """Restore the declared boxes and queue every row, as for a first propagation."""
+        self.undo(0)
         self.queue = deque(range(len(self.rows)))
         self.queued = [True] * len(self.rows)
 
@@ -352,12 +361,12 @@ def _first_value(boxes: _Boxes, k: int) -> int:
     return lo if first is None else first
 
 
-def solve_feasibility(program: IntegerProgram,
-                      budget: Optional[int] = None) -> Optional[Assignment]:
+def solve_feasibility(program: IntegerProgram, budget: Optional[int] = None,
+                      cut: Optional[Callable] = None) -> Optional[Assignment]:
     """Decide feasibility over the boxes; return a witness or None.
 
     Complete over the box product: a None verdict means no integer point in
-    the boxes satisfies all constraints.  Before root propagation, a program
+    the boxes satisfies all constraints.  Before any propagation, a program
     with two or more equalities is rejected at once when the equalities have
     no rational solution; interval passes alone would shave such boxes one
     unit per pass.
@@ -365,12 +374,13 @@ def solve_feasibility(program: IntegerProgram,
     The program is compiled once per call (``_Boxes``), and the rank check
     reads the compiled rows: variables become indices into two int lists of
     box ends, rows become lists of nonzero (index, coefficient) terms, and
-    each variable gets a watch list of the rows that hold it.  The root propagates every row; a child fixes its
-    branch variable and propagates from a queue holding only that
-    variable's rows, since its parent is already at a fixpoint, and rows
-    re-enter the queue only when one of their boxes moves.  Every box change
-    goes on a trail, and trying a branch's next value undoes the trail back
-    to the mark its frame took, so no node copies the boxes.
+    each variable gets a watch list of the rows that hold it.  The root
+    propagates every row; a child fixes its branch variable and propagates
+    from a queue holding only that variable's rows, since its parent is
+    already at a fixpoint, and rows re-enter the queue only when one of
+    their boxes moves.  Every box change goes on a trail, and trying a
+    branch's next value undoes the trail back to the mark its frame took,
+    so no node copies the boxes.
 
     The search is depth-first on the variable with the narrowest current
     box (ties by declaration order), with propagation and divisibility cuts
@@ -383,66 +393,71 @@ def solve_feasibility(program: IntegerProgram,
     value, up cursor, down cursor, parent box of the variable, trail mark),
     one frame per branched variable.
 
-    Spends one unit of ``budget`` (None: no cap) per search node: the root
+    ``cut`` (None: none) sees each leaf's values and returns None to accept
+    it, or a ``<=`` or ``>=`` row it violates; the row joins the compiled
+    rows, and the search starts again from the declared boxes.
+
+    Spends one unit of ``budget`` (None: no cap) per search node: each root
     and every child whose box is fixed to a branch value, before it is
     propagated.  Raises BudgetExceeded when it is spent before a verdict.
-    A witness is re-checked on the program (``satisfies``); a failure is a
-    fault of the engine and raises AssertionError.
+    A leaf is re-checked on the program and the cut rows (``satisfies``); a
+    failure is a fault of the engine and raises AssertionError.
     """
     boxes = _Boxes(program)
+    consistent = (sum(relation == EQ for _, relation, _ in boxes.rows) < 2
+                  or _equalities_consistent(boxes.rows))
     cap = math.inf if budget is None else budget
-    nodes = 1
-    if nodes > cap:
-        raise BudgetExceeded(f"node cap {budget} exceeded")
-    if (sum(relation == EQ for _, relation, _ in boxes.rows) >= 2
-            and not _equalities_consistent(boxes.rows)):
-        return None
-    try:
-        boxes.propagate()
-    except ProvenInfeasible:
-        return None
     lo, hi = boxes.lo, boxes.hi
-
+    nodes = 0
     stack: list[list] = []
-    at_node = True
     while True:
-        if at_node:
+        # Enter a node: its boxes are set and the rows to revisit queued.
+        nodes += 1
+        if nodes > cap:
+            raise BudgetExceeded(f"node cap {budget} exceeded")
+        if not consistent:
+            return None
+        try:
+            boxes.propagate()
+        except ProvenInfeasible:
+            pass
+        else:
             widths = list(map(operator.sub, hi, lo))
             narrowest = min(filter(None, widths), default=0)
-            if not narrowest:
+            if narrowest:
+                # The first unfixed variable with the narrowest box.
+                k = widths.index(narrowest)
+                first = _first_value(boxes, k)
+                stack.append([k, first, first, first - 1, lo[k], hi[k], len(boxes.trail)])
+            else:
                 values = dict(zip(program.variable_names(), lo))
                 if not satisfies(program, values):
                     raise AssertionError("propagation fixed every box to a point that "
                                          "fails a constraint")
-                return Assignment(values=values, nodes=nodes)
-            # The first unfixed variable with the narrowest box.
-            k = widths.index(narrowest)
-            first = _first_value(boxes, k)
-            stack.append([k, first, first, first - 1, lo[k], hi[k], len(boxes.trail)])
-            at_node = False
-        if not stack:
-            return None
-        frame = stack[-1]
-        k, first, up, down, box_lo, box_hi, mark = frame
-        boxes.undo(mark)
-        if up <= box_hi and (down < box_lo or up - first <= first - down):
-            value = up
-            frame[2] = up + 1
-        elif down >= box_lo:
-            value = down
-            frame[3] = down - 1
+                row = None if cut is None else cut(values)
+                if row is None:
+                    return Assignment(values=values, nodes=nodes)
+                program = IntegerProgram(program.variables, program.constraints + (row,))
+                boxes.add(row)
+                boxes.restart()
+                stack.clear()
+                continue
+        # Fix the next branch value, backtracking past used-up frames.
+        while stack:
+            frame = stack[-1]
+            k, first, up, down, box_lo, box_hi, mark = frame
+            boxes.undo(mark)
+            if up <= box_hi and (down < box_lo or up - first <= first - down):
+                value, frame[2] = up, up + 1
+            elif down >= box_lo:
+                value, frame[3] = down, down - 1
+            else:
+                stack.pop()
+                continue
+            boxes.narrow(k, value, value)
+            break
         else:
-            stack.pop()
-            continue
-        nodes += 1
-        if nodes > cap:
-            raise BudgetExceeded(f"node cap {budget} exceeded")
-        boxes.narrow(k, value, value)
-        try:
-            boxes.propagate()
-        except ProvenInfeasible:
-            continue
-        at_node = True
+            return None
 
 
 def dump_program(program: IntegerProgram) -> str:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varsolve import census_solvers, cli, formats
+from varsolve import census_solvers, cli, formats, ilp
 from varsolve.census_solvers import (DEFAULT_BUDGET, BudgetExceeded,
                                      solve_ewmm, solve_gwmm)
 from varsolve.corpus import (FAMILIES, make_rng, random_gwmm_census,
@@ -104,6 +104,32 @@ def test_ewmm_counts_must_connect_to_the_start():
     c = CensusRequirement.of({"x": 1})
     cert = solve_ewmm(behind, c)
     assert cert is not None and replay_ewmm(behind, cert) == c
+
+
+def test_ewmm_compiles_and_rank_checks_once(monkeypatch):
+    # The instance takes two searches, the second with a connectivity cut
+    # row, and the row goes into the running engine instead of a new program.
+    calls = {"_Boxes": 0, "_equalities_consistent": 0, "solve": 0}
+    for name in ("_Boxes", "_equalities_consistent"):
+        def counting(*args, _name=name, _original=getattr(ilp, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(ilp, name, counting)
+    rows = []
+
+    def solving(program, budget=None, cut=None):
+        def counting_cut(values):
+            rows.append(cut(values))
+            return rows[-1]
+        calls["solve"] += 1
+        return ilp.solve_feasibility(program, budget=budget,
+                                     cut=cut and counting_cut)
+
+    monkeypatch.setattr(census_solvers, "solve_feasibility", solving)
+    m, c = formats.parse_machine_instance((FIXTURES / "ewmm_rounds.txt").read_text())
+    assert solve_ewmm(m, c) is None
+    assert [row.relation for row in rows] == ["<="]
+    assert calls == {"_Boxes": 1, "_equalities_consistent": 1, "solve": 1}
 
 
 def test_ewmm_unproducible_letter():

@@ -170,6 +170,14 @@ def test_multiset_budget_reports_unknown(capsys):
     assert run_cli(capsys, "subsetsum", cliff)[:2] == (0, "YES\n")
 
 
+def test_dump_ilp_prints_the_program_before_unknown(capsys):
+    # The zero budget runs out at the root, after the program is built.
+    assert run_cli(capsys, "subsetsum", str(FIXTURES / "ss1.txt"), "--dump-ilp",
+                   "--budget", "0") == (
+        3, "0 <= x1 <= 2\n0 <= x2 <= 1\n3*x1 + 5*x2 = 11\nUNKNOWN\n",
+        "budget: node cap 0 exceeded\n")
+
+
 def test_dump_ilp_builds_the_program_once(capsys, monkeypatch):
     calls = []
     original = varsolve.variety.num3dm_program
@@ -195,6 +203,15 @@ def test_negative_budget_is_usage_error(capsys, command, fixture):
     assert code == 2
     assert out == ""
     assert "argument --budget: expected a whole number >= 0, not '-1'" in err
+
+
+@pytest.mark.parametrize("budget", ["\u0663", "\uff11", "+3", "1_0", " 3"],
+                         ids=["arabic-indic", "fullwidth", "plus", "underscore", "space"])
+def test_budget_takes_ascii_digits_only(capsys, budget):
+    code, out, err = run_cli(capsys, "partition", str(FIXTURES / "part1.txt"),
+                             "--budget", budget)
+    assert (code, out) == (2, "")
+    assert f"argument --budget: expected a whole number >= 0, not {budget!r}" in err
 
 
 @pytest.mark.parametrize("command, text, verdict", [

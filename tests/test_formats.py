@@ -52,6 +52,19 @@ def test_tokens_after_target_rejected():
     assert "extra.txt:3:7" in str(info.value)
 
 
+@pytest.mark.parametrize("text, where, message", [
+    ("1_0 2\n", "1:1", "expected integer value, got '1_0'"),
+    ("\u0663 1\n", "1:1", "expected integer value, got '\u0663'"),
+    ("3 +1\n", "1:3", "expected multiplicity, got '+1'"),
+    ("3 1\ns=+20\n", "2:3", "expected target integer, got '+20'"),
+    ("3 1\ns=-\n", "2:3", "expected target integer, got '-'"),
+], ids=["underscore", "arabic-indic", "plus-multiplicity", "plus-target", "bare-minus"])
+def test_multiset_integers_are_ascii_digits(text, where, message):
+    with pytest.raises(ParseError) as info:
+        parse_multiset(text, path="i.txt", expect_target=True)
+    assert str(info.value) == f"i.txt:{where}: {message}"
+
+
 def test_empty_file_is_empty_multiset():
     multiset, target = parse_multiset("")
     assert multiset == Multiset(())
@@ -128,8 +141,10 @@ MACHINE = ("states: q r\nstart: q\ninput: _ a\noutput: b\nq a -> r b\n"
     ("q a -> r b", "q a -> r z", "5:10", "write letter 'z' not in the output alphabet"),
     ("q a -> r b\n", "q a -> r b\nq a -> r b\n", "6:1",
      "duplicate transition 'q a -> r b'"),
+    ("b 1\n", "b \uff11\n", "8:3", "expected census count, got '\uff11'"),
 ], ids=["second-word", "second-header", "two-starts", "start-outside-states",
-        "endpoint-outside-states", "read-letter", "write-letter", "duplicate-transition"])
+        "endpoint-outside-states", "read-letter", "write-letter", "duplicate-transition",
+        "fullwidth-census-count"])
 def test_machine_errors_located_at_their_token(old, new, where, message):
     with pytest.raises(ParseError) as info:
         parse_machine_instance(MACHINE.replace(old, new), path="m.txt", with_word=True)
@@ -190,8 +205,11 @@ def test_splits_roundtrip():
     (parse_splits, "gaps: 1\njob 0 1\n\n", "2:5", "job length must be at least 1, got 0"),
     (parse_splits, "gaps: 1 2\ngaps: 3\njob 3 1\n", "2:1",
      "second 'gaps:' line; the gaps are given once"),
+    (parse_heat, "1\n5\njob 0 1_0\n\n", "3:7", "expected job count, got '1_0'"),
+    (parse_splits, "gaps: 1 +1\njob 1 2\n\n", "1:9", "expected gap, got '+1'"),
 ], ids=["heat-negative-count", "heat-level", "threshold", "threshold-line", "deadline-line",
-        "splits-negative-count", "gap", "job-length", "second-gaps"])
+        "splits-negative-count", "gap", "job-length", "second-gaps", "heat-underscore",
+        "splits-plus"])
 def test_job_errors_located_at_their_token(parse, text, where, message):
     with pytest.raises(ParseError) as info:
         parse(text, path="j.txt")

@@ -311,6 +311,71 @@ def test_engine_matches_enumeration(p):
             assert lo <= witness[name] <= hi
 
 
+def at_least(k):
+    """A cut that rejects a leaf with x0 < k by the row x0 >= (its x0) + 1,
+    and keeps the rows it returned in ``rows``."""
+    rows = []
+
+    def cut(values):
+        if values["x0"] >= k:
+            return None
+        rows.append(Constraint({"x0": 1}, ">=", values["x0"] + 1))
+        return rows[-1]
+
+    cut.rows = rows
+    return cut
+
+
+def with_rows(p, rows):
+    return IntegerProgram(p.variables, p.constraints + tuple(rows))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(box_programs(), st.integers(-3, 8))
+def test_cut_matches_enumeration_with_the_cut_row(p, k):
+    cut = at_least(k)
+    witness = solve_feasibility(p, cut=cut)
+    expected = enumerate_feasibility(with_rows(p, [Constraint({"x0": 1}, ">=", k)]))
+    assert (witness is None) == (expected is None)
+    if witness is not None:
+        assert satisfies(p, witness.values) and witness["x0"] >= k
+        # The last search is the one a fresh call with every cut row makes.
+        assert solve_feasibility(with_rows(p, cut.rows)).values == witness.values
+
+
+def test_cut_nodes_are_summed_over_the_searches():
+    # With no equality row, x0 takes its values in increasing order, so the
+    # cut rejects 0, 1 and 2 before the fourth search ends on 3.
+    p = program([("x0", 0, 9), ("y", 0, 9)], [({"x0": 1, "y": 1}, "<=", 9)])
+    cut = at_least(3)
+    witness = solve_feasibility(p, cut=cut)
+    assert witness.values == {"x0": 3, "y": 0} and len(cut.rows) == 3
+    # Each search costs what a fresh call on the rows so far costs.
+    searches = [solve_feasibility(with_rows(p, cut.rows[:n])).nodes
+                for n in range(len(cut.rows) + 1)]
+    assert witness.nodes == sum(searches)
+    assert solve_feasibility(p, budget=witness.nodes, cut=at_least(3)) == witness
+    with pytest.raises(BudgetExceeded) as info:
+        solve_feasibility(p, budget=witness.nodes - 1, cut=at_least(3))
+    assert str(info.value) == f"node cap {witness.nodes - 1} exceeded"
+
+
+def test_leaf_failing_a_cut_row_is_an_engine_fault(monkeypatch):
+    # The re-check covers the cut rows too: the stand-in for ``satisfies``
+    # reports the cut row broken, as a propagator that dropped it would.
+    cut = at_least(2)
+    checked = []
+
+    def meets_no_cut_row(p, values):
+        checked.append(p)
+        return not any(row in p.constraints for row in cut.rows)
+
+    monkeypatch.setattr(ilp, "satisfies", meets_no_cut_row)
+    with pytest.raises(AssertionError):
+        solve_feasibility(program([("x0", 0, 3)], []), cut=cut)
+    assert [len(p.constraints) for p in checked] == [0, 1]
+
+
 @st.composite
 def two_variable_rows(draw):
     """Rows a*x + b*y + c*z = r with x, y in boxes up to width 30 and z in a
