@@ -219,8 +219,14 @@ def _cmd_verify(args) -> int:
 
 
 def _budget(text: str) -> int:
-    if not (text.isascii() and text.isdecimal()):
+    if not formats.is_int_token(text) or text[:1] == "-":
         raise argparse.ArgumentTypeError(f"expected a whole number >= 0, not {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    if not formats.is_int_token(text):
+        raise argparse.ArgumentTypeError(f"expected a whole number, not {text!r}")
     return int(text)
 
 
@@ -251,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("verify", help="run the paired solver/oracle corpus")
-    p.add_argument("--seed", type=int, default=42, help="corpus seed")
+    p.add_argument("--seed", type=_seed, default=42, help="corpus seed")
     p.add_argument("--family", action="append", choices=sorted(corpus.FAMILIES),
                    help="verify one family (repeatable); default: all")
     p.set_defaults(handler=_cmd_verify)

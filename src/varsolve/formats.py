@@ -52,12 +52,19 @@ class _Reader:
         raise ParseError(self.path, line, column, message)
 
 
+def is_int_token(token: str) -> bool:
+    """Whether ``token`` is an ASCII ``-?[0-9]+`` integer, the one spelling
+    instance files and the command line take; Python's other spellings
+    (``+5``, ``1_0``, `` 5``, non-ASCII digits) are not."""
+    digits = token[1:] if token[:1] == "-" else token
+    return digits.isascii() and digits.isdigit()
+
+
 def _int(reader: _Reader, token: str, line: int, column: int, what: str,
          least: int | None = None) -> int:
-    """The integer an ASCII ``-?[0-9]+`` token spells; Python's other
-    spellings (``+5``, ``1_0``, non-ASCII digits) are located errors."""
-    digits = token[1:] if token[:1] == "-" else token
-    if not (digits.isascii() and digits.isdigit()):
+    """The integer an ASCII ``-?[0-9]+`` token spells; any other token is a
+    located error."""
+    if not is_int_token(token):
         reader.fail(line, column, f"expected {what}, got {token!r}")
     value = int(token)
     if least is not None and value < least:

@@ -23,7 +23,13 @@ rows as lists of nonzero (index, coefficient) terms (a ``>=`` row stored as
 the ``<=`` row of its negation) and a watch list of rows per variable.
 Propagation works from a queue of rows whose boxes moved (AC-3 style), so a
 search node revisits only the rows its branch touched, and every box change
-goes on a trail that backtracking undoes, so no node copies the boxes.
+goes on a trail that backtracking undoes, so no node copies the boxes.  A
+visit to a row is one pass over its terms: it sums the activity bounds and
+finds the widest unfixed term, and when that term fits in the row's slack
+(the activity test of Achterberg, *Constraint Integer Programming*, 2007)
+the row narrows nothing and the visit ends there.  Rows whose coefficients
+are all +-1, as the flow and census rows of the exists-word program are,
+skip the gcd cut and the lattice step, which cannot act on them.
 """
 from __future__ import annotations
 
@@ -139,16 +145,17 @@ class _Boxes:
     Variable k is the k-th declared one.  Each row becomes (terms, relation,
     rhs) with ``terms`` its nonzero (index, coefficient) pairs; a ``>=`` row
     is stored as the ``<=`` row of its negation, so relation is ``<=`` or
-    ``=``.  ``watch[k]`` lists the rows that hold variable k.  The boxes are
-    the two int lists ``lo`` and ``hi``.  Every box change appends (index,
-    old lo, old hi) to ``trail`` and queues the rows watching that variable,
-    so ``undo`` restores any earlier state and ``propagate`` revisits only
-    the rows whose boxes moved.  Compiling raises MalformedProgram on a
+    ``=``.  ``unit[r]`` says whether every coefficient of row r is +-1, and
+    ``watch[k]`` lists the rows that hold variable k.  The boxes are the two
+    int lists ``lo`` and ``hi``.  Every box change appends (index, old lo,
+    old hi) to ``trail`` and queues the rows watching that variable, so
+    ``undo`` restores any earlier state and ``propagate`` revisits only the
+    rows whose boxes moved.  Compiling raises MalformedProgram on a
     duplicate variable, an empty box, an unknown relation or a coefficient
     on an undeclared variable.
     """
 
-    __slots__ = ("index", "rows", "watch", "lo", "hi", "trail", "queue", "queued")
+    __slots__ = ("index", "rows", "unit", "watch", "lo", "hi", "trail", "queue", "queued")
 
     def __init__(self, program: IntegerProgram):
         self.index: dict[str, int] = {}
@@ -162,6 +169,7 @@ class _Boxes:
         self.hi = [hi for _, _, hi in program.variables]
         self.watch: list[list[int]] = [[] for _ in program.variables]
         self.rows = []
+        self.unit: list[bool] = []
         for con in program.constraints:
             self.add(con)
         self.trail: list[tuple[int, int, int]] = []
@@ -181,6 +189,7 @@ class _Boxes:
                 terms.append((k, sign * c))
                 self.watch[k].append(len(self.rows))
         self.rows.append((terms, EQ if con.relation == EQ else LE, sign * con.rhs))
+        self.unit.append(all(c in (1, -1) for _, c in terms))
 
     def restart(self) -> None:
         """Restore the declared boxes and queue every row, as for a first propagation."""
@@ -210,69 +219,106 @@ class _Boxes:
     def propagate(self) -> None:
         """Tighten the boxes to a propagation fixpoint of the queued rows.
 
-        Uses interval arithmetic on each row plus a gcd divisibility cut on
-        equalities.  On an equality with exactly two unfixed variables it
-        also rounds the first one's box to the row's solution lattice
+        A visit to a row is one pass over its terms, which sums the fixed
+        terms and collects the unfixed ones with the least and greatest
+        activity and the widest span |c| * (hi - lo) among them.  With
+        slack s = rhs - min activity (and t = max activity - rhs on an
+        equality), a term with coefficient c moves its box end away from
+        its least (greatest) contribution by at most s // |c| (t // |c|),
+        so only a span wider than s or t can narrow it: a row whose widest
+        span fits in its slack narrows nothing and is left at once, and a
+        fixed term (span 0) never narrows.  Equalities also get a gcd
+        divisibility cut, and one with exactly two unfixed variables has
+        the first one's box rounded to the row's solution lattice
         (``_lattice_step``); interval passes alone reach the same fixpoint
         but move the two boxes by about |a - b| per pass.  A row whose
-        boxes change is queued again, so the queue empties only at a
-        fixpoint; every row operator narrows the boxes monotonically, so
-        that fixpoint does not depend on the queue order.  Never removes an
-        integer point satisfying all constraints.  Raises ProvenInfeasible,
-        with the queue emptied, when a box empties or a cut fails.
+        coefficients are all +-1 skips both: its gcd is 1 and its lattice
+        is every integer point.  A row whose boxes change is queued again,
+        so the queue empties only at a fixpoint; every row operator narrows
+        the boxes monotonically, so that fixpoint does not depend on the
+        queue order.  Never removes an integer point satisfying all
+        constraints.  Raises ProvenInfeasible, with the queue emptied, when
+        a box empties or a cut fails.
         """
         rows, lo, hi, queue, queued = self.rows, self.lo, self.hi, self.queue, self.queued
+        unit = self.unit
         pop, narrow = queue.popleft, self.narrow
         try:
             while queue:
                 r = pop()
                 queued[r] = False
                 terms, relation, rhs = rows[r]
-                if relation == EQ:
-                    residual = rhs
-                    unfixed = []
-                    for k, c in terms:
-                        if lo[k] == hi[k]:
-                            residual -= c * lo[k]
-                        else:
-                            unfixed.append((k, c))
+                fixed = low = high = span = 0
+                unfixed = []
+                for term in terms:
+                    k, c = term
+                    k_lo = lo[k]
+                    k_hi = hi[k]
+                    if k_lo == k_hi:
+                        fixed += c * k_lo
+                        continue
+                    unfixed.append(term)
+                    if c > 0:
+                        least, most = c * k_lo, c * k_hi
+                    else:
+                        least, most = c * k_hi, c * k_lo
+                    low += least
+                    high += most
+                    if most - least > span:
+                        span = most - least
+                lower = relation == EQ
+                if lower:
+                    residual = rhs - fixed
                     if not unfixed:
                         if residual != 0:
                             raise ProvenInfeasible("equality violated by fixed variables")
                         continue
+                if lower and not unit[r]:
                     if residual % math.gcd(*[c for _, c in unfixed]) != 0:
                         raise ProvenInfeasible("divisibility cut on equality")
                     if len(unfixed) == 2:
                         box = _lattice_step(lo, hi, unfixed, residual)
                         if box is not None:
-                            narrow(unfixed[0][0], *box)
+                            # Move u's terms in the sums to its new box.
+                            (u, a), (v, b) = unfixed
+                            old = a * lo[u], a * hi[u]
+                            narrow(u, *box)
+                            new = a * lo[u], a * hi[u]
+                            low += min(new) - min(old)
+                            high += max(new) - max(old)
+                            span = max(max(new) - min(new), abs(b) * (hi[v] - lo[v]))
 
                 # sum <= rhs, and for an equality also sum >= rhs.
-                min_act, max_act = _activity(terms, lo, hi)
-                lower = relation == EQ
-                if min_act > rhs:
+                slack = rhs - fixed - low
+                if slack < 0:
                     raise ProvenInfeasible("minimum activity exceeds bound")
-                if lower and max_act < rhs:
-                    raise ProvenInfeasible("maximum activity below bound")
-                for k, c in terms:
+                if lower:
+                    surplus = fixed + high - rhs
+                    if surplus < 0:
+                        raise ProvenInfeasible("maximum activity below bound")
+                    if span <= slack and span <= surplus:
+                        continue
+                elif span <= slack:
+                    continue
+                # A term moves at most slack // |c| up from its least value
+                # and, on an equality, surplus // |c| down from its greatest.
+                for k, c in unfixed:
                     old_lo = new_lo = lo[k]
                     old_hi = new_hi = hi[k]
                     if c > 0:
-                        # c*x <= rhs - min activity of the other terms
-                        bound = (rhs - min_act + c * old_lo) // c
+                        bound = old_lo + slack // c
                         if bound < new_hi:
                             new_hi = bound
                         if lower:
-                            # c*x >= rhs - max activity of the other terms
-                            bound = -((max_act - c * old_hi - rhs) // c)
+                            bound = old_hi - surplus // c
                             if bound > new_lo:
                                 new_lo = bound
                     else:
-                        bound = -((min_act - c * old_hi - rhs) // c)
+                        bound = old_hi - slack // -c
                         if bound > new_lo:
                             new_lo = bound
                         if lower:
-                            bound = (rhs - max_act + c * old_lo) // c
+                            bound = old_lo + surplus // -c
                             if bound < new_hi:
                                 new_hi = bound
                     if new_lo == old_lo and new_hi == old_hi:

@@ -311,6 +311,20 @@ def test_verify_single_family(capsys):
     assert "splits:" in out and "ok" in out
 
 
+@pytest.mark.parametrize("seed", ["\u0663", "\uff11", "+3", "1_0", " 3", "-", "--3"],
+                         ids=["arabic-indic", "fullwidth", "plus", "underscore", "space",
+                              "minus-alone", "double-minus"])
+def test_verify_seed_takes_ascii_digits_only(capsys, seed):
+    code, out, err = run_cli(capsys, "verify", "--family", "ilp", f"--seed={seed}")
+    assert (code, out) == (2, "")
+    assert f"argument --seed: expected a whole number, not {seed!r}" in err
+
+
+def test_verify_takes_a_negative_seed(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--family", "splits", "--seed", "-7")
+    assert (code, out) == (0, "splits: 200 instances ok\n")
+
+
 def test_num3dm_fixture(capsys):
     code, out, _ = run_cli(capsys, "num3dm", str(FIXTURES / "n3dm1.txt"),
                            "--certificate")

@@ -1,14 +1,18 @@
 """Feasibility engine: worked examples, propagation, and corpus properties."""
 
+import hashlib
+import json
 import math
 import time
+from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varsolve import ilp
-from varsolve.corpus import FAMILIES, enumerate_feasibility, make_rng, random_program
+from varsolve import census_solvers, ilp
+from varsolve.corpus import (FAMILIES, _machine_census, enumerate_feasibility, make_rng,
+                             random_program)
 from varsolve.ilp import (BudgetExceeded, Constraint, IntegerProgram,
                           MalformedProgram, ProvenInfeasible, dump_program,
                           propagate_bounds, satisfies, solve_feasibility)
@@ -159,6 +163,49 @@ def test_determinism():
             assert satisfies(p, first.values)
 
 
+# The sha256 of every (witness values, node count) the search below gives,
+# captured before the row visit became one pass; a change that only speeds
+# propagation up must leave it as it is.
+SEARCH_DIGEST = "00908d5463c6a9bfb7385bf11a062ca6b9e8da14c92050dbac87c4508a806b15"
+
+
+def test_search_is_pinned(monkeypatch):
+    def outcome(call):
+        try:
+            witness = call()
+        except BudgetExceeded as exc:
+            return ["budget", str(exc)]
+        return None if witness is None else [sorted(witness.values.items()), witness.nodes]
+
+    records = []
+    for seed in (1, 2, 3):
+        rng = make_rng(seed)
+        for _ in range(300):
+            p = random_program(rng)
+            records.append(outcome(lambda: solve_feasibility(p)))
+
+    def recording(p, budget=None, cut=None):
+        # Record the engine's answer; the exists-word solver then sees None.
+        record = outcome(lambda: solve_feasibility(p, budget, cut))
+        records.append(record)
+        if record and record[0] == "budget":
+            raise BudgetExceeded(record[1])
+        return None
+
+    monkeypatch.setattr(census_solvers, "solve_feasibility", recording)
+    rng = make_rng(1)
+    for _ in range(300):
+        m, c = _machine_census(rng)
+        for budget in (None, 3):
+            try:
+                census_solvers.solve_ewmm(m, c, budget=budget)
+            except BudgetExceeded:
+                pass
+    assert sum(record is not None and record[0] == "budget" for record in records) > 10
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == SEARCH_DIGEST
+
+
 def test_dump_format():
     p = program([("x1", 0, 2), ("x2", 0, 1)],
                 [({"x1": 3, "x2": 5}, "<=", 11), ({"x1": 1, "x2": -2}, ">=", -1)])
@@ -197,6 +244,90 @@ def test_rank_check_runs_before_propagation():
     start = time.perf_counter()
     assert solve_feasibility(p) is None
     assert time.perf_counter() - start < 1.0
+
+
+def rationally_consistent(p):
+    """Reference rank check: Gauss-Jordan elimination over Fractions on the
+    equality rows; inconsistent exactly when a row reduces to 0 = r, r != 0."""
+    names = p.variable_names()
+    rows = [[Fraction(con.coeffs.get(name, 0)) for name in names] + [Fraction(con.rhs)]
+            for con in p.constraints if con.relation == "="]
+    done = 0
+    for col in range(len(names)):
+        pivot = next((i for i in range(done, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[done], rows[pivot] = rows[pivot], rows[done]
+        for i in range(len(rows)):
+            if i != done and rows[i][col]:
+                factor = rows[i][col] / rows[done][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[done])]
+        done += 1
+    return all(row[-1] == 0 for row in rows[done:])
+
+
+@st.composite
+def equality_systems(draw):
+    """Equality rows over up to five variables, each with coefficients from
+    one pool: +-1 only, no +-1 at all, or any in [-4, 4].  One row is an
+    integer combination of the others, its right-hand side kept or shifted
+    by 1, and a ``<=`` row the check must ignore may follow."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, 5)))]
+    pools = (st.sampled_from((-1, 0, 1)), st.sampled_from((-3, -2, 0, 2, 3, 6)),
+             st.integers(-4, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeff = draw(st.sampled_from(pools))
+        rows.append(({name: draw(coeff) for name in names}, "=", draw(st.integers(-6, 6))))
+    weights = [draw(st.integers(-2, 2)) for _ in rows]
+    combined = {name: sum(w * row[0][name] for w, row in zip(weights, rows))
+                for name in names}
+    rhs = sum(w * row[2] for w, row in zip(weights, rows)) + draw(st.integers(0, 1))
+    rows.insert(draw(st.integers(0, len(rows))), (combined, "=", rhs))
+    if draw(st.booleans()):
+        rows.append(({name: 1 for name in names}, draw(st.sampled_from(("<=", ">="))), -1))
+    return program([(name, 0, 1) for name in names], rows)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(equality_systems())
+def test_rank_check_matches_fraction_elimination(p):
+    assert ilp._equalities_consistent(ilp._Boxes(p).rows) == rationally_consistent(p)
+
+
+def test_row_whose_widest_span_fits_its_slack_narrows_nothing():
+    # x + y <= 6 at the boxes x in [0, 6], y in [0, 2]: the slack is 6 and
+    # x's span is 6, so no box moves; with x in [0, 7] the span is one more
+    # than the slack, and x's top comes down to 6.
+    row = [({"x": 1, "y": 1}, "<=", 6)]
+    fits = program([("x", 0, 6), ("y", 0, 2)], row)
+    assert propagate_bounds(fits).variables == fits.variables
+    wider = program([("x", 0, 7), ("y", 0, 2)], row)
+    assert propagate_bounds(wider).variables == (("x", 0, 6), ("y", 0, 2))
+    # x + y + z = 4 at the boxes [0, 2] has slack 4 (4 - min) and surplus 2
+    # (max - 4), and every span is 2, so no box moves; with x in [-1, 2]
+    # x's span is one more than the surplus, and x's bottom goes up to 0.
+    row = [({"x": 1, "y": 1, "z": 1}, "=", 4)]
+    fits = program([("x", 0, 2), ("y", 0, 2), ("z", 0, 2)], row)
+    assert propagate_bounds(fits).variables == fits.variables
+    wider = program([("x", -1, 2), ("y", 0, 2), ("z", 0, 2)], row)
+    assert propagate_bounds(wider).variables == fits.variables
+
+
+def test_unit_row_fixed_to_a_wrong_sum_is_infeasible():
+    p = program([("x", 1, 1), ("y", 2, 2), ("z", 0, 0)],
+                [({"x": 1, "y": -1, "z": 1}, "=", 0)])
+    with pytest.raises(ProvenInfeasible):
+        propagate_bounds(p)
+
+
+def test_row_with_a_coefficient_of_two_keeps_the_divisibility_cut():
+    # With y fixed at 2 the row reads 2x - 2z = 5: intervals and the lattice
+    # step leave x and z in [0, 10], and only the gcd cut refutes it.
+    p = program([("x", 0, 10), ("y", 2, 2), ("z", 0, 10)],
+                [({"x": 2, "y": 1, "z": -2}, "=", 7)])
+    with pytest.raises(ProvenInfeasible, match="divisibility"):
+        propagate_bounds(p)
 
 
 # 1000000*x + 999999*y = r has the one solution (500001, 333332) in
