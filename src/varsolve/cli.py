@@ -123,7 +123,7 @@ SOLVERS = {
         parse=lambda text, path: formats.parse_machine_instance(text, path),
         solve=lambda machine, census, budget: solve_ewmm(machine, census, budget=budget),
         show=_print_walk,
-        budget=f"{_ILP_NODES} (summed over connectivity-cut rounds)"),
+        budget=f"{_ILP_NODES} (summed over the restarts after connectivity cuts)"),
     "gwmm": Solver(
         "does a computation on the given word meet the census?",
         parse=lambda text, path: formats.parse_machine_instance(

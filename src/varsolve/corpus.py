@@ -6,9 +6,8 @@ maps each family name to its ``check(seed, count)``, which returns the
 number of instances checked and raises AssertionError on the first
 disagreement, naming the offending instance.  Every family that runs a
 solver compares each verdict with its brute-force oracle and checks every
-YES certificate, by replaying it through the machine or by the oracle's
-validator.  Most families are one row of ``_paired``: a generator, the
-solver, the oracle and the certificate check.
+YES certificate with the oracle's validator.  Most families are one row of
+``_paired``: a generator, the solver, the oracle and the certificate check.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from itertools import product
 
 from . import census_solvers, oracle
 from .ilp import Constraint, IntegerProgram, satisfies, solve_feasibility
-from .mealy import (EMPTY, CensusRequirement, MealyMachine, Transition, census_of,
-                    run, subdivide)
+from .mealy import EMPTY, CensusRequirement, MealyMachine, Transition
 from .reductions import (HeatInstance, MulticoloredGraph, SplitsInstance,
                          heat_to_ewmm, mcc_to_gwmm, splits_to_gwmm,
                          subsetsum_to_partition)
@@ -354,35 +352,13 @@ def _gwmm(m: MealyMachine, x: tuple, c: CensusRequirement):
     return census_solvers.solve_gwmm(m, x, c)
 
 
-def _walk_replays(m: MealyMachine, c: CensusRequirement, decomposition) -> bool:
-    """Whether the decomposition's walk runs on ``subdivide(m)`` and meets c."""
-    sub = subdivide(m)
-    walk = decomposition.walk()
-    word = tuple(t.reads for t in walk if t.reads != EMPTY)
-    return census_of(run(sub, word, [sub.transitions.index(t) for t in walk])) == c
-
-
-def _trace_replays(m: MealyMachine, x: tuple, c: CensusRequirement, trace) -> bool:
-    return census_of(run(m, x, trace)) == c
-
-
-def _holds(certified, *args) -> bool:
-    """Whether ``certified(*args)`` accepts.  A check that raises ValueError
-    (a transition not in the machine, an illegal replay step, unread input,
-    a loop anchored off the walk) rejects the certificate."""
-    try:
-        return bool(certified(*args))
-    except ValueError:
-        return False
-
-
 def _compare(index: int, instance: tuple, solve, reference, certified) -> None:
     """Raise AssertionError unless ``solve(*instance)`` agrees with
     ``reference(*instance)`` and a YES answer passes ``certified``."""
     answer = solve(*instance)
     if (answer is not None) != reference(*instance):
         problem = "verdict mismatch"
-    elif answer is None or _holds(certified, *instance, answer):
+    elif answer is None or certified(*instance, answer):
         return
     else:
         problem = "bad certificate"
@@ -403,7 +379,7 @@ def _paired(count: int, generate, solve, reference, certified):
 
 _HEAT = (lambda h, m, c: _ewmm(m, c),
          lambda h, m, c: oracle.brute_heat_schedule(h),
-         lambda h, *walk: _walk_replays(*walk))
+         lambda h, *walk: oracle.validate_ewmm_decomposition(*walk))
 
 
 def _check_heat(seed: int = 0) -> int:
@@ -463,16 +439,17 @@ FAMILIES = {
     "threepartition": _paired(500, lambda rng: (random_3partition_instance(rng),),
                               solve_3partition, oracle.brute_3partition,
                               oracle.validate_3partition_cover),
-    "ewmm": _paired(300, _machine_census, _ewmm, oracle.brute_ewmm, _walk_replays),
+    "ewmm": _paired(300, _machine_census, _ewmm, oracle.brute_ewmm,
+                    oracle.validate_ewmm_decomposition),
     "gwmm": _paired(300, _machine_word_census, _gwmm, oracle.brute_gwmm,
-                    _trace_replays),
+                    oracle.validate_gwmm_trace),
     "gwmm-guard": _check_gwmm_guard,
     "gwmm-empty-free": _paired(200, lambda rng: _machine_word_census(rng, False),
-                               _gwmm, oracle.brute_gwmm, _trace_replays),
+                               _gwmm, oracle.brute_gwmm, oracle.validate_gwmm_trace),
     "mcc": _paired(50, lambda rng: _audited_mcc(random_multicolored_graph(rng)),
                    lambda g, *image: _gwmm(*image),
                    lambda g, *image: oracle.brute_mcc_clique(g),
-                   lambda g, *trace: _trace_replays(*trace)),
+                   lambda g, *trace: oracle.validate_gwmm_trace(*trace)),
     "heat": _check_heat,
     "heat-random": _paired(150, lambda rng: (h := _random_heat(rng), *heat_to_ewmm(h)),
                            *_HEAT),
@@ -480,6 +457,6 @@ FAMILIES = {
                                         *splits_to_gwmm(s)),
                       lambda s, *image: _gwmm(*image),
                       lambda s, *image: oracle.brute_splits_game(s),
-                      lambda s, *trace: _trace_replays(*trace)),
+                      lambda s, *trace: oracle.validate_gwmm_trace(*trace)),
     "reduce-partition": _check_reduce_partition,
 }

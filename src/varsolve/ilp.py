@@ -125,20 +125,6 @@ def _lattice_step(lo: list[int], hi: list[int], unfixed: list[tuple[int, int]],
     return new_lo, new_hi
 
 
-def _activity(terms: list[tuple[int, int]], lo: list[int],
-              hi: list[int]) -> tuple[int, int]:
-    """The least and greatest value of a row's left-hand side over the boxes."""
-    min_act = max_act = 0
-    for i, c in terms:
-        if c > 0:
-            min_act += c * lo[i]
-            max_act += c * hi[i]
-        else:
-            min_act += c * hi[i]
-            max_act += c * lo[i]
-    return min_act, max_act
-
-
 class _Boxes:
     """A program compiled to index form, with its boxes, row queue and trail.
 
@@ -392,15 +378,25 @@ def _first_value(boxes: _Boxes, k: int) -> int:
     so max > min; the boxes are at a propagation fixpoint, so
     min <= rhs <= max and every point lies in the box.
     """
-    lo, hi = boxes.lo[k], boxes.hi[k]
+    lows, highs = boxes.lo, boxes.hi
+    lo, hi = lows[k], highs[k]
     first = None
     for r in boxes.watch[k]:
         terms, relation, rhs = boxes.rows[r]
         if relation != EQ:
             continue
-        min_act, max_act = _activity(terms, boxes.lo, boxes.hi)
+        # One pass: the row's activity range and k's own coefficient.
+        min_act = max_act = 0
+        for i, c in terms:
+            if c > 0:
+                min_act += c * lows[i]
+                max_act += c * highs[i]
+            else:
+                min_act += c * highs[i]
+                max_act += c * lows[i]
+            if i == k:
+                positive = c > 0
         share = (hi - lo) * (rhs - min_act) // (max_act - min_act)
-        positive = next(c for i, c in terms if i == k) > 0
         point = lo + share if positive else hi - share
         if first is None or point < first:
             first = point

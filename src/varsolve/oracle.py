@@ -1,9 +1,10 @@
 """Exhaustive reference solvers and certificate validators.
 
 Everything here re-derives the problem semantics directly from the problem
-statements, by bounded enumeration, and deliberately shares no
-instance-transformation code with the production solvers.  Verdict-only;
-instances beyond the caps are rejected rather than attempted.
+statements and deliberately shares no instance-transformation code with the
+production solvers.  Reference solvers reject instances beyond their caps
+rather than attempt them.  Every certificate check is here, one validator per
+problem; each returns a bool and never raises.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 
-from .mealy import EMPTY, CensusRequirement, MealyMachine
+from .mealy import (EMPTY, CensusRequirement, MealyMachine, WalkDecomposition,
+                    census_of, run, subdivide)
 from .reductions import HeatInstance, MulticoloredGraph, SplitsInstance
 from .variety import Multiset, SubsetCertificate, TripleCover
 
@@ -385,3 +387,39 @@ def validate_3partition_cover(a: Multiset, cover: TripleCover) -> bool:
         usage[y] += count
         usage[z] += count
     return usage == Counter(dict(a.entries))
+
+
+def validate_ewmm_decomposition(m: MealyMachine, c: CensusRequirement,
+                                decomposition: WalkDecomposition) -> bool:
+    """Whether the decomposition is a walk of ``subdivide(m)`` from the start
+    that writes c, each loop a closed walk run a non-negative number of times
+    at a state the base walk visits.  The work is |base| + Σ|cycle| steps."""
+    known = set(subdivide(m).transitions)
+    written: Counter = Counter()
+
+    def end(state, walk, times: int):
+        """Where ``walk`` run ``times`` times from ``state`` ends, or None."""
+        for t in walk:
+            if t not in known or t.source != state:
+                return None
+            written[t.writes] += times
+            state = t.target
+        return state
+
+    base = decomposition.base_walk
+    visited = {m.start, *(t.target for t in base)}
+    if end(m.start, base, 1) is None or any(
+            loop.count < 0 or loop.anchor not in visited
+            or end(loop.anchor, loop.cycle, loop.count) != loop.anchor
+            for loop in decomposition.loops):
+        return False
+    del written[EMPTY]
+    return CensusRequirement.of(written) == c
+
+
+def validate_gwmm_trace(m: MealyMachine, x, c: CensusRequirement, trace) -> bool:
+    """Whether the trace of transition indices runs m on x and writes c."""
+    try:
+        return census_of(run(m, x, trace)) == c
+    except ValueError:
+        return False

@@ -16,7 +16,8 @@ from .variety import Multiset
 
 
 class TargetOutOfRange(ValueError):
-    """Subset-sum target outside [0, multiset total]."""
+    """Subset-sum target outside [sum of the negative values, sum of the
+    positive ones], where no selection's sum lies."""
 
 
 class MalformedGraph(ValueError):
@@ -35,8 +36,9 @@ def subsetsum_to_partition(a: Multiset, s: int) -> Multiset:
     yields the same added integer |total - 2s|.  Variety grows by at most 1.
     """
     total = a.total()
-    if not 0 <= s <= total:
-        raise TargetOutOfRange(f"target {s} outside [0, {total}]")
+    low = sum(v * m for v, m in a.entries if v < 0)
+    if not low <= s <= total - low:
+        raise TargetOutOfRange(f"target {s} outside [{low}, {total - low}]")
     extra = abs(total - 2 * s)
     entries = []
     bumped = False

@@ -12,8 +12,8 @@ from collections import Counter
 from varsolve.census_solvers import solve_ewmm, solve_gwmm
 from varsolve.corpus import (FAMILIES, make_rng, random_machine,
                              random_simple_machine, random_walk)
-from varsolve.mealy import census_of, decompose_walk, run, subdivide
-from varsolve.oracle import brute_splits_game
+from varsolve.mealy import decompose_walk, subdivide
+from varsolve.oracle import brute_splits_game, validate_gwmm_trace
 from varsolve.reductions import SplitsInstance, splits_to_gwmm
 
 SEED = 42
@@ -47,7 +47,7 @@ def test_criterion_1_splits_figure_reproduction():
         machine, word, census = splits_to_gwmm(wins)
         trace = solve_gwmm(machine, word, census)
         assert trace is not None
-        assert census_of(run(machine, word, trace)) == census
+        assert validate_gwmm_trace(machine, word, census, trace)
         assert brute_splits_game(wins)
         mutated = SplitsInstance(gaps=(4, 1, 2, 1, 1, 1, 4),
                                  job_census={1: 2, 3: 2, 4: 1, 5: 2})

@@ -15,6 +15,9 @@ import varsolve
 import varsolve.cli
 import varsolve.variety
 from varsolve.cli import build_parser, main
+from varsolve.formats import parse_machine_instance
+from varsolve.mealy import Loop, WalkDecomposition, subdivide
+from varsolve.oracle import validate_ewmm_decomposition
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DEMOS = Path(__file__).parent.parent / "demos"
@@ -113,6 +116,17 @@ def test_reduce_partition_output_parses(capsys, monkeypatch):
     assert out.strip() == "YES"
 
 
+def test_reduce_partition_takes_negative_values(capsys, monkeypatch):
+    # The empty selection sums to 0, below the total -10.
+    monkeypatch.setattr("sys.stdin", io.StringIO("-5 3\n5 1\ns=0\n"))
+    code, reduced, _ = run_cli(capsys, "reduce-partition", "-")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(reduced))
+    code, out, _ = run_cli(capsys, "partition", "-")
+    assert code == 0
+    assert out.strip() == "YES"
+
+
 def test_gwmm_certificate_replays(capsys):
     code, out, _ = run_cli(capsys, "gwmm", str(FIXTURES / "ident_gwmm.txt"),
                            "--certificate")
@@ -133,8 +147,9 @@ def test_ewmm_unknown_exit_code(capsys):
 
 @pytest.mark.parametrize("budget", ["2", "3", "4"])
 def test_ewmm_budget_message_names_the_given_cap(capsys, budget):
-    # The budget runs out in a later connectivity-cut round, after earlier
-    # rounds spent part of it; from 5 nodes up the instance answers NO.
+    # The budget, summed over the restarts after connectivity cuts, runs out
+    # after a cut, once earlier searches spent part of it; from 5 nodes up the
+    # instance answers NO.
     assert run_cli(capsys, "ewmm", str(FIXTURES / "ewmm_rounds.txt"), "--budget", budget) == (
         3, "UNKNOWN\n", f"budget: node cap {budget} exceeded\n")
 
@@ -264,15 +279,21 @@ def test_ewmm_certificate_format(capsys):
 
 
 def test_ewmm_certificate_work_does_not_grow_with_the_census(capsys, monkeypatch):
-    # The loops are peeled from the transition counts: no walk of 2·10⁹
-    # transitions is built.
+    # The loops are peeled from the transition counts, and the printed
+    # certificate is validated loop by loop: no walk of 2·10⁹ transitions is built.
     text = (FIXTURES / "loop_ewmm.txt").read_text().replace("b 5\n", "b 1000000000\n")
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     begin = time.perf_counter()
     code, out, _ = run_cli(capsys, "ewmm", "-", "--certificate")
+    m, c = parse_machine_instance(text)
+    loop = Loop("q", subdivide(m).transitions, 10**9)
+    assert validate_ewmm_decomposition(m, c, WalkDecomposition((), (loop,)))
+    assert not validate_ewmm_decomposition(
+        m, c, WalkDecomposition((), (Loop("q", loop.cycle, 10**9 + 1),)))
     assert time.perf_counter() - begin < 1.0
     assert code == 0
-    assert out.splitlines()[:3] == ["YES", "base:", "loop q 1000000000:"]
+    assert out.splitlines() == ["YES", "base:", "loop q 1000000000:",
+                                *(t.text() for t in loop.cycle)]
 
 
 def test_package_imports_only_the_standard_library():
@@ -291,11 +312,13 @@ def test_package_imports_only_the_standard_library():
 
 def test_package_compares_the_empty_letter_by_value():
     # EMPTY is the string "": an ``is`` on it holds only while CPython interns "".
+    # The package, the tests and the demos are scanned.
     def empty(node):
         return (isinstance(node, ast.Name) and node.id == "EMPTY"
                 or isinstance(node, ast.Attribute) and node.attr == "EMPTY")
 
-    for path in sorted(Path(varsolve.__file__).parent.glob("*.py")):
+    folders = (Path(varsolve.__file__).parent, Path(__file__).parent, DEMOS)
+    for path in sorted(path for folder in folders for path in folder.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Compare):
                 continue

@@ -7,8 +7,8 @@ import pytest
 
 from varsolve.cli import main
 from varsolve.formats import parse_machine_instance
-from varsolve.mealy import (EMPTY, Loop, WalkDecomposition, census_of, run,
-                            subdivide)
+from varsolve.mealy import Loop, WalkDecomposition, subdivide
+from varsolve.oracle import validate_ewmm_decomposition
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -67,9 +67,8 @@ def test_reduction_image_trace_golden(capsys, monkeypatch, reduction, fixture,
     assert out == (FIXTURES / golden).read_text()
 
 
-def replay_printed_ewmm(m, certificate):
-    """The output census of a printed ``ewmm --certificate``, its walk read
-    back against and run on subdivide(m)."""
+def read_printed_ewmm(m, certificate):
+    """A printed ``ewmm --certificate`` read back against subdivide(m)."""
     sub = subdivide(m)
     by_text = {t.text(): t for t in sub.transitions}
     lines = certificate.splitlines()
@@ -82,10 +81,8 @@ def replay_printed_ewmm(m, certificate):
             loops.append((anchor, int(count), []))
         else:
             (loops[-1][2] if loops else base).append(by_text[line])
-    walk = WalkDecomposition(tuple(base), tuple(
-        Loop(anchor, tuple(cycle), count) for anchor, count, cycle in loops)).walk()
-    word = tuple(t.reads for t in walk if t.reads is not EMPTY)
-    return census_of(run(sub, word, [sub.transitions.index(t) for t in walk]))
+    return WalkDecomposition(tuple(base), tuple(
+        Loop(anchor, tuple(cycle), count) for anchor, count, cycle in loops))
 
 
 def test_reduce_heat_ewmm_certificate_golden(capsys, monkeypatch):
@@ -97,7 +94,7 @@ def test_reduce_heat_ewmm_certificate_golden(capsys, monkeypatch):
     assert code == 0
     assert out == (FIXTURES / "heat1_ewmm.out").read_text()
     m, census = parse_machine_instance(image)
-    assert replay_printed_ewmm(m, out) == census
+    assert validate_ewmm_decomposition(m, census, read_printed_ewmm(m, out))
 
 
 def test_reduction_output_is_reproducible(capsys):

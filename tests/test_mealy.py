@@ -99,7 +99,7 @@ def test_subdivided_replay_preserves_census():
             choices.append(i)
             state = m.transitions[i].target
         word = tuple(m.transitions[i].reads for i in choices
-                     if m.transitions[i].reads is not EMPTY)
+                     if m.transitions[i].reads != EMPTY)
         sub = subdivide(m)
         doubled = [j for i in choices for j in (2 * i, 2 * i + 1)]
         assert census_of(run(m, word, choices)) == census_of(run(sub, word, doubled))
@@ -122,7 +122,7 @@ def _check_shape(m, walk, decomposition):
         assert loop.cycle[-1].target == loop.anchor
     full = decomposition.walk()
     assert _arc_census(full) == _arc_census(walk)
-    word = [t.reads for t in full if t.reads is not EMPTY]
+    word = [t.reads for t in full if t.reads != EMPTY]
     run(m, word, [m.transitions.index(t) for t in full])
 
 

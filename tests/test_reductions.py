@@ -7,9 +7,8 @@ import pytest
 from varsolve import census_solvers
 from varsolve.census_solvers import solve_ewmm, solve_gwmm
 from varsolve.corpus import FAMILIES, make_rng, random_multicolored_graph
-from varsolve.mealy import census_of, run
 from varsolve.oracle import (brute_mcc_clique, brute_partition,
-                             brute_subset_sum)
+                             brute_subset_sum, validate_gwmm_trace)
 from varsolve.reductions import (CensusSizeMismatch, HeatInstance, MalformedGraph,
                                  MulticoloredGraph, SplitsInstance, TargetOutOfRange,
                                  _pair_edges, heat_to_ewmm, mcc_to_gwmm,
@@ -71,7 +70,7 @@ def test_mcc_triangle_is_yes():
     m, x, c = mcc_to_gwmm(g)
     trace = solve_gwmm(m, x, c)
     assert trace is not None
-    assert census_of(run(m, x, trace)) == c
+    assert validate_gwmm_trace(m, x, c, trace)
 
 
 def test_mcc_missing_pair_is_no():
@@ -199,7 +198,8 @@ def test_splits_winning_figure():
     assert len(m.states) == 7
     trace = solve_gwmm(m, x, c)
     assert trace is not None
-    assert census_of(run(m, x, trace)).as_dict() == {"1": 1, "3": 3, "4": 1, "5": 2}
+    assert c.as_dict() == {"1": 1, "3": 3, "4": 1, "5": 2}
+    assert validate_gwmm_trace(m, x, c, trace)
 
 
 def test_splits_single_job():
@@ -223,7 +223,8 @@ def test_splits_oracle_agreement():
 
 def test_families_reject_tampered_certificates(monkeypatch):
     # Each YES certificate loses its last step; the harness must notice,
-    # whether the replay then misses the census or fails to run at all.
+    # whether the shortened trace or walk then misses the census or fails
+    # to run at all.
     solve_gwmm_ = census_solvers.solve_gwmm
     solve_ewmm_ = census_solvers.solve_ewmm
 
