@@ -68,10 +68,11 @@ def enumerate_feasibility(program: IntegerProgram):
 
 
 def random_multiset(rng: random.Random, max_cardinality: int = 12,
-                    max_value: int = 20, min_cardinality: int = 0) -> Multiset:
+                    max_value: int = 20, min_cardinality: int = 0,
+                    min_value: int = 0) -> Multiset:
     cardinality = rng.randint(min_cardinality, max_cardinality)
     return Multiset.from_values(
-        rng.randint(0, max_value) for _ in range(cardinality))
+        rng.randint(min_value, max_value) for _ in range(cardinality))
 
 
 def random_subset_sum_instance(rng: random.Random) -> tuple[Multiset, int]:
@@ -334,8 +335,7 @@ def _audited_mcc(g: MulticoloredGraph) -> tuple:
         for j in range(1, k + 1):
             if j == i:
                 continue
-            pair = sum(1 for u, v in g.edges
-                       if {g.class_of(u), g.class_of(v)} == {i, j})
+            pair = sum(1 for u, v in g.edges if {g.owner[u], g.owner[v]} == {i, j})
             expected_len += (size + 1) * (1 + pair)
     if len(x) != expected_len:
         raise AssertionError("word length off")
@@ -411,11 +411,15 @@ def _check_gwmm_guard(seed: int, count: int = 30) -> int:
 
 
 def _check_reduce_partition(seed: int, count: int = 500) -> int:
-    """Subset sum against the partition image, oracle against oracle."""
+    """Subset sum against the partition image, oracle against oracle; every
+    other instance holds signed values, with a target between the sum of
+    its negative values and the sum of its positive ones."""
     rng = make_rng(seed)
     for index in range(count):
-        a = random_multiset(rng, max_cardinality=8, max_value=10)
-        s = rng.randint(0, max(0, a.total()))
+        a = random_multiset(rng, max_cardinality=8, max_value=10,
+                            min_value=-10 if index % 2 else 0)
+        s = rng.randint(sum(v for v in a.expand() if v < 0),
+                        sum(v for v in a.expand() if v > 0))
         image = subsetsum_to_partition(a, s)
         if oracle.brute_partition(image) != oracle.brute_subset_sum(a, s):
             raise AssertionError(f"partition reduction mismatch at instance {index}")

@@ -2,7 +2,10 @@
 
 All formats are line-oriented and whitespace-tolerant.  The empty letter is
 spelled ``_`` in machine files; otherwise letters, states and vertices are
-arbitrary non-whitespace tokens.  Parse errors carry file, line, and column.
+arbitrary non-whitespace tokens.  Parse errors carry file, line, and column:
+the column is the 1-based character offset of the token at fault (a tab
+counts as one character), and it is found only when the error is raised, so
+a valid file pays nothing for it.
 """
 
 from __future__ import annotations
@@ -32,24 +35,28 @@ class _Reader:
     def of(cls, text: str, path: str) -> "_Reader":
         return cls(path=path, lines=text.splitlines())
 
-    def tokens(self):
-        """Yield (line_number, [(token, column), ...]) for non-blank lines."""
-        for number, line in enumerate(self.lines, start=1):
-            parts = []
-            column = 1
-            for token in line.split():
-                column = line.index(token, column - 1) + 1
-                parts.append((token, column))
-                column += len(token)
-            if parts:
-                yield number, parts
+    def tokens(self) -> list[tuple[int, list[str]]]:
+        """(line_number, line.split()) for each non-blank line."""
+        return [(number, parts) for number, line in enumerate(self.lines, start=1)
+                if (parts := line.split())]
 
-    def last(self) -> int:
-        """The last non-blank line (or 1), where whole-instance errors go."""
-        return max((number for number, _ in self.tokens()), default=1)
+    def fail(self, line: int, index: int, message: str, offset: int = 0):
+        """Raise at token ``index`` of ``line``, ``offset`` characters in; each
+        token is searched for after the one before it, so a repeat is not
+        taken for an earlier token."""
+        text = self.lines[line - 1]
+        end = 0
+        for token in text.split()[:index + 1]:
+            start = text.index(token, end)
+            end = start + len(token)
+        raise ParseError(self.path, line, start + 1 + offset, message)
 
-    def fail(self, line: int, column: int, message: str):
-        raise ParseError(self.path, line, column, message)
+    def fail_at_end(self, message: str):
+        """Raise at column 1 of the last non-blank line (or line 1), where
+        errors about the whole instance go."""
+        last = next((number for number in range(len(self.lines), 0, -1)
+                     if self.lines[number - 1].strip()), 1)
+        raise ParseError(self.path, last, 1, message)
 
 
 def is_int_token(token: str) -> bool:
@@ -60,52 +67,48 @@ def is_int_token(token: str) -> bool:
     return digits.isascii() and digits.isdigit()
 
 
-def _int(reader: _Reader, token: str, line: int, column: int, what: str,
-         least: int | None = None) -> int:
-    """The integer an ASCII ``-?[0-9]+`` token spells; any other token is a
-    located error."""
+def _int(reader: _Reader, token: str, line: int, index: int, what: str,
+         least: int | None = None, offset: int = 0) -> int:
+    """The integer an ASCII ``-?[0-9]+`` token spells; any other token is an
+    error at token ``index`` of ``line``, ``offset`` characters in."""
     if not is_int_token(token):
-        reader.fail(line, column, f"expected {what}, got {token!r}")
+        reader.fail(line, index, f"expected {what}, got {token!r}", offset)
     value = int(token)
     if least is not None and value < least:
-        reader.fail(line, column, f"{what} must be at least {least}, got {value}")
+        reader.fail(line, index, f"{what} must be at least {least}, got {value}", offset)
     return value
 
 
-def _alone(reader: _Reader, parts, line: int, what: str) -> None:
+def _alone(reader: _Reader, parts: list[str], line: int, what: str) -> None:
     """Reject a token after the first on a line that holds only ``what``."""
     if len(parts) > 1:
-        extra, column = parts[1]
-        reader.fail(line, column, f"unexpected {extra!r} after the {what}")
+        reader.fail(line, 1, f"unexpected {parts[1]!r} after the {what}")
 
 
-def _target(reader: _Reader, parts, line: int, previous: int | None,
+def _target(reader: _Reader, parts: list[str], line: int, previous: int | None,
             expected: bool) -> int:
     """The integer of an ``s=<int>`` line that stands alone, comes once, and
     belongs to a problem that takes a target."""
-    token, column = parts[0]
     if not expected:
-        reader.fail(line, column, "unexpected 's=' line; this problem takes no target")
+        reader.fail(line, 0, "unexpected 's=' line; this problem takes no target")
     if previous is not None:
-        reader.fail(line, column, "second 's=' line; the target is given once")
+        reader.fail(line, 0, "second 's=' line; the target is given once")
     _alone(reader, parts, line, "target")
-    return _int(reader, token[2:], line, column + 2, "target integer")
+    return _int(reader, parts[0][2:], line, 0, "target integer", offset=2)
 
 
-def _entry(reader: _Reader, parts, line: int, seen: set[int],
+def _entry(reader: _Reader, parts: list[str], line: int, seen: set[int],
            where: str = "") -> tuple[int, int]:
     """The ``(value, multiplicity)`` of a ``value multiplicity`` line whose
     value is not in ``seen`` (then added); ``where`` ends the duplicate error."""
-    token, column = parts[0]
     if len(parts) != 2:
-        reader.fail(line, column, "expected 'value multiplicity'")
-    value = _int(reader, token, line, column, "integer value")
-    mult_token, mult_column = parts[1]
-    mult = _int(reader, mult_token, line, mult_column, "multiplicity")
+        reader.fail(line, 0, "expected 'value multiplicity'")
+    value = _int(reader, parts[0], line, 0, "integer value")
+    mult = _int(reader, parts[1], line, 1, "multiplicity")
     if value in seen:
-        reader.fail(line, column, f"duplicate value {value}{where}")
+        reader.fail(line, 0, f"duplicate value {value}{where}")
     if mult <= 0:
-        reader.fail(line, mult_column, f"multiplicity of {value} must be positive")
+        reader.fail(line, 1, f"multiplicity of {value} must be positive")
     seen.add(value)
     return value, mult
 
@@ -118,12 +121,12 @@ def parse_multiset(text: str, path: str = "<instance>",
     seen: set[int] = set()
     target = None
     for line, parts in reader.tokens():
-        if parts[0][0].startswith("s="):
+        if parts[0].startswith("s="):
             target = _target(reader, parts, line, target, expect_target)
             continue
         entries.append(_entry(reader, parts, line, seen))
     if expect_target and target is None:
-        reader.fail(reader.last(), 1, "missing 's=<int>' line")
+        reader.fail_at_end("missing 's=<int>' line")
     return Multiset(tuple(entries)), target
 
 
@@ -137,7 +140,7 @@ def parse_multiset_sections(text: str, names: tuple[str, ...],
     current = None
     target = None
     for line, parts in reader.tokens():
-        token, column = parts[0]
+        token = parts[0]
         if token.rstrip(":") in names and token.endswith(":"):
             current = token.rstrip(":")
             continue
@@ -145,12 +148,12 @@ def parse_multiset_sections(text: str, names: tuple[str, ...],
             target = _target(reader, parts, line, target, expect_target)
             continue
         if current is None:
-            reader.fail(line, column,
+            reader.fail(line, 0,
                         f"expected a section marker, one of {', '.join(n + ':' for n in names)}")
         sections[current].append(
             _entry(reader, parts, line, seen[current], f" in section {current}"))
     if expect_target and target is None:
-        reader.fail(reader.last(), 1, "missing 's=<int>' line")
+        reader.fail_at_end("missing 's=<int>' line")
     # A list comprehension, not tuple(<generator>): its shrunk tuples pile up on free lists.
     multisets = [Multiset(tuple(sections[name])) for name in names]
     return (*multisets, target) if expect_target else tuple(multisets)
@@ -174,25 +177,25 @@ def parse_machine_instance(text: str, path: str = "<instance>",
     count, and every word letter is an ``input:`` one.
     """
     reader = _Reader.of(text, path)
-    headers: dict[str, tuple[int, list]] = {}  # name -> (line, parts) of its header line
+    headers: dict[str, tuple[int, list[str]]] = {}  # name -> (line, parts) of its header line
     rows = []  # (line, parts) of each transition line
     census: dict[str, int] = {}
     census_seen = False
-    word = None  # (line, [(token, column), ...]) of the ``word:`` line
+    word = None  # (line, parts) of the ``word:`` line
     mode = "machine"
     for line, parts in reader.tokens():
-        token, column = parts[0]
+        token = parts[0]
         if token in ("states:", "start:", "input:", "output:"):
             if token[:-1] in headers:
-                reader.fail(line, column, f"second {token!r} line; each header is given once")
+                reader.fail(line, 0, f"second {token!r} line; each header is given once")
             headers[token[:-1]] = line, parts
             continue
         if token == "word:":
             if not with_word:
-                reader.fail(line, column, "this problem takes no input word")
+                reader.fail(line, 0, "this problem takes no input word")
             if word is not None:
-                reader.fail(line, column, "second 'word:' line; the word is given once")
-            word = line, parts[1:]
+                reader.fail(line, 0, "second 'word:' line; the word is given once")
+            word = line, parts
             continue
         if token == "census:":
             census_seen = True
@@ -200,66 +203,63 @@ def parse_machine_instance(text: str, path: str = "<instance>",
             continue
         if mode == "census":
             if len(parts) != 2:
-                reader.fail(line, column, "expected 'letter count'")
-            count_token, count_column = parts[1]
-            count = _int(reader, count_token, line, count_column, "census count")
+                reader.fail(line, 0, "expected 'letter count'")
+            count = _int(reader, parts[1], line, 1, "census count")
             if count < 0:
-                reader.fail(line, count_column, "census counts are non-negative")
+                reader.fail(line, 1, "census counts are non-negative")
             if token == "_":
-                reader.fail(line, column, "the empty letter '_' takes no census count")
+                reader.fail(line, 0, "the empty letter '_' takes no census count")
             if token in census:
-                reader.fail(line, column, f"duplicate census letter {token!r}")
+                reader.fail(line, 0, f"duplicate census letter {token!r}")
             census[token] = count
             continue
-        if len(parts) == 5 and parts[2][0] == "->":
+        if len(parts) == 5 and parts[2] == "->":
             rows.append((line, parts))
             continue
-        reader.fail(line, column, "expected 'from read -> to write'")
+        reader.fail(line, 0, "expected 'from read -> to write'")
     for required in ("states", "start", "input", "output"):
         if required not in headers:
-            reader.fail(reader.last(), 1, f"missing '{required}:' header")
+            reader.fail_at_end(f"missing '{required}:' header")
     if not census_seen:
-        reader.fail(reader.last(), 1, "missing 'census:' section")
-    states = {token for token, _ in headers["states"][1][1:]}
-    inputs = {_letter(token) for token, _ in headers["input"][1][1:]}
-    outputs = {_letter(token) for token, _ in headers["output"][1][1:]}
+        reader.fail_at_end("missing 'census:' section")
+    states = set(headers["states"][1][1:])
+    inputs = {_letter(token) for token in headers["input"][1][1:]}
+    outputs = {_letter(token) for token in headers["output"][1][1:]}
     line, start = headers["start"]
     if len(start) != 2:
         # Located at the second state, or at ``start:`` when none is named.
-        token, column = start[2] if len(start) > 2 else start[0]
-        reader.fail(line, column, "start: expects exactly one state")
-    if start[1][0] not in states:
-        reader.fail(line, start[1][1], f"start state {start[1][0]!r} not among states")
+        reader.fail(line, 2 if len(start) > 2 else 0, "start: expects exactly one state")
+    if start[1] not in states:
+        reader.fail(line, 1, f"start state {start[1]!r} not among states")
     transitions: dict[Transition, None] = {}  # in file order
-    for line, ((source, source_column), (reads, reads_column), _,
-               (target, target_column), (writes, writes_column)) in rows:
+    for line, (source, reads, _, target, writes) in rows:
         t = Transition(source, _letter(reads), target, _letter(writes))
         if source not in states:
-            reader.fail(line, source_column, f"state {source!r} not among states")
+            reader.fail(line, 0, f"state {source!r} not among states")
         if t.reads not in inputs:
-            reader.fail(line, reads_column, f"read letter {reads!r} not in the input alphabet")
+            reader.fail(line, 1, f"read letter {reads!r} not in the input alphabet")
         if target not in states:
-            reader.fail(line, target_column, f"state {target!r} not among states")
+            reader.fail(line, 3, f"state {target!r} not among states")
         if t.writes not in outputs:
-            reader.fail(line, writes_column, f"write letter {writes!r} not in the output alphabet")
+            reader.fail(line, 4, f"write letter {writes!r} not in the output alphabet")
         if t in transitions:
-            reader.fail(line, source_column, f"duplicate transition {t.text()!r}")
+            reader.fail(line, 0, f"duplicate transition {t.text()!r}")
         transitions[t] = None
-    machine = MealyMachine(states=frozenset(states), start=start[1][0],
+    machine = MealyMachine(states=frozenset(states), start=start[1],
                            input_alphabet=frozenset(inputs),
                            output_alphabet=frozenset(outputs),
                            transitions=tuple(transitions))
     requirement = CensusRequirement.of(census)
     if with_word:
         if word is None:
-            reader.fail(reader.last(), 1, "missing 'word:' line")
-        word_line, letters = word
-        for letter, column in letters:
+            reader.fail_at_end("missing 'word:' line")
+        word_line, parts = word
+        for index, letter in enumerate(parts[1:], start=1):
             if letter == "_":
-                reader.fail(word_line, column, "the empty letter '_' cannot occur in the word")
+                reader.fail(word_line, index, "the empty letter '_' cannot occur in the word")
             if letter not in inputs:
-                reader.fail(word_line, column, f"input letter {letter!r} not in the input alphabet")
-        return machine, tuple([letter for letter, _ in letters]), requirement
+                reader.fail(word_line, index, f"input letter {letter!r} not in the input alphabet")
+        return machine, tuple(parts[1:]), requirement
     return machine, requirement
 
 
@@ -275,47 +275,47 @@ def parse_graph(text: str, path: str = "<instance>") -> MulticoloredGraph:
     owner: dict[str, int] = {}  # vertex -> its class index
     edges = []  # (line, parts) of each edge line
     for line, parts in reader.tokens():
-        token, column = parts[0]
+        token = parts[0]
         if k is None:
-            k = _int(reader, token, line, column, "class count k")
+            k = _int(reader, token, line, 0, "class count k")
             if k < 1:
-                reader.fail(line, column, "k must be positive")
+                reader.fail(line, 0, "k must be positive")
             _alone(reader, parts, line, "class count k")
             classes = {i: [] for i in range(1, k + 1)}
             continue
         if token == "class":
-            if len(parts) < 2 or not parts[1][0].endswith(":"):
-                reader.fail(line, column, "expected 'class i: v1 v2 ...'")
-            index = _int(reader, parts[1][0][:-1], line, parts[1][1], "class index")
+            if len(parts) < 2 or not parts[1].endswith(":"):
+                reader.fail(line, 0, "expected 'class i: v1 v2 ...'")
+            index = _int(reader, parts[1][:-1], line, 1, "class index")
             if index not in classes:
-                reader.fail(line, parts[1][1], f"class index {index} outside 1..{k}")
-            for vertex, vertex_column in parts[2:]:
+                reader.fail(line, 1, f"class index {index} outside 1..{k}")
+            for position, vertex in enumerate(parts[2:], start=2):
                 if vertex in owner:
-                    reader.fail(line, vertex_column, f"vertex {vertex!r} appears twice")
+                    reader.fail(line, position, f"vertex {vertex!r} appears twice")
                 owner[vertex] = index
                 classes[index].append(vertex)
             continue
         if token == "edge":
             if len(parts) != 3:
-                reader.fail(line, column, "expected 'edge u v'")
+                reader.fail(line, 0, "expected 'edge u v'")
             edges.append((line, parts))
             continue
-        reader.fail(line, column, f"unexpected token {token!r}")
+        reader.fail(line, 0, f"unexpected token {token!r}")
     if k is None:
-        reader.fail(1, 1, "empty graph instance")
+        reader.fail_at_end("empty graph instance")
     seen = set()
-    for line, ((_, column), (u, u_column), (v, v_column)) in edges:
-        for vertex, vertex_column in ((u, u_column), (v, v_column)):
+    for line, (_, u, v) in edges:
+        for position, vertex in ((1, u), (2, v)):
             if vertex not in owner:
-                reader.fail(line, vertex_column, f"edge endpoint {vertex!r} not a vertex")
+                reader.fail(line, position, f"edge endpoint {vertex!r} not a vertex")
         if owner[u] == owner[v]:
-            reader.fail(line, column, f"edge {u!r}-{v!r} inside one class")
+            reader.fail(line, 0, f"edge {u!r}-{v!r} inside one class")
         if frozenset((u, v)) in seen:
-            reader.fail(line, column, f"duplicate edge {u!r}-{v!r}")
+            reader.fail(line, 0, f"duplicate edge {u!r}-{v!r}")
         seen.add(frozenset((u, v)))
     return MulticoloredGraph(
         k=k, classes=tuple([tuple(classes[i]) for i in range(1, k + 1)]),
-        edges=tuple([(parts[1][0], parts[2][0]) for _, parts in edges]))
+        edges=tuple([(u, v) for _, (_, u, v) in edges]))
 
 
 def parse_heat(text: str, path: str = "<instance>") -> HeatInstance:
@@ -325,30 +325,29 @@ def parse_heat(text: str, path: str = "<instance>") -> HeatInstance:
     deadline = None
     census: dict[int, int] = {}
     for line, parts in reader.tokens():
-        token, column = parts[0]
         if threshold is None:
-            threshold = _int(reader, token, line, column, "temperature threshold", 0)
+            threshold = _int(reader, parts[0], line, 0, "temperature threshold", 0)
             _alone(reader, parts, line, "temperature threshold")
             continue
         if deadline is None:
-            deadline = _int(reader, token, line, column, "deadline", 0)
+            deadline = _int(reader, parts[0], line, 0, "deadline", 0)
             _alone(reader, parts, line, "deadline")
             continue
-        if token != "job" or len(parts) != 3:
-            reader.fail(line, column, "expected 'job heat count'")
-        heat = _int(reader, parts[1][0], line, parts[1][1], "heat level")
-        count = _int(reader, parts[2][0], line, parts[2][1], "job count", 0)
+        if parts[0] != "job" or len(parts) != 3:
+            reader.fail(line, 0, "expected 'job heat count'")
+        heat = _int(reader, parts[1], line, 1, "heat level")
+        count = _int(reader, parts[2], line, 2, "job count", 0)
         if not 0 <= heat <= 2 * threshold:
-            reader.fail(line, parts[1][1], f"heat level {heat} outside 0..{2 * threshold}")
+            reader.fail(line, 1, f"heat level {heat} outside 0..{2 * threshold}")
         if heat in census:
-            reader.fail(line, parts[1][1], f"duplicate heat level {heat}")
+            reader.fail(line, 1, f"duplicate heat level {heat}")
         census[heat] = count
     if threshold is None or deadline is None:
-        reader.fail(reader.last(), 1, "expected threshold and deadline lines")
+        reader.fail_at_end("expected threshold and deadline lines")
     try:
         return HeatInstance(threshold=threshold, job_census=census, deadline=deadline)
     except ValueError as error:
-        reader.fail(reader.last(), 1, str(error))
+        reader.fail_at_end(str(error))
 
 
 def parse_splits(text: str, path: str = "<instance>") -> SplitsInstance:
@@ -357,25 +356,25 @@ def parse_splits(text: str, path: str = "<instance>") -> SplitsInstance:
     gaps = None
     census: dict[int, int] = {}
     for line, parts in reader.tokens():
-        token, column = parts[0]
-        if token == "gaps:":
+        if parts[0] == "gaps:":
             if gaps is not None:
-                reader.fail(line, column, "second 'gaps:' line; the gaps are given once")
-            gaps = tuple([_int(reader, t, line, c, "gap", 1) for t, c in parts[1:]])
+                reader.fail(line, 0, "second 'gaps:' line; the gaps are given once")
+            gaps = tuple([_int(reader, token, line, index, "gap", 1)
+                          for index, token in enumerate(parts[1:], start=1)])
             continue
-        if token != "job" or len(parts) != 3:
-            reader.fail(line, column, "expected 'job length count'")
-        length = _int(reader, parts[1][0], line, parts[1][1], "job length", 1)
-        count = _int(reader, parts[2][0], line, parts[2][1], "job count", 0)
+        if parts[0] != "job" or len(parts) != 3:
+            reader.fail(line, 0, "expected 'job length count'")
+        length = _int(reader, parts[1], line, 1, "job length", 1)
+        count = _int(reader, parts[2], line, 2, "job count", 0)
         if length in census:
-            reader.fail(line, parts[1][1], f"duplicate job length {length}")
+            reader.fail(line, 1, f"duplicate job length {length}")
         census[length] = count
     if gaps is None:
-        reader.fail(reader.last(), 1, "missing 'gaps:' line")
+        reader.fail_at_end("missing 'gaps:' line")
     try:
         return SplitsInstance(gaps=gaps, job_census=census)
     except ValueError as error:
-        reader.fail(reader.last(), 1, str(error))
+        reader.fail_at_end(str(error))
 
 
 def write_multiset(a: Multiset, target: int | None = None) -> str:

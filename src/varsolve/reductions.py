@@ -64,6 +64,8 @@ class MulticoloredGraph:
     k: int
     classes: tuple[tuple[str, ...], ...]
     edges: tuple[tuple[str, str], ...]
+    # Vertex -> its class index (from 1), filled in from ``classes``.
+    owner: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k != len(self.classes):
@@ -74,6 +76,7 @@ class MulticoloredGraph:
                 if v in owner:
                     raise ValueError(f"vertex {v!r} appears twice")
                 owner[v] = index
+        object.__setattr__(self, "owner", owner)
         seen = set()
         for u, v in self.edges:
             if u not in owner or v not in owner:
@@ -83,12 +86,6 @@ class MulticoloredGraph:
             if frozenset((u, v)) in seen:
                 raise ValueError(f"duplicate edge {u!r}-{v!r}")
             seen.add(frozenset((u, v)))
-
-    def class_of(self, v: str) -> int:
-        for index, cls in enumerate(self.classes, start=1):
-            if v in cls:
-                return index
-        raise KeyError(v)
 
     def adjacent(self, u: str, v: str) -> bool:
         return any({u, v} == {a, b} for a, b in self.edges)
@@ -111,15 +108,14 @@ class MulticoloredGraph:
         return len(reached) == len(vertices)
 
 
-def _pair_edges(g: MulticoloredGraph, i: int, j: int) -> list[tuple[str, str]]:
-    """Edges between classes i and j, oriented (class-i vertex first)."""
-    out = []
+def _pair_edges(g: MulticoloredGraph) -> dict[tuple[int, int], list[tuple[str, str]]]:
+    """The edges between classes i and j under (i, j), oriented (class-i
+    vertex first), in edge order, for every ordered pair of classes."""
+    pairs = {(i, j): [] for i in range(1, g.k + 1) for j in range(1, g.k + 1) if i != j}
     for u, v in g.edges:
-        if g.class_of(u) == i and g.class_of(v) == j:
-            out.append((u, v))
-        elif g.class_of(v) == i and g.class_of(u) == j:
-            out.append((v, u))
-    return out
+        pairs[g.owner[u], g.owner[v]].append((u, v))
+        pairs[g.owner[v], g.owner[u]].append((v, u))
+    return pairs
 
 
 def mcc_to_gwmm(g: MulticoloredGraph) -> tuple[MealyMachine, tuple, CensusRequirement]:
@@ -222,8 +218,7 @@ def mcc_to_gwmm(g: MulticoloredGraph) -> tuple[MealyMachine, tuple, CensusRequir
         transitions=tuple(transitions),
     )
 
-    pair_edges = {(i, j): _pair_edges(g, i, j)
-                  for i in range(1, k + 1) for j in others[i]}
+    pair_edges = _pair_edges(g)
 
     def gaps(i: int, j: int, vertex: str) -> list[int]:
         """Positions of the vertex's incident edges inside the pair list,

@@ -140,7 +140,7 @@ def test_mcc_accepting_traces_decode_to_cliques():
                     continue
                 q = edge_index[(i, j)]
                 assert q == edge_index[(j, i)]
-                listing = _pair_edges(g, i, j)
+                listing = _pair_edges(g)[(i, j)]
                 assert 1 <= q <= len(listing)
                 u, v = listing[q - 1]
                 assert u == vertices[i] and v == vertices[j]
