@@ -207,10 +207,10 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
     # letter and the total to the counts, and moves the low part to the
     # target's.  Transitions writing a letter with a zero requirement can
     # never be taken and are left out.  read_at[i] holds the moves reading
-    # x[i]; read_at[n] has none.  free marks the fields that an empty-read
-    # move writes.
+    # x[i], () for a state with none; read_at[n] has none.  free marks the
+    # fields that an empty-read move writes.
     eps_moves: list[list[tuple[int, int]]] = [[] for _ in names]
-    by_letter: dict[str, list[list[tuple[int, int]]]] = {}
+    by_letter: dict[str, list[Sequence[tuple[int, int]]]] = {}
     weight_of[EMPTY] = 0
     free = 0
     for index, t in enumerate(m.transitions):
@@ -222,9 +222,12 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
             eps_moves[source].append((index, weight + target - source))
             free |= weight * full
         else:
-            if t.reads not in by_letter:
-                by_letter[t.reads] = [[] for _ in names]
-            by_letter[t.reads][source].append((index, weight + n_states + target - source))
+            moves = by_letter.get(t.reads)
+            if moves is None:
+                moves = by_letter[t.reads] = [()] * n_states
+            if not moves[source]:
+                moves[source] = []
+            moves[source].append((index, weight + n_states + target - source))
     silent = any(eps_moves)
     no_moves = [()] * n_states
     read_at = [by_letter.get(letter, no_moves) for letter in x] + [no_moves]

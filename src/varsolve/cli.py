@@ -8,6 +8,10 @@ read as No), 3 for an unknown verdict (a budget ran out: integer-program
 nodes for ``ewmm`` and the five multiset subcommands, given-word table
 entries for ``gwmm``; stderr then says which, as ``budget: <message>``).
 
+A call that names a subcommand is parsed by that subcommand's parser alone,
+so an unrecognized option is reported under its usage (``varsolve
+subsetsum: error: unrecognized arguments: --foo``).
+
 Every solver subcommand is a row of ``SOLVERS`` and every reduction a row
 of ``REDUCTIONS``.  A row reaches its solver, reduction, parser and writer
 through this module's or ``formats``' attribute at call time, never through
@@ -38,8 +42,8 @@ USAGE = 2
 def _read(path: str) -> tuple[str, str]:
     if path == "-":
         return sys.stdin.read(), "<stdin>"
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read(), path
+    with open(path, "rb") as handle:
+        return handle.read().decode("utf-8"), path
 
 
 def _print_selection(cert, instance) -> None:
@@ -233,7 +237,8 @@ def _seed(text: str) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: building it costs
-    some 40 parses, and ``parse_args`` leaves no state in it."""
+    some 40 parses, and ``parse_args`` leaves no state in it.  Its
+    ``subcommands`` maps each subcommand name to the parser it holds."""
     parser = argparse.ArgumentParser(
         prog="varsolve",
         description="Exact solvers for few-distinct-value problems and "
@@ -261,12 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", action="append", choices=sorted(corpus.FAMILIES),
                    help="verify one family (repeatable); default: all")
     p.set_defaults(handler=_cmd_verify)
+    parser.subcommands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
     try:
-        args = build_parser().parse_args(argv)
+        args = (parser.parse_args(argv) if sub is None
+                else sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
     except SystemExit as exit_:
         return USAGE if exit_.code not in (0, None) else 0
     try:

@@ -7,15 +7,16 @@ row with two unfixed variables has integer solutions only on a lattice, so
 propagation rounds one of its boxes to that lattice in one step instead of
 trading bounds between the two variables pass after pass.  Before any
 propagation, a rank check on the equality rows rejects programs whose
-equalities have no rational solution at all.  A branch does not start at
-the bottom of its box: it first tries the smallest value that puts the
-variable at the same fraction of its box as an equality row's right-hand
-side sits in that row's range, then works outward from it.  The search
-keeps an explicit stack, one frame per branched variable, so its depth is
-not limited by Python's recursion limit.  A cut row from the caller restarts
-it from the root, and a budget caps its nodes over all restarts.  All
-arithmetic is exact unbounded-magnitude Python integers; there is no
-floating-point relaxation anywhere.
+equalities have no rational solution at all (it pivots on a +-1 term
+wherever a row has one, and such a pivot eliminates with no scaling or gcd
+pass).  A branch does not start at the bottom of its box: it first tries the
+smallest value that puts the variable at the same fraction of its box as an
+equality row's right-hand side sits in that row's range, then works outward
+from it.  The search keeps an explicit stack, one frame per branched
+variable, so its depth is not limited by Python's recursion limit.  A cut row
+from the caller restarts it from the root, and a budget caps its nodes over
+all restarts.  All arithmetic is exact unbounded-magnitude Python integers;
+there is no floating-point relaxation anywhere.
 
 Each solve reads and rank-checks the program once: the compile rejects a
 malformed program and turns it into index form, with boxes in two int lists,
@@ -331,10 +332,10 @@ def propagate_bounds(program: IntegerProgram) -> IntegerProgram:
 def _equalities_consistent(rows: list[tuple[list[tuple[int, int]], str, int]]) -> bool:
     """Whether the compiled equality rows have a rational solution, ignoring boxes.
 
-    Fraction-free Gaussian elimination over sparse integer rows, with the
-    right-hand side carried along and each row divided by its gcd; the
-    equalities are inconsistent exactly when a row reduces to ``0 = r`` with
-    r != 0.
+    Gaussian elimination over sparse integer rows and right-hand sides: the
+    rows are inconsistent exactly when one reduces to ``0 = r``, r != 0.  A row
+    pivots on its first +-1 term, else its first; a +-1 pivot p subtracts c*p
+    times its row in place, any other takes a fraction-free gcd-divided step.
     """
     pivots: list[tuple[int, dict[int, int], int]] = []
     for terms, relation, rhs in rows:
@@ -346,20 +347,31 @@ def _equalities_consistent(rows: list[tuple[list[tuple[int, int]], str, int]]) -
             if not c:
                 continue
             p = prow[var]
-            row = {k: p * c_row for k, c_row in row.items()}
+            unit = p == 1 or p == -1
+            if unit:
+                c *= p
+            else:
+                row = {k: p * c_row for k, c_row in row.items()}
+                rhs *= p
             for k, c_piv in prow.items():
                 value = row.get(k, 0) - c * c_piv
                 if value:
                     row[k] = value
                 else:
                     row.pop(k, None)
-            rhs = p * rhs - c * prhs
-            g = math.gcd(rhs, *row.values())
-            if g > 1:
-                row = {k: value // g for k, value in row.items()}
-                rhs //= g
+            rhs -= c * prhs
+            if not unit:
+                g = math.gcd(rhs, *row.values())
+                if g > 1:
+                    row = {k: value // g for k, value in row.items()}
+                    rhs //= g
         if row:
-            pivots.append((next(iter(row)), row, rhs))
+            for var, c in row.items():
+                if c == 1 or c == -1:
+                    break
+            else:
+                var = next(iter(row))
+            pivots.append((var, row, rhs))
         elif rhs != 0:
             return False
     return True

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, verdict lines, pipelines, errors."""
 
+import argparse
 import ast
 import gc
 import io
@@ -55,9 +56,64 @@ def test_dump_ilp_flag(capsys):
     assert "3*x1 + 5*x2 = 11" in out
 
 
+@pytest.mark.parametrize("argv, code, stream, text", [
+    pytest.param([], 2, "err", "varsolve: error: the following arguments are required: "
+                 "command", id="no-argument"),
+    pytest.param(["-h"], 0, "out", "usage: varsolve [-h]", id="help"),
+    pytest.param(["subsetsum", str(FIXTURES / "ss1.txt"), "--foo"], 2, "err",
+                 "varsolve subsetsum: error: unrecognized arguments: --foo",
+                 id="unrecognized-option"),
+    pytest.param(["partition", str(FIXTURES / "part1.txt"), "--foo"], 2, "err",
+                 "usage: varsolve partition [-h]", id="unrecognized-option-usage"),
+    pytest.param(["subsetsum", "-h"], 0, "out", "usage: varsolve subsetsum [-h]",
+                 id="subcommand-help"),
+])
+def test_command_line_surface(capsys, argv, code, stream, text):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert text in (out if stream == "out" else err)
+    if stream == "err":
+        assert out == ""
+
+
 def test_unknown_subcommand_rejected(capsys):
-    code, _, _ = run_cli(capsys, "frobnicate", "x.txt")
-    assert code == 2
+    code, out, err = run_cli(capsys, "frobnicate", "x.txt")
+    assert (code, out) == (2, "")
+    assert "varsolve: error: argument command: invalid choice: 'frobnicate'" in err
+
+
+def test_abbreviated_and_joined_options(capsys):
+    ss1 = str(FIXTURES / "ss1.txt")
+    assert run_cli(capsys, "subsetsum", ss1, "--cert")[:2] == (0, "YES\n3 2\n5 1\n")
+    assert run_cli(capsys, "subsetsum", ss1, "--budget=0")[:2] == (3, "UNKNOWN\n")
+
+
+def test_subcommand_is_parsed_once(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran for a named subcommand")
+
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(build_parser(), name, refuse)
+    ss1 = str(FIXTURES / "ss1.txt")
+    assert run_cli(capsys, "subsetsum", ss1, "--certificate")[:2] == (0, "YES\n3 2\n5 1\n")
+    assert run_cli(capsys, "ewmm", str(FIXTURES / "loop_ewmm.txt"))[:2] == (0, "YES\n")
+    assert run_cli(capsys, "reduce-partition", ss1)[0] == 0
+    assert run_cli(capsys, "verify", "--family", "heat", "--seed", "7")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["subsetsum", "ss1.txt", "--cert", "--budget=0"],
+    ["partition", "-", "--dump-ilp"],
+    ["ewmm", "m.txt", "--budget", "7"],
+    ["gwmm", "--certificate", "m.txt"],
+    ["reduce-mcc", "g.txt"],
+    ["verify", "--family", "heat", "--family", "splits", "--seed", "-3"],
+    ["verify"],
+])
+def test_subcommand_parser_gives_the_top_level_namespace(argv):
+    parser = build_parser()
+    direct = parser.subcommands[argv[0]].parse_args(argv[1:])
+    assert parser.parse_args(argv) == argparse.Namespace(command=argv[0], **vars(direct))
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -384,6 +440,25 @@ def test_directory_instance_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("command, fixture", [("subsetsum", "ss1.txt"),
+                                              ("ewmm", "loop_ewmm.txt")])
+def test_line_endings_read_alike(capsys, tmp_path, newline, command, fixture):
+    lf = FIXTURES / fixture
+    copy = tmp_path / fixture
+    copy.write_bytes(lf.read_bytes().replace(b"\n", newline.encode()))
+    assert (run_cli(capsys, command, str(copy), "--certificate")[:2]
+            == run_cli(capsys, command, str(lf), "--certificate")[:2])
+
+
+def test_undecodable_instance_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"3 2\n\xff 1\n")
+    code, out, err = run_cli(capsys, "partition", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
 
 @pytest.mark.parametrize("command, text, location", [

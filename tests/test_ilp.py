@@ -246,6 +246,25 @@ def test_rank_check_runs_before_propagation():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("rows, consistent", [
+    # A -1 pivot: x - y = 1 adds -x + y = 0 to reach 0 = 1.
+    ([({"x": -1, "y": 1}, "=", 0), ({"x": 1, "y": -1}, "=", 1)], False),
+    # The second row pivots on its +-1 term y, not its first term x; the
+    # third row is the first minus twice the second.
+    ([({"x": 2, "z": 1}, "=", 3), ({"x": 2, "y": -1}, "=", 1),
+      ({"x": -2, "y": 2, "z": 1}, "=", 1)], True),
+    ([({"x": 2, "z": 1}, "=", 3), ({"x": 2, "y": -1}, "=", 1),
+      ({"x": -2, "y": 2, "z": 1}, "=", 2)], False),
+    # Only non-unit pivots: 2x + 4y = 6 and 3x + 6y = 10 (x + 2y is 3, not 10/3).
+    ([({"x": 2, "y": 4}, "=", 6), ({"x": 3, "y": 6}, "=", 10)], False),
+    ([({"x": 2, "y": 4}, "=", 6), ({"x": 3, "y": 6}, "=", 9)], True),
+])
+def test_rank_check_pivots(rows, consistent):
+    p = program([(name, -9, 9) for name in "xyz"], rows)
+    assert ilp._equalities_consistent(ilp._Boxes(p).rows) is consistent
+    assert rationally_consistent(p) is consistent
+
+
 def rationally_consistent(p):
     """Reference rank check: Gauss-Jordan elimination over Fractions on the
     equality rows; inconsistent exactly when a row reduces to 0 = r, r != 0."""
@@ -292,6 +311,46 @@ def equality_systems(draw):
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(equality_systems())
 def test_rank_check_matches_fraction_elimination(p):
+    assert ilp._equalities_consistent(ilp._Boxes(p).rows) == rationally_consistent(p)
+
+
+@st.composite
+def cover_systems(draw):
+    """Equality rows shaped like ``variety._cover_program``'s: three groups
+    of 3-8 entries, one row per entry and one variable per triple, whose
+    coefficient in a row is the number of the triple's slots holding that
+    entry.  Some triples stay inside one group and hold an entry two or
+    three times, as in 3-partition.  Each right-hand side is its entry's use
+    under random triple counts, so the rows are consistent, unless one of
+    them is shifted by 1."""
+    sizes = [draw(st.integers(3, 8)) for _ in range(3)]
+    triples = []
+    for _ in range(draw(st.integers(1, 16))):
+        if draw(st.integers(0, 3)):
+            triples.append([(g, draw(st.integers(0, size - 1))) for g, size in enumerate(sizes)])
+        else:
+            g = draw(st.integers(0, 2))
+            entry = (g, draw(st.integers(0, sizes[g] - 1)))
+            repeats = draw(st.integers(2, 3))
+            triples.append([entry] * repeats
+                           + [(g, draw(st.integers(0, sizes[g] - 1)))] * (3 - repeats))
+    rows = {}
+    for t, slots in enumerate(triples):
+        for slot in slots:
+            row = rows.setdefault(slot, {})
+            row[f"t{t}"] = row.get(f"t{t}", 0) + 1
+    counts = [draw(st.integers(0, 3)) for _ in triples]
+    rhs = {slot: sum(counts[int(name[1:])] * c for name, c in row.items())
+           for slot, row in rows.items()}
+    if draw(st.booleans()):
+        rhs[draw(st.sampled_from(sorted(rows)))] += 1
+    return program([(f"t{t}", 0, 3) for t in range(len(triples))],
+                   [(rows[slot], "=", rhs[slot]) for slot in sorted(rows)])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(cover_systems())
+def test_rank_check_matches_fraction_elimination_on_cover_programs(p):
     assert ilp._equalities_consistent(ilp._Boxes(p).rows) == rationally_consistent(p)
 
 
