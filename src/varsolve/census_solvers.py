@@ -3,15 +3,17 @@
 Two problems over a nondeterministic machine M and a census requirement c:
 
 * exists-word: is there any input word and computation of M whose output
-  meets c exactly?  Solved as one integer program on M, the linear-size
-  Parikh image of Seidl, Schwentick, Muscholl and Habermehl (ICALP 2004):
-  a use count per transition, a 0/1 end state, flow conservation per state
-  and one census equality per letter.  Connectivity to the start state is
-  added lazily: one engine call checks each solution it finds, takes a
-  cut row for each disconnected one and searches again, within one node
-  budget.  The certificate is the paper's walk decomposition, peeled
-  straight from the transition counts over the subdivided machine: a base
-  walk plus anchored loops with execution counts.
+  meets c exactly?  Solved as one integer program on the part of M that a
+  walk from the start can reach, the linear-size Parikh image of Seidl,
+  Schwentick, Muscholl and Habermehl (ICALP 2004): a use count per
+  transition out of a reached state, a 0/1 end state and flow conservation
+  per reached state, and one census equality per letter.  Connectivity to
+  the start state is added lazily: one engine call checks each solution it
+  finds, takes a cut row for each disconnected one and searches again,
+  within one node budget.  The certificate is the paper's walk
+  decomposition, peeled straight from the transition counts over the
+  subdivided machine: a base walk plus anchored loops with execution
+  counts.
 
 * given-word: for a fixed input word x, is there a computation reading all
   of x whose output meets c exactly?  Solved in one forward pass by a
@@ -39,20 +41,36 @@ from .mealy import (EMPTY, CensusRequirement, MealyMachine, WalkDecomposition,
 DEFAULT_BUDGET = 2_000_000
 
 
+def _reached(start: str, moves: dict[str, list[str]]) -> set[str]:
+    """The states reached from ``start`` along ``moves``, targets by source."""
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        for target in moves.get(frontier.pop(), ()):
+            if target not in reached:
+                reached.add(target)
+                frontier.append(target)
+    return reached
+
+
 def solve_ewmm(m: MealyMachine, c: CensusRequirement,
                budget: Optional[int] = DEFAULT_BUDGET) -> Optional[WalkDecomposition]:
     """Decide whether any input word admits a computation meeting ``c``.
 
     Returns a walk decomposition over ``subdivide(m)`` whose ``walk()``
-    meets c, or None.  The integer program is built on m: a count y_i per
-    transition i, boxed by the census count of the letter it writes, or by
-    total + 1 when it writes nothing (a shortest meeting walk repeats no
-    state between two written letters, so it takes such a transition at
-    most once in each of the total + 1 stretches between them); transitions
-    writing an unrequired letter get no variable.  A 0/1 variable z_s per
-    state marks the end state, exactly one is set, and each state s
-    conserves flow: out(s) - in(s) = [s is the start] - z_s.  Each census
-    letter gets one equality row.
+    meets c, or None.  A transition's box is the census count of the letter
+    it writes, or total + 1 when it writes nothing (a shortest meeting walk
+    repeats no state between two written letters, so it takes such a
+    transition at most once in each of the total + 1 stretches between
+    them); a walk meeting c takes only transitions with a nonzero box, so
+    it stays among the states reached from the start through them.  The
+    integer program is built on that part of m: a count y_i, boxed, per
+    transition i with a nonzero box leaving a reached state (i is its index
+    in m, whatever is left out).  A 0/1 variable z_s per reached state marks
+    the end state, exactly one is set, and each reached state s conserves
+    flow: out(s) - in(s) = [s is the start] - z_s.  Each census letter gets
+    one equality row.  So states and transitions no walk reaches change
+    neither the program nor its answer.
 
     The counts then form a start-to-end trail plus closed walks, which a
     walk covers only when every used transition is reached from the start.
@@ -73,14 +91,19 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
     spent before a verdict.
     """
     counts = c.as_dict()
-    names = sorted(m.states)
-    number = {state: k for k, state in enumerate(names)}
     silent_box = c.total() + 1
-    arcs = []  # (index, transition, variable, box) for each transition a walk may take
-    for i, t in enumerate(m.transitions):
-        box = silent_box if t.writes == EMPTY else counts.get(t.writes, 0)
+    boxes = [silent_box if t.writes == EMPTY else counts.get(t.writes, 0)
+             for t in m.transitions]
+    takeable: dict[str, list[str]] = {}  # targets by source
+    for t, box in zip(m.transitions, boxes):
         if box:
-            arcs.append((i, t, f"y{i}", box))
+            takeable.setdefault(t.source, []).append(t.target)
+    reached = _reached(m.start, takeable)
+    names = sorted(reached)
+    number = {state: k for k, state in enumerate(names)}
+    # (index, transition, variable, box) for each transition a walk may take
+    arcs = [(i, t, f"y{i}", boxes[i]) for i, t in enumerate(m.transitions)
+            if boxes[i] and t.source in reached]
     variables = [(name, 0, box) for _, _, name, box in arcs]
     variables += [(f"z{k}", 0, 1) for k in range(len(names))]
     # The end-state rows are written negated: a branch on z_s then tries 1
@@ -107,14 +130,7 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
         for _, t, name, _ in arcs:
             if values[name]:
                 moves.setdefault(t.source, []).append(t.target)
-        reached = {m.start}
-        frontier = [m.start]
-        while frontier:
-            for target in moves.get(frontier.pop(), ()):
-                if target not in reached:
-                    reached.add(target)
-                    frontier.append(target)
-        stranded = set(moves) - reached
+        stranded = set(moves) - _reached(m.start, moves)
         if not stranded:
             return None
         leaving = [(name, box) for _, t, name, box in arcs if t.source in stranded]

@@ -8,9 +8,14 @@ read as No), 3 for an unknown verdict (a budget ran out: integer-program
 nodes for ``ewmm`` and the five multiset subcommands, given-word table
 entries for ``gwmm``; stderr then says which, as ``budget: <message>``).
 
-A call that names a subcommand is parsed by that subcommand's parser alone,
-so an unrecognized option is reported under its usage (``varsolve
-subsetsum: error: unrecognized arguments: --foo``).
+A solver or reduction call spelled plainly (one instance argument and only
+the exact flags ``--certificate``, ``--dump-ilp`` and ``--budget N`` with a
+valid N) gets its namespace from ``_plain_args`` without argparse, the same
+namespace argparse would build.  Every other call that names a subcommand is
+parsed by that subcommand's parser alone, so help, abbreviations and every
+error message stay argparse's, and an unrecognized option is reported under
+the subcommand's usage (``varsolve subsetsum: error: unrecognized arguments:
+--foo``).
 
 Every solver subcommand is a row of ``SOLVERS`` and every reduction a row
 of ``REDUCTIONS``.  A row reaches its solver, reduction, parser and writer
@@ -25,7 +30,7 @@ import argparse
 import functools
 import sys
 import time
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from . import corpus, formats
 from .census_solvers import DEFAULT_BUDGET, solve_ewmm, solve_gwmm
@@ -222,8 +227,12 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _is_budget(text: str) -> bool:
+    return formats.is_int_token(text) and text[:1] != "-"
+
+
 def _budget(text: str) -> int:
-    if not formats.is_int_token(text) or text[:1] == "-":
+    if not _is_budget(text):
         raise argparse.ArgumentTypeError(f"expected a whole number >= 0, not {text!r}")
     return int(text)
 
@@ -270,15 +279,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv) -> Optional[argparse.Namespace]:
+    """The namespace argparse builds for a solver or reduction call spelled
+    plainly, or None for any other argv.  A plain call is one instance token
+    (``-`` or a token not starting with ``-``) and, for a solver, only the
+    exact flags ``--certificate``, ``--dump-ilp`` (rows that take it) and
+    ``--budget N`` with N a whole number >= 0, each flag any number of times."""
+    if not argv:
+        return None
+    command = argv[0]
+    row = SOLVERS.get(command)
+    if row is not None:
+        args = argparse.Namespace(command=command, certificate=False,
+                                  budget=DEFAULT_BUDGET, handler=_cmd_solve)
+        if row.dump_ilp:
+            args.dump_ilp = False
+    elif command in REDUCTIONS:
+        args = argparse.Namespace(command=command, handler=_cmd_reduce)
+    else:
+        return None
+    instance = None
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "-" or token[:1] != "-":
+            if instance is not None:
+                return None
+            instance = token
+        elif row is None:
+            return None
+        elif token == "--certificate":
+            args.certificate = True
+        elif token == "--dump-ilp" and row.dump_ilp:
+            args.dump_ilp = True
+        elif token == "--budget" and _is_budget(value := next(tokens, "")):
+            args.budget = int(value)
+        else:
+            return None
+    if instance is None:
+        return None
+    args.instance = instance
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    try:
-        args = (parser.parse_args(argv) if sub is None
-                else sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
-    except SystemExit as exit_:
-        return USAGE if exit_.code not in (0, None) else 0
+    args = _plain_args(argv)
+    if args is None:
+        parser = build_parser()
+        sub = parser.subcommands.get(argv[0]) if argv else None
+        try:
+            args = (parser.parse_args(argv) if sub is None
+                    else sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
+        except SystemExit as exit_:
+            return USAGE if exit_.code not in (0, None) else 0
     try:
         return args.handler(args)
     except (ValueError, OSError) as error:

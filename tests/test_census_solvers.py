@@ -2,11 +2,12 @@
 
 import sys
 import time
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from varsolve import census_solvers, cli, formats, ilp
 from varsolve.census_solvers import (DEFAULT_BUDGET, BudgetExceeded,
@@ -100,9 +101,8 @@ def test_ewmm_counts_must_connect_to_the_start():
     assert cert is not None and validate_ewmm_decomposition(behind, c, cert)
 
 
-def test_ewmm_compiles_and_rank_checks_once(monkeypatch):
-    # The instance takes two searches, the second with a connectivity cut
-    # row, and the row goes into the running engine instead of a new program.
+def _count_engine_calls(monkeypatch):
+    """Count compiles, rank checks and solves, and collect the cut rows."""
     calls = {"_Boxes": 0, "_equalities_consistent": 0, "solve": 0}
     for name in ("_Boxes", "_equalities_consistent"):
         def counting(*args, _name=name, _original=getattr(ilp, name)):
@@ -120,10 +120,29 @@ def test_ewmm_compiles_and_rank_checks_once(monkeypatch):
                                      cut=cut and counting_cut)
 
     monkeypatch.setattr(census_solvers, "solve_feasibility", solving)
-    m, c = formats.parse_machine_instance((FIXTURES / "ewmm_rounds.txt").read_text())
+    return calls, rows
+
+
+def test_ewmm_compiles_and_rank_checks_once(monkeypatch):
+    # The instance takes two searches, the second with a connectivity cut
+    # row, and the row goes into the running engine instead of a new program.
+    # The first solution walks q0 -> q1 -> q2 and runs the x-loop at q3 on
+    # its own; the arc q1 -b-> q3 that leads to the loop is unused.
+    calls, rows = _count_engine_calls(monkeypatch)
+    m, c = formats.parse_machine_instance((FIXTURES / "ewmm_cut.txt").read_text())
     assert solve_ewmm(m, c) is None
     assert [row.relation for row in rows] == ["<="]
     assert calls == {"_Boxes": 1, "_equalities_consistent": 1, "solve": 1}
+
+
+def test_ewmm_unreached_states_get_no_cut(monkeypatch):
+    # No move out of the start q0 writes b, the one required letter, so only
+    # q0 is reached and the program is decided NO without a cut row; on the
+    # whole machine, a b-writing loop away from q0 needed one.
+    _, rows = _count_engine_calls(monkeypatch)
+    m, c = formats.parse_machine_instance((FIXTURES / "ewmm_rounds.txt").read_text())
+    assert solve_ewmm(m, c) is None
+    assert rows == []
 
 
 def test_ewmm_unproducible_letter():
@@ -310,6 +329,75 @@ def small_ewmm_instances(draw):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(small_ewmm_instances())
 def test_ewmm_matches_oracle_on_small_machines(instance):
+    m, c = instance
+    cert = solve_ewmm(m, c)
+    assert (cert is not None) == brute_ewmm(m, c)
+    if cert is not None:
+        assert validate_ewmm_decomposition(m, c, cert)
+
+
+def with_unreachable_copy(m):
+    """m with a copy of its states, each renamed s -> s', and of its
+    transitions appended after the originals; no transition enters a copy."""
+    def renamed(t):
+        return t._replace(source=t.source + "'", target=t.target + "'")
+    return replace(m, states=m.states | {state + "'" for state in m.states},
+                   transitions=m.transitions + tuple(map(renamed, m.transitions)))
+
+
+def solve_ewmm_recorded(m, c):
+    """The certificate of ``solve_ewmm`` with the dump of the program it
+    built and the cut rows the engine took."""
+    record = []
+
+    def recording(program, budget=None, cut=None):
+        record.append(ilp.dump_program(program))
+
+        def recording_cut(values):
+            row = cut(values)
+            record.append(repr(row))
+            return row
+        return ilp.solve_feasibility(program, budget=budget, cut=recording_cut)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census_solvers, "solve_feasibility", recording)
+        return solve_ewmm(m, c), record
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_ewmm_instances())
+@example(formats.parse_machine_instance((FIXTURES / "ewmm_cut.txt").read_text()))
+@example(formats.parse_machine_instance((FIXTURES / "ewmm_rounds.txt").read_text()))
+def test_ewmm_ignores_an_unreachable_copy(instance):
+    m, c = instance
+    cert, record = solve_ewmm_recorded(m, c)
+    assert solve_ewmm_recorded(with_unreachable_copy(m), c) == (cert, record)
+
+
+@st.composite
+def ewmm_instances_with_unreachable_parts(draw):
+    """A small instance with states r0, r1, ... added that no walk from the
+    start reaches: their moves lead anywhere, and the moves into them write
+    w, a letter the census does not require."""
+    m, c = draw(small_ewmm_instances())
+    states = sorted(m.states)
+    extra = [f"r{i}" for i in range(draw(st.integers(1, 3)))]
+    moves = draw(st.lists(st.tuples(st.sampled_from(extra), st.sampled_from(["a", EMPTY]),
+                                    st.sampled_from(states + extra),
+                                    st.sampled_from(["x", "y", EMPTY])),
+                          max_size=8, unique=True))
+    gates = draw(st.lists(st.tuples(st.sampled_from(states), st.sampled_from(["a", EMPTY]),
+                                    st.sampled_from(extra), st.just("w")),
+                          max_size=3, unique=True))
+    return replace(m, states=m.states | set(extra),
+                   output_alphabet=m.output_alphabet | {"w"},
+                   transitions=m.transitions + tuple(
+                       Transition(*t) for t in gates + moves)), c
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(ewmm_instances_with_unreachable_parts())
+def test_ewmm_matches_oracle_with_unreachable_parts(instance):
     m, c = instance
     cert = solve_ewmm(m, c)
     assert (cert is not None) == brute_ewmm(m, c)

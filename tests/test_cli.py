@@ -5,6 +5,7 @@ import ast
 import gc
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -206,7 +207,7 @@ def test_ewmm_budget_message_names_the_given_cap(capsys, budget):
     # The budget, summed over the restarts after connectivity cuts, runs out
     # after a cut, once earlier searches spent part of it; from 5 nodes up the
     # instance answers NO.
-    assert run_cli(capsys, "ewmm", str(FIXTURES / "ewmm_rounds.txt"), "--budget", budget) == (
+    assert run_cli(capsys, "ewmm", str(FIXTURES / "ewmm_cut.txt"), "--budget", budget) == (
         3, "UNKNOWN\n", f"budget: node cap {budget} exceeded\n")
 
 
@@ -506,6 +507,42 @@ def test_subcommand_calls_module_attribute(capsys, monkeypatch, name, command, f
     code, _, _ = run_cli(capsys, command, str(FIXTURES / fixture))
     assert code == 0
     assert calls == [name]
+
+
+def argv_draws(command, instance, count=150):
+    """Argument lists for one subcommand: its two plainest calls, then lists
+    drawn from plain spellings and spellings that only argparse takes, with
+    a seed fixed by the command."""
+    yield [command, instance]
+    yield [command, "-"]
+    rng = random.Random(command)
+    units = ([[instance]] * 6 + [["-"]] * 2 + [["--certificate"]] * 3 + [["--dump-ilp"]] * 2
+             + [["--budget", "3"]] * 2 + [["--budget", "0"], ["--budget", "-1"],
+                                          ["--budget", "x"], ["--budget"], ["--cert"],
+                                          ["--budget=3"], ["--"], ["-h"]])
+    for _ in range(count):
+        yield [command] + [token for unit in rng.choices(units, k=rng.randint(0, 4))
+                           for token in unit]
+
+
+@pytest.mark.parametrize("command, fixture", [call[1:] for call in CLI_CALLS])
+def test_plain_argv_matches_argparse(capsys, monkeypatch, command, fixture):
+    text = (FIXTURES / fixture).read_text()
+    plain = 0
+    for argv in argv_draws(command, str(FIXTURES / fixture)):
+        outcomes = []
+        for plain_path in (varsolve.cli._plain_args, lambda argv: None):
+            monkeypatch.setattr(varsolve.cli, "_plain_args", plain_path)
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            outcomes.append(run_cli(capsys, *argv))
+        assert outcomes[0] == outcomes[1], argv
+        monkeypatch.undo()
+        args = varsolve.cli._plain_args(argv)
+        if args is not None:
+            plain += 1
+            assert args == build_parser().subcommands[command].parse_args(
+                argv[1:], argparse.Namespace(command=command)), argv
+    assert plain >= 8
 
 
 def package_env():
