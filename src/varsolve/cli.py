@@ -8,10 +8,9 @@ read as No), 3 for an unknown verdict (a budget ran out: integer-program
 nodes for ``ewmm`` and the five multiset subcommands, given-word table
 entries for ``gwmm``; stderr then says which, as ``budget: <message>``).
 
-A solver or reduction call spelled plainly (one instance argument and only
-the exact flags ``--certificate``, ``--dump-ilp`` and ``--budget N`` with a
-valid N) gets its namespace from ``_plain_args`` without argparse, the same
-namespace argparse would build.  Every other call that names a subcommand is
+A solver or reduction call spelled plainly (one instance argument and, for
+a solver, the exact flag ``--certificate``) gets its namespace from
+``_plain_args`` without argparse, the same namespace argparse would build.  Every other call that names a subcommand is
 parsed by that subcommand's parser alone, so help, abbreviations and every
 error message stay argparse's, and an unrecognized option is reported under
 the subcommand's usage (``varsolve subsetsum: error: unrecognized arguments:
@@ -227,12 +226,8 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _is_budget(text: str) -> bool:
-    return formats.is_int_token(text) and text[:1] != "-"
-
-
 def _budget(text: str) -> int:
-    if not _is_budget(text):
+    if not formats.is_int_token(text) or text[:1] == "-":
         raise argparse.ArgumentTypeError(f"expected a whole number >= 0, not {text!r}")
     return int(text)
 
@@ -282,9 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _plain_args(argv) -> Optional[argparse.Namespace]:
     """The namespace argparse builds for a solver or reduction call spelled
     plainly, or None for any other argv.  A plain call is one instance token
-    (``-`` or a token not starting with ``-``) and, for a solver, only the
-    exact flags ``--certificate``, ``--dump-ilp`` (rows that take it) and
-    ``--budget N`` with N a whole number >= 0, each flag any number of times."""
+    (``-`` or a token not starting with ``-``) and, for a solver, the exact
+    flag ``--certificate`` any number of times."""
     if not argv:
         return None
     command = argv[0]
@@ -299,20 +293,13 @@ def _plain_args(argv) -> Optional[argparse.Namespace]:
     else:
         return None
     instance = None
-    tokens = iter(argv[1:])
-    for token in tokens:
+    for token in argv[1:]:
         if token == "-" or token[:1] != "-":
             if instance is not None:
                 return None
             instance = token
-        elif row is None:
-            return None
-        elif token == "--certificate":
+        elif token == "--certificate" and row is not None:
             args.certificate = True
-        elif token == "--dump-ilp" and row.dump_ilp:
-            args.dump_ilp = True
-        elif token == "--budget" and _is_budget(value := next(tokens, "")):
-            args.budget = int(value)
         else:
             return None
     if instance is None:

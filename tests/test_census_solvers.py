@@ -137,8 +137,7 @@ def test_ewmm_compiles_and_rank_checks_once(monkeypatch):
 
 def test_ewmm_unreached_states_get_no_cut(monkeypatch):
     # No move out of the start q0 writes b, the one required letter, so only
-    # q0 is reached and the program is decided NO without a cut row; on the
-    # whole machine, a b-writing loop away from q0 needed one.
+    # q0 is reached and the program is decided NO without a cut row.
     _, rows = _count_engine_calls(monkeypatch)
     m, c = formats.parse_machine_instance((FIXTURES / "ewmm_rounds.txt").read_text())
     assert solve_ewmm(m, c) is None

@@ -164,9 +164,8 @@ def test_determinism():
 
 
 # The sha256 of every (witness values, node count) the search below gives,
-# captured when the exists-word programs were cut down to the states a walk
-# from the start reaches (the 900 random programs gave the same records
-# before); a change that only speeds propagation up must leave it as it is.
+# with exists-word programs on the states a walk from the start reaches; a
+# change that only speeds propagation up must leave it as it is.
 SEARCH_DIGEST = "f9d99a654685ed07ddea5ef99b60e3c170ab2583e4696b5772c3154f16c14ec1"
 
 
