@@ -19,14 +19,18 @@ Two problems over a nondeterministic machine M and a census requirement c:
   of x whose output meets c exactly?  Solved in one forward pass by a
   boolean table, kept as the set of its true entries (state, partial
   census, input position), each packed into one int, filled depth-first
-  from the start configuration; each pending entry links to the move that
-  reached it and the entry it left, and a YES reads its trace back along
-  those links.  Before the fill, one backward pass with no partial census
-  in its table bounds the census of every (position, state) pair reachable
-  from the start, field by field, by what the rest of x can still write;
-  an entry outside its pair's bounds has no completion and is never stored.  So a census that
-  the word cannot produce is rejected before the first entry, however
-  large its counts.  A budget caps the number of stored entries.
+  from the start configuration; each pending entry links to the run of
+  moves that reached it and the entry it left, and a YES reads its trace
+  back along those links.  Before the fill, one backward pass with no
+  partial census in its table bounds the census of every (position, state)
+  pair reachable from the start, field by field, by what the rest of x can
+  still write; an entry outside its pair's bounds has no completion and is
+  never stored.  So a census that the word cannot produce is rejected
+  before the first entry, however large its counts.  The same pass links
+  each pair with exactly one live move (into a bounded pair) to that move,
+  and the fill crosses a run of such pairs in one step, storing only its
+  end.  A budget caps the configurations the fill pays for: one unit per
+  move of each run whose end it stores.
 """
 
 from __future__ import annotations
@@ -161,16 +165,16 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
     letters of x, writes each required letter exactly counts-many times and
     sits in state s.  The table is the set of true entries, filled depth-first
     from the start entry; a move to a stored entry is cut, which also ends
-    runs of moves that read and write the empty letter.  Each pending entry
-    keeps the index of the move that reached it and the entry it left, so a
-    YES reads its trace back along these forward links.
+    cycles of moves that read and write the empty letter.  Each pending
+    entry keeps the run of moves that reached it and the entry it left, so
+    a YES reads its trace back along these links.
 
     The counts are packed into one int of uniform fields, each w bits wide
     with w - 1 the bit length of the census total: one field per required
     letter and one for the total written so far, the top bit of each a
     guard bit that a count never reaches.  An entry is the int
     counts·2^b + i·|S| + s, where s is the state's index and
-    2^b > (|x| + 1)·|S|, so a move adds one precomputed step.
+    2^b > (|x| + 1)·|S|, so a run of moves adds one precomputed step.
 
     Before the fill, one backward pass over the (position, state) pairs
     reachable from the start, a table with no partial census in it, bounds
@@ -184,13 +188,26 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
     child entry is stored only when need <= counts <= cap in every field:
     two guard-bit subtractions on one int, with no loop over letters.
     Every skipped entry has no completion, and neither has any entry
-    reached from it, so the live entries are found in the same order from
-    the same parents as without the bounds; a census that cannot be met
-    from the start is rejected before the first entry, however large its
-    counts.
+    reached from it; a census that cannot be met from the start is
+    rejected before the first entry, however large its counts.
 
-    Spends one unit of ``budget`` per stored entry (None: no cap) and
-    raises BudgetExceeded when it is spent; otherwise exact.
+    A move is live when its target pair has a bound that what the move
+    writes fits.  A pair before position n with exactly one live move gets
+    that move's bound less what it writes (need floored at 0), so an entry
+    there fits its bound exactly when the entry the move leads to fits
+    that one.  The backward pass records each such pair's move, and the
+    fill follows every live move from an entry on through such pairs, in
+    one summed step, to the run's end: a pair with several live moves or
+    at position n.  Only there does it test the bound, the table and the
+    goal, and only the end is stored; a YES rebuilds a run's moves from the
+    recorded ones.  The configurations a run passes are never stored, so a
+    later path into the middle of a run is cut at its stored end instead.
+
+    Spends ``budget`` (None: no cap) in configurations: each stored run
+    end costs the number of moves of its run, and the start costs nothing.
+    No configuration is paid for twice, and each one paid for lies within
+    its pair's bounds, so within c.  Raises BudgetExceeded when the budget
+    is spent; otherwise exact.
     """
     for letter in x:
         if letter == EMPTY:
@@ -219,31 +236,31 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
     weight_of = {letter: (1 << (shift + j * w)) + written for j, letter in enumerate(letters)}
     goal = sum(count * weight_of[letter] for letter, count in c.counts)
 
-    # Moves by state index, each (index, step): step adds the written
-    # letter and the total to the counts, and moves the low part to the
-    # target's.  Transitions writing a letter with a zero requirement can
+    # Moves by state index, each (index, delta, weight): delta moves the low
+    # part to the target's, weight adds the written letter and the total to
+    # the counts.  Transitions writing a letter with a zero requirement can
     # never be taken and are left out.  read_at[i] holds the moves reading
     # x[i], () for a state with none; read_at[n] has none.  free marks the
     # fields that an empty-read move writes.
-    eps_moves: list[list[tuple[int, int]]] = [[] for _ in names]
-    by_letter: dict[str, list[Sequence[tuple[int, int]]]] = {}
+    eps_moves: list[list[tuple[int, int, int]]] = [[] for _ in names]
+    by_letter: dict[str, list[Sequence[tuple[int, int, int]]]] = {}
     weight_of[EMPTY] = 0
     free = 0
-    for index, t in enumerate(m.transitions):
-        weight = weight_of.get(t.writes)
+    for index, (source, reads, target, writes) in enumerate(m.transitions):
+        weight = weight_of.get(writes)
         if weight is None:
             continue
-        source, target = number[t.source], number[t.target]
-        if t.reads == EMPTY:
-            eps_moves[source].append((index, weight + target - source))
+        source, target = number[source], number[target]
+        if reads == EMPTY:
+            eps_moves[source].append((index, target - source, weight))
             free |= weight * full
         else:
-            moves = by_letter.get(t.reads)
+            moves = by_letter.get(reads)
             if moves is None:
-                moves = by_letter[t.reads] = [()] * n_states
+                moves = by_letter[reads] = [()] * n_states
             if not moves[source]:
                 moves[source] = []
-            moves[source].append((index, weight + n_states + target - source))
+            moves[source].append((index, n_states + target - source, weight))
     silent = any(eps_moves)
     no_moves = [()] * n_states
     read_at = [by_letter.get(letter, no_moves) for letter in x] + [no_moves]
@@ -255,14 +272,9 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
     # least b's.
     bounds: list[Optional[tuple[int, int]]] = [None] * ((n + 1) * n_states)
 
-    def via(bound, low, step):
-        """The bound of pair ``low`` widened by the move ``step`` from it."""
-        moved = low + step
-        low2 = moved & low_mask
-        after = bounds[low2]
-        if after is None:
-            return bound
-        weight = moved - low2
+    def via(bound, after, weight):
+        """``bound`` widened by a move that writes ``weight`` into a pair
+        bounded by ``after``, or ``bound`` itself when the write does not fit."""
         need, cap = after
         cap -= weight
         if cap & guards != guards:
@@ -288,84 +300,148 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
             frontier = list(here)
             while frontier:
                 low = frontier.pop()
-                for _, step in eps_moves[low % n_states]:
-                    low2 = (low + step) & low_mask
+                for _, delta, _ in eps_moves[low % n_states]:
+                    low2 = low + delta
                     if low2 not in here:
                         here.add(low2)
                         frontier.append(low2)
         reach.append(here)
-        here = {(low + step) & low_mask for low in here for _, step in moves[low % n_states]}
+        here = {low + delta for low in here for _, delta, _ in moves[low % n_states]}
 
     # The backward pass.  At each position the empty-read moves are closed
     # by passes until no bound changes; a move only lowers what it passes
-    # on, so the number of passes does not grow with the census.
+    # on, so the number of passes does not grow with the census.  A move is
+    # live when its target has a bound that what it writes fits; via then
+    # returns a new bound.  link[low] is the one live move of a pair before
+    # position n that has exactly one, () for a pair with several or at
+    # position n, and None for a pair with none.  A pass only widens
+    # bounds, so a move live in one pass stays live, and the last pass,
+    # which changes nothing, sees the final bounds.
+    link: list[Optional[tuple]] = [None] * ((n + 1) * n_states)
     for position in range(n, -1, -1):
         here = reach[position]
         moves = read_at[position]
+        # A pair at position n starts from c and ends every run through it.
+        if position == n:
+            bound0, link0 = (goal & ~free, goal | guards | low_mask), ()
+        else:
+            bound0 = link0 = None
         for low in here:
-            bound = (goal & ~free, goal | guards | low_mask) if position == n else None
-            for _, step in moves[low % n_states]:
-                bound = via(bound, low, step)
+            bound, one = bound0, link0
+            for move in moves[low % n_states]:
+                after = bounds[low + move[1]]
+                if after is None:
+                    continue
+                widened = via(bound, after, move[2])
+                if widened is not bound:
+                    bound = widened
+                    one = move if one is None else ()
             bounds[low] = bound
+            link[low] = one
         changed = silent
         while changed:
             changed = False
             for low in here:
-                bound = bounds[low]
-                for _, step in eps_moves[low % n_states]:
-                    bound = via(bound, low, step)
-                if bound != bounds[low]:
-                    bounds[low] = bound
-                    changed = True
+                eps = eps_moves[low % n_states]
+                if not eps:
+                    continue
+                bound = old = bounds[low]
+                one = link[low]
+                for move in eps:
+                    after = bounds[low + move[1]]
+                    if after is None:
+                        continue
+                    widened = via(bound, after, move[2])
+                    if widened is not bound:
+                        bound = widened
+                        one = move if one is None or one is move else ()
+                if bound is not old:
+                    link[low] = one
+                    if bound != old:
+                        bounds[low] = bound
+                        changed = True
 
-    end = n * n_states
+    last = n * n_states
     table: set[int] = set()
-    # On a YES, (move index, link) for the last move: the start item when
-    # the empty computation meets c, else (index, item the move left).
+    spent = 0
+    # On a YES, the start item when the empty computation meets c, else
+    # (last run, item it left).
     final: Optional[tuple] = None
     # The start entry writes nothing, so it fits its bound when that needs
     # nothing.
     bound = bounds[start]
     if bound is not None and not bound[0]:
         table.add(start)
-        if len(table) > limit:
-            raise BudgetExceeded(f"table entry cap {limit} exceeded")
-        # Stack items: (index of the move that reached it, the item it was
-        # reached from, key); the start item has neither.  An item stays
-        # alive while a pending item links to it, so links cost memory
-        # along the open paths only.
-        item = (-1, None, start)
+        # runs_at[low] lists the runs from pair low, built when the fill
+        # first leaves it: one per move whose target has a bound, continued
+        # along the links to a pair with several live moves or at position
+        # n.  A run never meets a pair twice: pairs with one live move each,
+        # leading around a cycle, would take their bounds from each other
+        # only, so they have none.  A run's writes fit its end's cap, so no
+        # field of key + step reaches the next field.  Each run is (summed
+        # step, need and cap of its end, end, number of moves, first move's
+        # index, first move's target); the links from that target give the
+        # rest of its moves back.
+        runs_at: list[Optional[list]] = [None] * len(bounds)
+        # Stack items: (the run that reached it, the item it was reached
+        # from, key); the start item has neither.  An item stays alive while
+        # a pending item links to it, so links cost memory along the open
+        # paths only.
+        item = (None, None, start)
         if n == 0 and total == 0:
             final = item
         stack = [item]
         while stack and final is None:
             item = stack.pop()
             key = item[2]
-            position, state = divmod(key & low_mask, n_states)
-            for moves in (read_at[position][state], eps_moves[state]):
-                for index, step in moves:
-                    key2 = key + step
-                    low2 = key2 & low_mask
-                    bound = bounds[low2]
-                    if (bound is None
-                            or ((key2 | guards) - bound[0]) & (bound[1] - key2) & guards != guards
-                            or key2 in table):
-                        continue
-                    table.add(key2)
-                    if len(table) > limit:
-                        raise BudgetExceeded(f"table entry cap {limit} exceeded")
-                    if low2 >= end and key2 - low2 == goal:
-                        final = (index, item)
-                        break
-                    stack.append((index, item, key2))
-                if final is not None:
+            low = key & low_mask
+            runs = runs_at[low]
+            if runs is None:
+                runs = runs_at[low] = []
+                position, state = divmod(low, n_states)
+                for moves in (read_at[position][state], eps_moves[state]):
+                    for index, delta, weight in moves:
+                        target = low + delta
+                        if bounds[target] is None:
+                            continue
+                        end = target
+                        length = 1
+                        one = link[end]
+                        while one:
+                            end += one[1]
+                            weight += one[2]
+                            length += 1
+                            one = link[end]
+                        need, cap = bounds[end]
+                        runs.append((weight + (end - low), need, cap, end, length, index, target))
+            for run in runs:
+                step, need, cap, end, length, _, _ = run
+                key2 = key + step
+                if (((key2 | guards) - need) & (cap - key2) & guards != guards
+                        or key2 in table):
+                    continue
+                table.add(key2)
+                spent += length
+                if spent > limit:
+                    raise BudgetExceeded(f"table entry cap {limit} exceeded")
+                if end >= last and key2 - end == goal:
+                    final = (run, item)
                     break
+                stack.append((run, item, key2))
 
     if final is None:
         return None
-    trace = []
+    runs = []
     while final[1] is not None:
-        trace.append(final[0])
+        runs.append(final[0])
         final = final[1]
-    trace.reverse()
+    trace = []
+    for run in reversed(runs):
+        trace.append(run[5])
+        low = run[6]
+        one = link[low]
+        while one:
+            trace.append(one[0])
+            low += one[1]
+            one = link[low]
     return tuple(trace)

@@ -5,8 +5,8 @@ Exit codes: 0 for a Yes verdict (or a clean verification run), 1 for No,
 takes no target, an unreadable instance file, and any other exception (an
 internal error, printed as ``error: internal: <Type>: <message>``, never
 read as No), 3 for an unknown verdict (a budget ran out: integer-program
-nodes for ``ewmm`` and the five multiset subcommands, given-word table
-entries for ``gwmm``; stderr then says which, as ``budget: <message>``).
+nodes for ``ewmm`` and the five multiset subcommands, given-word
+configurations for ``gwmm``; stderr then says which, as ``budget: <message>``).
 
 A solver or reduction call spelled plainly (one instance argument and, for
 a solver, the exact flag ``--certificate``) gets its namespace from
@@ -140,7 +140,7 @@ SOLVERS = {
             machine, word, census, budget=budget),
         show=lambda trace, instance: _print_transitions(
             instance[0].transitions[index] for index in trace),
-        budget="given-word table entries"),
+        budget="given-word configurations (one per move of each stored run)"),
 }
 
 

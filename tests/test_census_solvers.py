@@ -221,8 +221,9 @@ def test_gwmm_stores_one_entry_per_configuration():
     # empty move writes x into t, which then reads a and writes nothing; one
     # b and one x together are out of reach: NO.  The bounds cut t, whose
     # completions write no b, and let the other 12 configurations through
-    # (six start states with nothing written, six end states with b = 1),
-    # and each is stored once.
+    # (six start states with nothing written, six end states with b = 1).
+    # Each is stored once, and each but the start costs the one move that
+    # reached it.
     starts = [f"s{i}" for i in range(6)]
     ends = [f"u{i}" for i in range(6)]
     m = machine(starts + ends + ["t", "v"], "s0", {"a", EMPTY}, {"b", "x", EMPTY},
@@ -231,9 +232,21 @@ def test_gwmm_stores_one_entry_per_configuration():
                 + [("s5", "a", "u0", "b"), ("s5", EMPTY, "t", "x"), ("t", "a", "v", EMPTY)])
     c = CensusRequirement.of({"b": 1, "x": 1})
     assert not brute_gwmm(m, "a", c)
-    assert solve_gwmm(m, "a", c, budget=12) is None
+    assert solve_gwmm(m, "a", c, budget=11) is None
     with pytest.raises(BudgetExceeded):
-        solve_gwmm(m, "a", c, budget=11)
+        solve_gwmm(m, "a", c, budget=10)
+
+
+def test_gwmm_budget_counts_every_move_of_a_run():
+    # One move per state, so the fill crosses the whole word in one run from
+    # the start and stores only its end, yet pays for all L configurations.
+    length = 7
+    m = machine([f"q{i}" for i in range(length + 1)], "q0", {"a"}, {"b"},
+                [(f"q{i}", "a", f"q{i + 1}", "b") for i in range(length)])
+    c = CensusRequirement.of({"b": length})
+    assert solve_gwmm(m, "a" * length, c, budget=length) == tuple(range(length))
+    with pytest.raises(BudgetExceeded):
+        solve_gwmm(m, "a" * length, c, budget=length - 1)
 
 
 def test_gwmm_trace_replays_to_census():
@@ -490,6 +503,55 @@ def test_gwmm_matches_oracle_on_small_machines(instance):
         assert validate_gwmm_trace(m, x, c, trace)
 
 
+@st.composite
+def single_run_instances(draw):
+    """Machines whose computations cross long runs of one-move pairs.
+
+    A chain q0 -> ... -> qk of one move per state reads a or b or nothing
+    and writes x, y or nothing; up to two extra moves between chain states
+    make pairs with several moves, where runs end.  qk may have an
+    empty-read self-loop as its only move, writing x or nothing.  The word
+    is what the chain reads, so a run ends at position n, and the census is
+    what the chain writes (a run then ends exactly on the goal) or that
+    with one x or y more or less.
+    """
+    k = draw(st.integers(2, 9))
+    chain = draw(st.lists(st.tuples(st.sampled_from(["a", "b", EMPTY]),
+                                    st.sampled_from(["x", "y", EMPTY])),
+                          min_size=k, max_size=k))
+    transitions = {(f"q{i}", reads, f"q{i + 1}", writes)
+                   for i, (reads, writes) in enumerate(chain)}
+    loop = draw(st.sampled_from([None, "x", EMPTY]))
+    if loop is not None:
+        transitions.add((f"q{k}", EMPTY, f"q{k}", loop))
+    extra = draw(st.lists(st.tuples(st.integers(0, k), st.sampled_from(["a", "b", EMPTY]),
+                                    st.integers(0, k), st.sampled_from(["x", "y", EMPTY])),
+                          max_size=2))
+    transitions |= {(f"q{source}", reads, f"q{target}", writes)
+                    for source, reads, target, writes in extra}
+    word = "".join(reads for reads, _ in chain)
+    counts = {letter: sum(writes == letter for _, writes in chain) for letter in "xy"}
+    letter, change = draw(st.sampled_from([("x", 0), ("x", 1), ("x", -1), ("y", 1), ("y", -1)]))
+    counts[letter] = max(counts[letter] + change, 0)
+    m = machine({f"q{i}" for i in range(k + 1)}, "q0", {"a", "b", EMPTY},
+                {"x", "y", EMPTY}, sorted(transitions, key=str))
+    return m, word, CensusRequirement.of(counts)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(single_run_instances())
+def test_gwmm_runs_match_oracle(instance):
+    # The budget is the number of configurations whose counts lie within c.
+    # The fill pays for no configuration twice and only for ones within
+    # their pairs' bounds, so only a fill that lets counts pass c spends it.
+    m, x, c = instance
+    budget = (len(x) + 1) * len(m.states) * (c.get("x") + 1) * (c.get("y") + 1)
+    trace = solve_gwmm(m, x, c, budget=budget)
+    assert (trace is not None) == brute_gwmm(m, x, c)
+    if trace is not None:
+        assert validate_gwmm_trace(m, x, c, trace)
+
+
 def census_given_images(seed):
     """The given-word instances of the benchmark's census-given round."""
     root = Path(__file__).resolve().parent.parent
@@ -507,14 +569,16 @@ def census_given_images(seed):
 
 
 def test_census_given_stays_far_below_the_budget():
-    # The largest table of the seed-13 round holds 3,692 entries.
+    # The fills of the seed-13 round spend at most 3,685 units of budget and
+    # store at most 1,057 entries.
     for m, x, c in census_given_images(13):
         solve_gwmm(m, x, c, budget=DEFAULT_BUDGET // 400)
 
 
 def test_dense_mcc_image_decided_within_the_budget():
     # Three classes of five; a-b and b-c edges join equal parities and a-c
-    # edges unequal ones, so no triangle exists.  About 634,000 entries.
+    # edges unequal ones, so no triangle exists.  The fill pays for about
+    # 630,000 configurations and stores about 285,000 of them.
     row = cli.REDUCTIONS["reduce-mcc"]
     text = row.write(row.reduce(row.parse((FIXTURES / "parity_mcc.txt").read_text(), "parity")))
     m, x, c = formats.parse_machine_instance(text, "parity", with_word=True)
