@@ -37,12 +37,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .ilp import (EQ, LE, BudgetExceeded, Constraint, IntegerProgram,
+from .ilp import (DEFAULT_BUDGET, EQ, LE, BudgetExceeded, Constraint, IntegerProgram,
                   solve_feasibility)
 from .mealy import (EMPTY, CensusRequirement, MealyMachine, WalkDecomposition,
                     decompose_counts, subdivide)
-
-DEFAULT_BUDGET = 2_000_000
 
 
 def _reached(start: str, moves: dict[str, list[str]]) -> set[str]:
@@ -423,7 +421,7 @@ def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,
                 table.add(key2)
                 spent += length
                 if spent > limit:
-                    raise BudgetExceeded(f"table entry cap {limit} exceeded")
+                    raise BudgetExceeded(f"given-word configuration cap {limit} exceeded")
                 if end >= last and key2 - end == goal:
                     final = (run, item)
                     break

@@ -21,6 +21,13 @@ of ``REDUCTIONS``.  A row reaches its solver, reduction, parser and writer
 through this module's or ``formats``' attribute at call time, never through
 a function object it holds, so a wrapper put on such an attribute sees
 every call.
+
+Loading this module loads ``formats`` and ``ilp``, which every solve and
+reduce call needs, and no other varsolve module.  The solvers, the
+reductions and ``corpus`` (for ``verify``) become attributes of this module
+on first access (PEP 562 ``__getattr__``), resolved through the package's
+table of which module holds each name.  So a call loads only the modules
+its subcommand runs, and only ``verify`` loads ``corpus`` and ``oracle``.
 """
 
 from __future__ import annotations
@@ -31,16 +38,21 @@ import sys
 import time
 from typing import Callable, NamedTuple, Optional
 
-from . import corpus, formats
-from .census_solvers import DEFAULT_BUDGET, solve_ewmm, solve_gwmm
-from .ilp import BudgetExceeded, dump_program
-from .reductions import (heat_to_ewmm, mcc_to_gwmm, splits_to_gwmm,
-                         subsetsum_to_partition)
-from .variety import (solve_3partition, solve_num_3dm, solve_nmts,
-                      solve_partition, solve_subset_sum)
+from . import _load, formats
+from .ilp import DEFAULT_BUDGET, BudgetExceeded, dump_program
 
 YES, NO, UNKNOWN = 0, 1, 3
 USAGE = 2
+
+# This module: the rows call the solvers and reductions as its attributes.
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """A solver, reduction or ``corpus`` the rows call, resolved through the
+    package's table on first use and kept as this module's attribute."""
+    value = globals()[name] = _load(__name__, name)
+    return value
 
 
 def _read(path: str) -> tuple[str, str]:
@@ -101,42 +113,43 @@ SOLVERS = {
     "subsetsum": Solver(
         "does a submultiset sum to the target?",
         parse=_subset_sum_instance,
-        solve=lambda multiset, target, **options: solve_subset_sum(
+        solve=lambda multiset, target, **options: _cli.solve_subset_sum(
             multiset, target, **options),
         show=_print_selection, dump_ilp=True, budget=_ILP_NODES),
     "partition": Solver(
         "does the multiset split into two equal-sum halves?",
         parse=_multiset,
-        solve=lambda multiset, **options: solve_partition(multiset, **options),
+        solve=lambda multiset, **options: _cli.solve_partition(multiset, **options),
         show=_print_selection, dump_ilp=True, budget=_ILP_NODES),
     "threepartition": Solver(
         "does the multiset split into equal-sum triples?",
         parse=_multiset,
-        solve=lambda multiset, **options: solve_3partition(multiset, **options),
+        solve=lambda multiset, **options: _cli.solve_3partition(multiset, **options),
         show=_print_cover, dump_ilp=True, budget=_ILP_NODES),
     "num3dm": Solver(
         "do the three multisets match into triples summing to s?",
         parse=lambda text, path: formats.parse_multiset_sections(
             text, ("A", "B", "C"), path, expect_target=True),
-        solve=lambda a, b, c, s, **options: solve_num_3dm(a, b, c, s, **options),
+        solve=lambda a, b, c, s, **options: _cli.solve_num_3dm(a, b, c, s, **options),
         show=_print_cover, dump_ilp=True, budget=_ILP_NODES),
     "nmts": Solver(
         "do the three multisets match into triples with A+B=S?",
         parse=lambda text, path: formats.parse_multiset_sections(
             text, ("A", "B", "S"), path),
-        solve=lambda a, b, s, **options: solve_nmts(a, b, s, **options),
+        solve=lambda a, b, s, **options: _cli.solve_nmts(a, b, s, **options),
         show=_print_cover, dump_ilp=True, budget=_ILP_NODES),
     "ewmm": Solver(
         "is there an input word whose output meets the census?",
         parse=lambda text, path: formats.parse_machine_instance(text, path),
-        solve=lambda machine, census, budget: solve_ewmm(machine, census, budget=budget),
+        solve=lambda machine, census, budget: _cli.solve_ewmm(
+            machine, census, budget=budget),
         show=_print_walk,
         budget=f"{_ILP_NODES} (summed over the restarts after connectivity cuts)"),
     "gwmm": Solver(
         "does a computation on the given word meet the census?",
         parse=lambda text, path: formats.parse_machine_instance(
             text, path, with_word=True),
-        solve=lambda machine, word, census, budget: solve_gwmm(
+        solve=lambda machine, word, census, budget: _cli.solve_gwmm(
             machine, word, census, budget=budget),
         show=lambda trace, instance: _print_transitions(
             instance[0].transitions[index] for index in trace),
@@ -162,22 +175,22 @@ REDUCTIONS = {
     "reduce-partition": Reduction(
         "rewrite a subset-sum instance as a partition instance",
         parse=_subset_sum_instance,
-        reduce=lambda instance: subsetsum_to_partition(*instance),
+        reduce=lambda instance: _cli.subsetsum_to_partition(*instance),
         write=lambda multiset: formats.write_multiset(multiset)),
     "reduce-mcc": Reduction(
         "rewrite a multicolored-clique instance as a given-word instance",
         parse=lambda text, path: formats.parse_graph(text, path),
-        reduce=lambda graph: mcc_to_gwmm(graph),
+        reduce=lambda graph: _cli.mcc_to_gwmm(graph),
         write=_write_given_word),
     "reduce-heat": Reduction(
         "rewrite a heat-scheduling instance as an exists-word instance",
         parse=lambda text, path: formats.parse_heat(text, path),
-        reduce=lambda heat: heat_to_ewmm(heat),
+        reduce=lambda heat: _cli.heat_to_ewmm(heat),
         write=lambda image: formats.write_machine_instance(*image)),
     "reduce-splits": Reduction(
         "rewrite a splits-game instance as a given-word instance",
         parse=lambda text, path: formats.parse_splits(text, path),
-        reduce=lambda splits: splits_to_gwmm(splits),
+        reduce=lambda splits: _cli.splits_to_gwmm(splits),
         write=_write_given_word),
 }
 
@@ -210,10 +223,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    families = args.family or sorted(corpus.FAMILIES)
+    families = args.family or sorted(_cli.corpus.FAMILIES)
     failures = 0
     for name in families:
-        check = corpus.FAMILIES[name]
+        check = _cli.corpus.FAMILIES[name]
         start = time.perf_counter()
         try:
             count = check(args.seed)
@@ -224,6 +237,18 @@ def _cmd_verify(args) -> int:
             print(f"{name}: {count} instances ok")
         print(f"{name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     return 0 if failures == 0 else 1
+
+
+class _Families:
+    """The choices of ``verify --family``: the corpus families, looked up only
+    when a value is checked (or help lists them), so building the parser
+    loads no ``corpus``."""
+
+    def __contains__(self, name) -> bool:
+        return name in _cli.corpus.FAMILIES
+
+    def __iter__(self):
+        return iter(sorted(_cli.corpus.FAMILIES))
 
 
 def _budget(text: str) -> int:
@@ -267,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the paired solver/oracle corpus")
     p.add_argument("--seed", type=_seed, default=42, help="corpus seed")
-    p.add_argument("--family", action="append", choices=sorted(corpus.FAMILIES),
+    p.add_argument("--family", action="append", choices=_Families(), metavar="NAME",
                    help="verify one family (repeatable); default: all")
     p.set_defaults(handler=_cmd_verify)
     parser.subcommands = sub.choices

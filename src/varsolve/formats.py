@@ -6,16 +6,27 @@ arbitrary non-whitespace tokens.  Parse errors carry file, line, and column:
 the column is the 1-based character offset of the token at fault (a tab
 counts as one character), and it is found only when the error is raised, so
 a valid file pays nothing for it.
+
+The parsers and writers reach the ``mealy``, ``reductions`` and ``variety``
+types as attributes of the package, which resolves each on first access.
+So loading this module loads no other varsolve module, and a call loads
+only the modules of the types it builds.  (A function-level import would
+run the import machinery's look-ups on every call; a package attribute,
+once resolved, is one dict look-up.)
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .mealy import (EMPTY, CensusRequirement, MealyMachine, Transition,
-                    letter_text)
-from .reductions import HeatInstance, MulticoloredGraph, SplitsInstance
-from .variety import Multiset
+if TYPE_CHECKING:
+    from .mealy import CensusRequirement, MealyMachine, Transition
+    from .reductions import HeatInstance, MulticoloredGraph, SplitsInstance
+    from .variety import Multiset
+
+_package = sys.modules[__package__]
 
 
 class ParseError(ValueError):
@@ -127,7 +138,7 @@ def parse_multiset(text: str, path: str = "<instance>",
         entries.append(_entry(reader, parts, line, seen))
     if expect_target and target is None:
         reader.fail_at_end("missing 's=<int>' line")
-    return Multiset(tuple(entries)), target
+    return _package.Multiset(tuple(entries)), target
 
 
 def parse_multiset_sections(text: str, names: tuple[str, ...],
@@ -155,12 +166,12 @@ def parse_multiset_sections(text: str, names: tuple[str, ...],
     if expect_target and target is None:
         reader.fail_at_end("missing 's=<int>' line")
     # A list comprehension, not tuple(<generator>): its shrunk tuples pile up on free lists.
-    multisets = [Multiset(tuple(sections[name])) for name in names]
+    multisets = [_package.Multiset(tuple(sections[name])) for name in names]
     return (*multisets, target) if expect_target else tuple(multisets)
 
 
 def _letter(token: str) -> str:
-    return EMPTY if token == "_" else token
+    return _package.EMPTY if token == "_" else token
 
 
 def parse_machine_instance(text: str, path: str = "<instance>",
@@ -231,6 +242,7 @@ def parse_machine_instance(text: str, path: str = "<instance>",
         reader.fail(line, 2 if len(start) > 2 else 0, "start: expects exactly one state")
     if start[1] not in states:
         reader.fail(line, 1, f"start state {start[1]!r} not among states")
+    Transition = _package.Transition
     transitions: dict[Transition, None] = {}  # in file order
     for line, (source, reads, _, target, writes) in rows:
         t = Transition(source, _letter(reads), target, _letter(writes))
@@ -245,11 +257,11 @@ def parse_machine_instance(text: str, path: str = "<instance>",
         if t in transitions:
             reader.fail(line, 0, f"duplicate transition {t.text()!r}")
         transitions[t] = None
-    machine = MealyMachine(states=frozenset(states), start=start[1],
-                           input_alphabet=frozenset(inputs),
-                           output_alphabet=frozenset(outputs),
-                           transitions=tuple(transitions))
-    requirement = CensusRequirement.of(census)
+    machine = _package.MealyMachine(states=frozenset(states), start=start[1],
+                                    input_alphabet=frozenset(inputs),
+                                    output_alphabet=frozenset(outputs),
+                                    transitions=tuple(transitions))
+    requirement = _package.CensusRequirement.of(census)
     if with_word:
         if word is None:
             reader.fail_at_end("missing 'word:' line")
@@ -313,7 +325,7 @@ def parse_graph(text: str, path: str = "<instance>") -> MulticoloredGraph:
         if frozenset((u, v)) in seen:
             reader.fail(line, 0, f"duplicate edge {u!r}-{v!r}")
         seen.add(frozenset((u, v)))
-    return MulticoloredGraph(
+    return _package.MulticoloredGraph(
         k=k, classes=tuple([tuple(classes[i]) for i in range(1, k + 1)]),
         edges=tuple([(u, v) for _, (_, u, v) in edges]))
 
@@ -345,7 +357,8 @@ def parse_heat(text: str, path: str = "<instance>") -> HeatInstance:
     if threshold is None or deadline is None:
         reader.fail_at_end("expected threshold and deadline lines")
     try:
-        return HeatInstance(threshold=threshold, job_census=census, deadline=deadline)
+        return _package.HeatInstance(threshold=threshold, job_census=census,
+                                     deadline=deadline)
     except ValueError as error:
         reader.fail_at_end(str(error))
 
@@ -372,7 +385,7 @@ def parse_splits(text: str, path: str = "<instance>") -> SplitsInstance:
     if gaps is None:
         reader.fail_at_end("missing 'gaps:' line")
     try:
-        return SplitsInstance(gaps=gaps, job_census=census)
+        return _package.SplitsInstance(gaps=gaps, job_census=census)
     except ValueError as error:
         reader.fail_at_end(str(error))
 
@@ -396,6 +409,7 @@ def write_multiset_sections(names: tuple[str, ...], multisets, target=None) -> s
 
 def write_machine_instance(m: MealyMachine, census: CensusRequirement,
                            word=None) -> str:
+    letter_text = _package.mealy.letter_text
     lines = [
         "states: " + " ".join(sorted(m.states)),
         "start: " + m.start,

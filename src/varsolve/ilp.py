@@ -59,6 +59,10 @@ class BudgetExceeded(Exception):
     """A solver's budget ran out; the verdict is unknown rather than no."""
 
 
+# The budget of the census solvers and of every command-line solve.
+DEFAULT_BUDGET = 2_000_000
+
+
 class Constraint(NamedTuple):
     coeffs: Mapping[str, int]
     relation: str

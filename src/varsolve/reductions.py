@@ -4,15 +4,24 @@ Covers: subset-sum to partition, multicolored clique to the given-word
 census problem, heat-sensitive unit-job scheduling to the exists-word
 census problem, and the two-processor splits game to the given-word
 census problem.
+
+Only ``subsetsum_to_partition`` builds a ``variety`` type, and it reaches
+it as an attribute of the package, which loads ``variety`` on first access,
+so the machine reductions load no ``variety``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .mealy import EMPTY, CensusRequirement, MealyMachine, Transition
-from .variety import Multiset
+
+if TYPE_CHECKING:
+    from .variety import Multiset
+
+_package = sys.modules[__package__]
 
 
 class TargetOutOfRange(ValueError):
@@ -50,7 +59,7 @@ def subsetsum_to_partition(a: Multiset, s: int) -> Multiset:
             entries.append((value, mult))
     if not bumped:
         entries.append((extra, 1))
-    return Multiset(tuple(entries))
+    return _package.Multiset(tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -91,20 +100,22 @@ class MulticoloredGraph:
         return any({u, v} == {a, b} for a, b in self.edges)
 
     def is_connected(self) -> bool:
+        """Whether every vertex is reached from the first, walking a
+        neighbour map built once from the edges (O(V + E))."""
         vertices = [v for cls in self.classes for v in cls]
         if not vertices:
             return True
+        neighbours: dict[str, list[str]] = {v: [] for v in vertices}
+        for a, b in self.edges:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
         reached = {vertices[0]}
         frontier = [vertices[0]]
         while frontier:
-            v = frontier.pop()
-            for a, b in self.edges:
-                if a == v and b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
-                elif b == v and a not in reached:
-                    reached.add(a)
-                    frontier.append(a)
+            for w in neighbours[frontier.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    frontier.append(w)
         return len(reached) == len(vertices)
 
 

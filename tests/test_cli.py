@@ -231,7 +231,7 @@ def test_gwmm_budget_reports_unknown(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "gwmm", "-", "--budget", "10")
     assert code == 3
     assert out.strip() == "UNKNOWN"
-    assert err == "budget: table entry cap 10 exceeded\n"
+    assert err == "budget: given-word configuration cap 10 exceeded\n"
 
 
 def test_multiset_budget_reports_unknown(capsys):
@@ -494,6 +494,11 @@ CLI_CALLS = (
 )
 
 
+def test_cli_calls_cover_every_row():
+    commands = [command for _, command, _ in CLI_CALLS]
+    assert sorted(commands) == sorted([*varsolve.cli.SOLVERS, *varsolve.cli.REDUCTIONS])
+
+
 @pytest.mark.parametrize("name, command, fixture", CLI_CALLS)
 def test_subcommand_calls_module_attribute(capsys, monkeypatch, name, command, fixture):
     calls = []
@@ -555,6 +560,70 @@ def test_cli_import_loads_no_numpy():
     subprocess.run([sys.executable, "-c",
                     "import varsolve.cli, sys; assert 'numpy' not in sys.modules"],
                    env=package_env(), check=True, timeout=60)
+
+
+def fresh_python(code, *argv, stdin=""):
+    """The stdout of ``code`` run with ``argv`` in a fresh interpreter."""
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=package_env(),
+                          input=stdin, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# Runs one command line (with no arguments, the benchmark's set-up code) and
+# prints its exit code and the varsolve modules loaded by then.
+LOADED = """
+import contextlib, io, sys
+import varsolve.cli as cli
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+else:
+    cli.build_parser()
+print(code, *sorted(name[9:] for name in sys.modules if name.startswith("varsolve.")))
+"""
+
+FRONT = "cli formats ilp"
+
+
+@pytest.mark.parametrize("argv, stdin, loaded", [
+    ([], "", FRONT),
+    (["num3dm", "n3dm1.txt", "--certificate"], "", f"{FRONT} variety"),
+    (["ewmm", "loop_ewmm.txt", "--certificate"], "", f"census_solvers {FRONT} mealy"),
+    (["gwmm", "-", "--certificate"], "ident_gwmm.txt", f"census_solvers {FRONT} mealy"),
+    (["reduce-mcc", "triangle.txt"], "", f"{FRONT} mealy reductions"),
+    (["reduce-partition", "ss1.txt"], "", f"{FRONT} mealy reductions variety"),
+    (["verify", "--family", "splits", "--seed", "1"], "",
+     "census_solvers cli corpus formats ilp mealy oracle reductions variety"),
+])
+def test_each_call_loads_only_its_modules(argv, stdin, loaded):
+    argv = [str(FIXTURES / token) if token.endswith(".txt") else token for token in argv]
+    text = (FIXTURES / stdin).read_text() if stdin else ""
+    assert fresh_python(LOADED, *argv, stdin=text).split() == ["0", *loaded.split()]
+
+
+def test_package_resolves_names_on_first_access():
+    fresh_python("""
+import sys
+import varsolve
+assert not [name for name in sys.modules if name.startswith("varsolve.")]
+assert varsolve.variety is sys.modules["varsolve.variety"]
+listed = dir(varsolve)
+assert set(varsolve.__all__) <= set(listed) and {"cli", "corpus", "oracle"} <= set(listed)
+namespace = {}
+exec("from varsolve import *", namespace)
+assert sorted(set(namespace) - {"__builtins__"}) == sorted(varsolve.__all__)
+for name in varsolve.__all__:
+    home = sys.modules["varsolve." + varsolve._HOME[name]]
+    assert namespace[name] is getattr(home, name) is getattr(varsolve, name), name
+try:
+    varsolve.nope
+except AttributeError:
+    pass
+else:
+    raise AssertionError("varsolve.nope resolved")
+""")
 
 
 def test_demos_run():

@@ -1,5 +1,6 @@
 """Reductions: worked examples, oracle agreement, structural audits."""
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -91,6 +92,33 @@ def test_mcc_rejects_disconnected_and_small_k():
     single = MulticoloredGraph(k=1, classes=(("a",),), edges=())
     with pytest.raises(MalformedGraph):
         mcc_to_gwmm(single)
+
+
+def _path_graph(n, skip=None):
+    """A path v0 - v1 - ... - v(n-1) alternating between two classes,
+    without the edge leaving vertex ``skip``."""
+    vertices = [f"v{i}" for i in range(n)]
+    return MulticoloredGraph(
+        k=2, classes=(tuple(vertices[0::2]), tuple(vertices[1::2])),
+        edges=tuple((vertices[i], vertices[i + 1]) for i in range(n - 1) if i != skip))
+
+
+def test_is_connected_is_linear_on_a_long_path():
+    # Scanning every edge for each popped vertex took about 18 s on this path.
+    g = _path_graph(20_000)
+    begin = time.perf_counter()
+    assert g.is_connected()
+    assert time.perf_counter() - begin < 0.5
+
+
+def test_is_connected_detects_a_disconnected_graph():
+    assert not _path_graph(20_000, skip=10_000).is_connected()
+    assert not _path_graph(7, skip=5).is_connected()
+    assert not _path_graph(7, skip=0).is_connected()
+    isolated = MulticoloredGraph(k=2, classes=(("a1", "a2"), ("b1",)),
+                                 edges=(("a1", "b1"),))
+    assert not isolated.is_connected()
+    assert _path_graph(1).is_connected() and _path_graph(2).is_connected()
 
 
 def test_mcc_graph_type_invariants():
