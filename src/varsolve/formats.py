@@ -18,8 +18,7 @@ once resolved, is one dict look-up.)
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .mealy import CensusRequirement, MealyMachine, Transition
@@ -37,8 +36,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass
-class _Reader:
+class _Reader(NamedTuple):
     path: str
     lines: list[str]
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Optional
 
 LE = "<="
@@ -69,8 +68,7 @@ class Constraint(NamedTuple):
     rhs: int
 
 
-@dataclass(frozen=True)
-class IntegerProgram:
+class IntegerProgram(NamedTuple):
     """Box-bounded integer variables plus linear (in)equality constraints."""
 
     variables: tuple[tuple[str, int, int], ...]
@@ -81,8 +79,7 @@ class IntegerProgram:
         return [name for name, _, _ in self.variables]
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     values: Mapping[str, int]
     nodes: int = 0  # search nodes spent finding it, every root included
 

@@ -12,7 +12,6 @@ base walk plus anchored short loops with execution counts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -49,8 +48,17 @@ class Transition(NamedTuple):
                 f"{self.target} {letter_text(self.writes)}")
 
 
-@dataclass(frozen=True)
-class MealyMachine:
+# typing.NamedTuple forbids a __new__ of its own, so a record type that checks
+# its arguments subclasses a NamedTuple of its fields.
+class _MachineFields(NamedTuple):
+    states: frozenset[str]
+    start: str
+    input_alphabet: frozenset
+    output_alphabet: frozenset
+    transitions: tuple[Transition, ...]
+
+
+class MealyMachine(_MachineFields):
     """States, a start state, two alphabets, and a set of transitions.
 
     Nondeterminism is allowed: several transitions may share the same
@@ -59,24 +67,24 @@ class MealyMachine:
     machines that avoid the empty letter simply never list it.
     """
 
-    states: frozenset[str]
-    start: str
-    input_alphabet: frozenset
-    output_alphabet: frozenset
-    transitions: tuple[Transition, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.start not in self.states:
-            raise ValueError(f"start state {self.start!r} not among states")
-        if len(set(self.transitions)) != len(self.transitions):
+    # The checks read the arguments, not the fields: a NamedTuple field is a
+    # descriptor, slower to read than a local in a loop over the transitions.
+    def __new__(cls, states: frozenset[str], start: str, input_alphabet: frozenset,
+                output_alphabet: frozenset, transitions: tuple[Transition, ...]):
+        if start not in states:
+            raise ValueError(f"start state {start!r} not among states")
+        if len(set(transitions)) != len(transitions):
             raise ValueError("duplicate transitions")
-        for t in self.transitions:
-            if t.source not in self.states or t.target not in self.states:
+        for t in transitions:
+            if t.source not in states or t.target not in states:
                 raise ValueError(f"transition endpoint outside states: {t}")
-            if t.reads not in self.input_alphabet:
+            if t.reads not in input_alphabet:
                 raise ValueError(f"read letter {t.reads!r} not in input alphabet")
-            if t.writes not in self.output_alphabet:
+            if t.writes not in output_alphabet:
                 raise ValueError(f"write letter {t.writes!r} not in output alphabet")
+        return super().__new__(cls, states, start, input_alphabet, output_alphabet, transitions)
 
     def transitions_from(self, state: str) -> list[Transition]:
         return [t for t in self.transitions if t.source == state]
@@ -87,19 +95,22 @@ class MealyMachine:
         return len(arcs) == len(self.transitions)
 
 
-@dataclass(frozen=True)
-class CensusRequirement:
+class _CensusFields(NamedTuple):
+    counts: tuple[tuple[str, int], ...]
+
+
+class CensusRequirement(_CensusFields):
     """Exact required count per non-empty output letter.
 
     Letters absent from the mapping are required zero times; zero entries
     are normalized away so equal requirements compare equal.
     """
 
-    counts: tuple[tuple[str, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, counts: tuple[tuple[str, int], ...] = ()):
         seen = set()
-        for letter, count in self.counts:
+        for letter, count in counts:
             if letter == EMPTY:
                 raise ValueError("the empty letter carries no census entry")
             if count < 0:
@@ -107,8 +118,7 @@ class CensusRequirement:
             if letter in seen:
                 raise ValueError(f"duplicate census letter {letter!r}")
             seen.add(letter)
-        normalized = tuple(sorted((l, c) for l, c in self.counts if c != 0))
-        object.__setattr__(self, "counts", normalized)
+        return super().__new__(cls, tuple(sorted((l, c) for l, c in counts if c != 0)))
 
     @classmethod
     def of(cls, counts: Mapping[str, int]) -> "CensusRequirement":
@@ -197,8 +207,7 @@ def run(m: MealyMachine, word: Sequence, choices: Sequence[int]) -> tuple:
     return tuple(output)
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(NamedTuple):
     """A closed walk from ``anchor``, executed ``count`` times."""
 
     anchor: str
@@ -206,12 +215,11 @@ class Loop:
     count: int
 
 
-@dataclass(frozen=True)
-class WalkDecomposition:
+class WalkDecomposition(NamedTuple):
     """A base walk from the start plus anchored short loops with counts."""
 
     base_walk: tuple[Transition, ...]
-    loops: tuple[Loop, ...] = field(default=())
+    loops: tuple[Loop, ...] = ()
 
     def base_states(self) -> list[str]:
         if not self.base_walk:

@@ -13,8 +13,7 @@ so the machine reductions load no ``variety``.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .mealy import EMPTY, CensusRequirement, MealyMachine, Transition
 
@@ -62,32 +61,35 @@ def subsetsum_to_partition(a: Multiset, s: int) -> Multiset:
     return _package.Multiset(tuple(entries))
 
 
-@dataclass(frozen=True)
-class MulticoloredGraph:
-    """Vertex classes (each an independent set) plus cross-class edges.
-
-    The edge tuple is ordered; per-class-pair edge sublists inherit this
-    order, which the clique reduction relies on.
-    """
-
+# typing.NamedTuple forbids a __new__ of its own, so a record type that checks
+# its arguments subclasses a NamedTuple of its fields.
+class _GraphFields(NamedTuple):
     k: int
     classes: tuple[tuple[str, ...], ...]
     edges: tuple[tuple[str, str], ...]
-    # Vertex -> its class index (from 1), filled in from ``classes``.
-    owner: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.k != len(self.classes):
+
+class MulticoloredGraph(_GraphFields):
+    """Vertex classes (each an independent set) plus cross-class edges.
+
+    The edge tuple is ordered; per-class-pair edge sublists inherit this
+    order, which the clique reduction relies on.  ``owner`` maps each vertex
+    to its class index (from 1); it is derived from ``classes``, so it is
+    not a field and takes no part in ``==`` or ``repr``.
+    """
+
+    def __new__(cls, k: int, classes: tuple[tuple[str, ...], ...],
+                edges: tuple[tuple[str, str], ...]):
+        if k != len(classes):
             raise ValueError("k must equal the number of classes")
         owner = {}
-        for index, cls in enumerate(self.classes, start=1):
-            for v in cls:
+        for index, members in enumerate(classes, start=1):
+            for v in members:
                 if v in owner:
                     raise ValueError(f"vertex {v!r} appears twice")
                 owner[v] = index
-        object.__setattr__(self, "owner", owner)
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u not in owner or v not in owner:
                 raise ValueError(f"edge endpoint {u!r}/{v!r} not a vertex")
             if owner[u] == owner[v]:
@@ -95,6 +97,14 @@ class MulticoloredGraph:
             if frozenset((u, v)) in seen:
                 raise ValueError(f"duplicate edge {u!r}-{v!r}")
             seen.add(frozenset((u, v)))
+        self = super().__new__(cls, k, classes, edges)
+        object.__setattr__(self, "owner", owner)
+        return self
+
+    # No ``__slots__ = ()`` here: ``owner`` lives in the instance dict, which
+    # this keeps as frozen as the fields.
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def adjacent(self, u: str, v: str) -> bool:
         return any({u, v} == {a, b} for a, b in self.edges)
@@ -123,9 +133,10 @@ def _pair_edges(g: MulticoloredGraph) -> dict[tuple[int, int], list[tuple[str, s
     """The edges between classes i and j under (i, j), oriented (class-i
     vertex first), in edge order, for every ordered pair of classes."""
     pairs = {(i, j): [] for i in range(1, g.k + 1) for j in range(1, g.k + 1) if i != j}
+    owner = g.owner
     for u, v in g.edges:
-        pairs[g.owner[u], g.owner[v]].append((u, v))
-        pairs[g.owner[v], g.owner[u]].append((v, u))
+        pairs[owner[u], owner[v]].append((u, v))
+        pairs[owner[v], owner[u]].append((v, u))
     return pairs
 
 
@@ -262,26 +273,30 @@ def mcc_to_gwmm(g: MulticoloredGraph) -> tuple[MealyMachine, tuple, CensusRequir
     return machine, tuple(word), CensusRequirement.of(census)
 
 
-@dataclass(frozen=True)
-class HeatInstance:
-    """Unit jobs with discrete heat levels, a temperature cap, a deadline."""
-
+class _HeatFields(NamedTuple):
     threshold: int
     job_census: Mapping[int, int]
     deadline: int
 
-    def __post_init__(self):
-        if self.threshold < 0 or self.deadline < 0:
+
+class HeatInstance(_HeatFields):
+    """Unit jobs with discrete heat levels, a temperature cap, a deadline."""
+
+    __slots__ = ()
+
+    def __new__(cls, threshold: int, job_census: Mapping[int, int], deadline: int):
+        if threshold < 0 or deadline < 0:
             raise ValueError("threshold and deadline must be non-negative")
         total = 0
-        for level, count in self.job_census.items():
-            if not 0 <= level <= 2 * self.threshold:
-                raise ValueError(f"heat level {level} outside 0..{2*self.threshold}")
+        for level, count in job_census.items():
+            if not 0 <= level <= 2 * threshold:
+                raise ValueError(f"heat level {level} outside 0..{2*threshold}")
             if count < 0:
                 raise ValueError("negative job count")
             total += count
-        if total > self.deadline:
+        if total > deadline:
             raise ValueError("more jobs than time slots")
+        return super().__new__(cls, threshold, job_census, deadline)
 
     def total_jobs(self) -> int:
         return sum(self.job_census.values())
@@ -318,25 +333,31 @@ def heat_to_ewmm(h: HeatInstance) -> tuple[MealyMachine, CensusRequirement]:
     return machine, CensusRequirement.of(counts)
 
 
-@dataclass(frozen=True)
-class SplitsInstance:
+class _SplitsFields(NamedTuple):
+    gaps: tuple[int, ...]
+    job_census: Mapping[int, int]
+
+
+class SplitsInstance(_SplitsFields):
     """Gap sequence plus an exact census of two-processor job lengths."""
 
-    gaps: tuple[int, ...]
-    job_census: Mapping[int, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for gap in self.gaps:
+    def __new__(cls, gaps: tuple[int, ...], job_census: Mapping[int, int] | None = None):
+        if job_census is None:
+            job_census = {}  # a fresh empty census per instance, never one shared default
+        for gap in gaps:
             if gap <= 0:
                 raise ValueError("gaps must be positive")
-        for length, count in self.job_census.items():
+        for length, count in job_census.items():
             if length <= 0:
                 raise ValueError("job lengths must be positive")
             if count < 0:
                 raise ValueError("negative job count")
-        if sum(self.job_census.values()) != len(self.gaps):
+        if sum(job_census.values()) != len(gaps):
             raise CensusSizeMismatch(
                 "census total must equal the number of gaps: one job per step")
+        return super().__new__(cls, gaps, job_census)
 
 
 def splits_to_gwmm(s: SplitsInstance) -> tuple[MealyMachine, tuple, CensusRequirement]:

@@ -17,8 +17,7 @@ caller can show the program without building it again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .ilp import EQ, Constraint, IntegerProgram, solve_feasibility
 
@@ -31,24 +30,30 @@ class NotDivisibleBy3(ValueError):
     """Cardinality is not a multiple of three."""
 
 
-@dataclass(frozen=True)
-class Multiset:
+# typing.NamedTuple forbids a __new__ of its own, so a record type that checks
+# its arguments subclasses a NamedTuple of its fields.
+class _MultisetFields(NamedTuple):
+    entries: tuple[tuple[int, int], ...]
+
+
+class Multiset(_MultisetFields):
     """Integer multiset stored as (value, multiplicity) entries.
 
     Entry values are pairwise distinct and multiplicities positive; the
     entry order is preserved and determines certificate ordering.
     """
 
-    entries: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries: tuple[tuple[int, int], ...] = ()):
         seen = set()
-        for value, mult in self.entries:
+        for value, mult in entries:
             if value in seen:
                 raise ValueError(f"duplicate value {value} in multiset")
             seen.add(value)
             if mult <= 0:
                 raise ValueError(f"multiplicity of {value} must be positive")
+        return super().__new__(cls, entries)
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "Multiset":
@@ -91,8 +96,7 @@ def combined_variety(*multisets: Multiset) -> int:
     return len(values)
 
 
-@dataclass(frozen=True)
-class SubsetCertificate:
+class SubsetCertificate(NamedTuple):
     """How many copies of each distinct value a selected submultiset takes."""
 
     counts: Mapping[int, int]
@@ -101,8 +105,7 @@ class SubsetCertificate:
         return sum(v * c for v, c in self.counts.items())
 
 
-@dataclass(frozen=True)
-class TripleCover:
+class TripleCover(NamedTuple):
     """Triples (first, second, third) with execution counts."""
 
     triples: tuple[tuple[int, int, int, int], ...]

@@ -2,7 +2,6 @@
 
 import sys
 import time
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -353,8 +352,9 @@ def with_unreachable_copy(m):
     transitions appended after the originals; no transition enters a copy."""
     def renamed(t):
         return t._replace(source=t.source + "'", target=t.target + "'")
-    return replace(m, states=m.states | {state + "'" for state in m.states},
-                   transitions=m.transitions + tuple(map(renamed, m.transitions)))
+    return MealyMachine(m.states | {state + "'" for state in m.states}, m.start,
+                        m.input_alphabet, m.output_alphabet,
+                        m.transitions + tuple(map(renamed, m.transitions)))
 
 
 def solve_ewmm_recorded(m, c):
@@ -401,10 +401,9 @@ def ewmm_instances_with_unreachable_parts(draw):
     gates = draw(st.lists(st.tuples(st.sampled_from(states), st.sampled_from(["a", EMPTY]),
                                     st.sampled_from(extra), st.just("w")),
                           max_size=3, unique=True))
-    return replace(m, states=m.states | set(extra),
-                   output_alphabet=m.output_alphabet | {"w"},
-                   transitions=m.transitions + tuple(
-                       Transition(*t) for t in gates + moves)), c
+    return MealyMachine(m.states | set(extra), m.start, m.input_alphabet,
+                        m.output_alphabet | {"w"},
+                        m.transitions + tuple(Transition(*t) for t in gates + moves)), c
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

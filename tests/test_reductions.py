@@ -1,13 +1,13 @@
 """Reductions: worked examples, oracle agreement, structural audits."""
 
 import time
-from dataclasses import replace
 
 import pytest
 
 from varsolve import census_solvers
 from varsolve.census_solvers import solve_ewmm, solve_gwmm
 from varsolve.corpus import FAMILIES, make_rng, random_multicolored_graph
+from varsolve.mealy import WalkDecomposition
 from varsolve.oracle import (brute_mcc_clique, brute_partition,
                              brute_subset_sum, validate_gwmm_trace)
 from varsolve.reductions import (CensusSizeMismatch, HeatInstance, MalformedGraph,
@@ -262,7 +262,7 @@ def test_families_reject_tampered_certificates(monkeypatch):
 
     def short_walk(*args):
         cert = solve_ewmm_(*args)
-        return cert if cert is None else replace(cert, base_walk=cert.base_walk[:-1])
+        return cert if cert is None else WalkDecomposition(cert.base_walk[:-1], cert.loops)
 
     monkeypatch.setattr(census_solvers, "solve_gwmm", short_trace)
     monkeypatch.setattr(census_solvers, "solve_ewmm", short_walk)
