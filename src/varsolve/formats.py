@@ -7,6 +7,11 @@ the column is the 1-based character offset of the token at fault (a tab
 counts as one character), and it is found only when the error is raised, so
 a valid file pays nothing for it.
 
+The parsers make every check the record constructors make, each with its
+located error, and then build ``MealyMachine`` and ``MulticoloredGraph``
+without the constructor's checks; those checks run only for library
+callers that build the records themselves, the reductions included.
+
 The parsers and writers reach the ``mealy``, ``reductions`` and ``variety``
 types as attributes of the package, which resolves each on first access.
 So loading this module loads no other varsolve module, and a call loads
@@ -168,10 +173,6 @@ def parse_multiset_sections(text: str, names: tuple[str, ...],
     return (*multisets, target) if expect_target else tuple(multisets)
 
 
-def _letter(token: str) -> str:
-    return _package.EMPTY if token == "_" else token
-
-
 def parse_machine_instance(text: str, path: str = "<instance>",
                            with_word: bool = False):
     """Machine headers and transitions, a census section, optionally a word.
@@ -231,9 +232,10 @@ def parse_machine_instance(text: str, path: str = "<instance>",
             reader.fail_at_end(f"missing '{required}:' header")
     if not census_seen:
         reader.fail_at_end("missing 'census:' section")
+    letter = {"_": _package.EMPTY}.get  # letter(token, token): ``_`` is EMPTY
     states = set(headers["states"][1][1:])
-    inputs = {_letter(token) for token in headers["input"][1][1:]}
-    outputs = {_letter(token) for token in headers["output"][1][1:]}
+    inputs = {letter(token, token) for token in headers["input"][1][1:]}
+    outputs = {letter(token, token) for token in headers["output"][1][1:]}
     line, start = headers["start"]
     if len(start) != 2:
         # Located at the second state, or at ``start:`` when none is named.
@@ -241,24 +243,27 @@ def parse_machine_instance(text: str, path: str = "<instance>",
     if start[1] not in states:
         reader.fail(line, 1, f"start state {start[1]!r} not among states")
     Transition = _package.Transition
+    new = tuple.__new__  # Transition(...) would add a Python call per line
     transitions: dict[Transition, None] = {}  # in file order
     for line, (source, reads, _, target, writes) in rows:
-        t = Transition(source, _letter(reads), target, _letter(writes))
         if source not in states:
             reader.fail(line, 0, f"state {source!r} not among states")
-        if t.reads not in inputs:
+        read = letter(reads, reads)
+        if read not in inputs:
             reader.fail(line, 1, f"read letter {reads!r} not in the input alphabet")
         if target not in states:
             reader.fail(line, 3, f"state {target!r} not among states")
-        if t.writes not in outputs:
+        write = letter(writes, writes)
+        if write not in outputs:
             reader.fail(line, 4, f"write letter {writes!r} not in the output alphabet")
+        t = new(Transition, (source, read, target, write))
         if t in transitions:
             reader.fail(line, 0, f"duplicate transition {t.text()!r}")
         transitions[t] = None
-    machine = _package.MealyMachine(states=frozenset(states), start=start[1],
-                                    input_alphabet=frozenset(inputs),
-                                    output_alphabet=frozenset(outputs),
-                                    transitions=tuple(transitions))
+    # ``_make`` builds the tuple without ``MealyMachine.__new__``, whose
+    # checks the lines above have just made, each with its located error.
+    machine = _package.MealyMachine._make((frozenset(states), start[1], frozenset(inputs),
+                                           frozenset(outputs), tuple(transitions)))
     requirement = _package.CensusRequirement.of(census)
     if with_word:
         if word is None:
@@ -323,9 +328,11 @@ def parse_graph(text: str, path: str = "<instance>") -> MulticoloredGraph:
         if frozenset((u, v)) in seen:
             reader.fail(line, 0, f"duplicate edge {u!r}-{v!r}")
         seen.add(frozenset((u, v)))
-    return _package.MulticoloredGraph(
-        k=k, classes=tuple([tuple(classes[i]) for i in range(1, k + 1)]),
-        edges=tuple([(u, v) for _, (_, u, v) in edges]))
+    # The checks above are the constructor's, each with its located error,
+    # so the graph is built without running them again.
+    return _package.MulticoloredGraph._checked(
+        k, tuple([tuple(classes[i]) for i in range(1, k + 1)]),
+        tuple([(u, v) for _, (_, u, v) in edges]), owner)
 
 
 def parse_heat(text: str, path: str = "<instance>") -> HeatInstance:

@@ -44,8 +44,10 @@ class Transition(NamedTuple):
     writes: str
 
     def text(self) -> str:
-        return (f"{self.source} {letter_text(self.reads)} -> "
-                f"{self.target} {letter_text(self.writes)}")
+        # One unpacking, not four field reads; ``or`` spells EMPTY as ``_``
+        # as letter_text does, since every other letter is a non-empty string.
+        source, reads, target, writes = self
+        return f"{source} {reads or '_'} -> {target} {writes or '_'}"
 
 
 # typing.NamedTuple forbids a __new__ of its own, so a record type that checks

@@ -13,6 +13,7 @@ so the machine reductions load no ``variety``.
 from __future__ import annotations
 
 import sys
+from functools import partial
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .mealy import EMPTY, CensusRequirement, MealyMachine, Transition
@@ -21,6 +22,9 @@ if TYPE_CHECKING:
     from .variety import Multiset
 
 _package = sys.modules[__package__]
+
+# Transition(*row) without the Python call of Transition's own __new__.
+_transition = partial(tuple.__new__, Transition)
 
 
 class TargetOutOfRange(ValueError):
@@ -97,7 +101,16 @@ class MulticoloredGraph(_GraphFields):
             if frozenset((u, v)) in seen:
                 raise ValueError(f"duplicate edge {u!r}-{v!r}")
             seen.add(frozenset((u, v)))
-        self = super().__new__(cls, k, classes, edges)
+        return cls._checked(k, classes, edges, owner)
+
+    @classmethod
+    def _checked(cls, k: int, classes: tuple[tuple[str, ...], ...],
+                 edges: tuple[tuple[str, str], ...],
+                 owner: dict[str, int]) -> "MulticoloredGraph":
+        """The graph of fields that have passed the checks above, with
+        ``owner`` their vertex -> class map; ``formats.parse_graph`` makes
+        the same checks with located errors and builds its graph here."""
+        self = tuple.__new__(cls, (k, classes, edges))
         object.__setattr__(self, "owner", owner)
         return self
 
@@ -156,120 +169,80 @@ def mcc_to_gwmm(g: MulticoloredGraph) -> tuple[MealyMachine, tuple, CensusRequir
 
     k = g.k
     others = {i: [j for j in range(1, k + 1) if j != i] for i in range(1, k + 1)}
-
-    def choose(i):
-        return f"choose{i}"
-
-    def chosen(i):
-        return f"chosen{i}"
-
-    def gadget(i, j, n):
-        return f"edge{i}.{j}.{n}"
-
-    def part_letter(i):
-        return f"p{i}"
-
-    def vletter(i, j):
-        return f"v{i}.{j}"
-
-    def skip(i, j):
-        return f"s{i}.{j}"
-
-    def pick(i, j):
-        return f"e{i}.{j}"
-
-    def vertex_count(i, j):
-        return f"L{i}.{j}"
-
-    def edge_match(i, j):
-        return f"M{i}.{j}"
+    # The ten names of class pair (i, j), formatted once: its vertex, skip
+    # and pick input letters, its vertex-count and edge-match output letters,
+    # the edge-match letter of (j, i), and its four gadget states.
+    names = {(i, j): (f"v{i}.{j}", f"s{i}.{j}", f"e{i}.{j}", f"L{i}.{j}", f"M{i}.{j}",
+                      f"M{j}.{i}", f"edge{i}.{j}.1", f"edge{i}.{j}.2", f"edge{i}.{j}.3",
+                      f"edge{i}.{j}.4")
+             for i in others for j in others[i]}
 
     states = {"done"}
     input_alphabet = set()
     output_alphabet = {EMPTY}
-    transitions: list[Transition] = []
+    rows: list[tuple[str, str, str, str]] = []  # (source, reads, target, writes)
     for i in range(1, k + 1):
-        states.add(choose(i))
-        states.add(chosen(i))
-        input_alphabet.add(part_letter(i))
-        for j in others[i]:
-            states.update(gadget(i, j, n) for n in (1, 2, 3, 4))
-            input_alphabet.update((vletter(i, j), skip(i, j), pick(i, j)))
-            output_alphabet.update((vertex_count(i, j), edge_match(i, j)))
-
-    for i in range(1, k + 1):
-        js = others[i]
-        last = js[-1]
-        for r in js:
-            transitions.append(Transition(choose(i), vletter(i, r), choose(i),
-                                          vertex_count(i, r)))
-        transitions.append(Transition(choose(i), vletter(i, last), chosen(i),
-                                      vertex_count(i, last)))
-        for r in js:
-            transitions.append(Transition(chosen(i), vletter(i, r), chosen(i), EMPTY))
-        transitions.append(Transition(chosen(i), vletter(i, js[0]),
-                                      gadget(i, js[0], 1), EMPTY))
-        for pos, j in enumerate(js):
-            s1, s2, s3, s4 = (gadget(i, j, n) for n in (1, 2, 3, 4))
-            transitions.append(Transition(s1, vletter(i, j), s1, EMPTY))
-            transitions.append(Transition(s1, skip(i, j), s1, EMPTY))
-            transitions.append(Transition(s1, pick(i, j), s1, EMPTY))
-            transitions.append(Transition(s1, skip(i, j), s2, edge_match(i, j)))
-            transitions.append(Transition(s2, skip(i, j), s2, edge_match(i, j)))
-            transitions.append(Transition(s2, pick(i, j), s2, EMPTY))
-            transitions.append(Transition(s2, pick(i, j), s3, EMPTY))
-            transitions.append(Transition(s3, skip(i, j), s3, edge_match(j, i)))
-            transitions.append(Transition(s3, pick(i, j), s3, EMPTY))
-            transitions.append(Transition(s3, vletter(i, j), s4, vertex_count(i, j)))
-            transitions.append(Transition(s4, vletter(i, j), s4, vertex_count(i, j)))
-            transitions.append(Transition(s4, skip(i, j), s4, EMPTY))
-            transitions.append(Transition(s4, pick(i, j), s4, EMPTY))
-            if pos + 1 < len(js):
-                nxt = js[pos + 1]
-                transitions.append(Transition(s4, vletter(i, nxt),
-                                              gadget(i, nxt, 1), EMPTY))
-            else:
-                target = choose(i + 1) if i < k else "done"
-                transitions.append(Transition(s4, part_letter(i), target, EMPTY))
+        choose, chosen, part = f"choose{i}", f"chosen{i}", f"p{i}"
+        leave = f"choose{i + 1}" if i < k else "done"
+        pairs = [names[i, j] for j in others[i]]
+        states.update((choose, chosen))
+        input_alphabet.add(part)
+        rows += [(choose, v, choose, count) for v, _, _, count, *_ in pairs]
+        v, _, _, count, *_ = pairs[-1]
+        rows.append((choose, v, chosen, count))
+        rows += [(chosen, v, chosen, EMPTY) for v, *_ in pairs]
+        rows.append((chosen, pairs[0][0], pairs[0][6], EMPTY))
+        for pos, (v, skip, pick, count, match, back, s1, s2, s3, s4) in enumerate(pairs):
+            states.update((s1, s2, s3, s4))
+            input_alphabet.update((v, skip, pick))
+            output_alphabet.update((count, match))
+            nxt = pairs[pos + 1] if pos + 1 < len(pairs) else None
+            rows += [
+                (s1, v, s1, EMPTY), (s1, skip, s1, EMPTY), (s1, pick, s1, EMPTY),
+                (s1, skip, s2, match), (s2, skip, s2, match), (s2, pick, s2, EMPTY),
+                (s2, pick, s3, EMPTY), (s3, skip, s3, back), (s3, pick, s3, EMPTY),
+                (s3, v, s4, count), (s4, v, s4, count), (s4, skip, s4, EMPTY),
+                (s4, pick, s4, EMPTY),
+                (s4, nxt[0], nxt[6], EMPTY) if nxt else (s4, part, leave, EMPTY)]
 
     machine = MealyMachine(
         states=frozenset(states),
-        start=choose(1),
+        start="choose1",
         input_alphabet=frozenset(input_alphabet),
         output_alphabet=frozenset(output_alphabet),
-        transitions=tuple(transitions),
+        transitions=tuple(map(_transition, rows)),
     )
 
+    # Part i reads, per vertex of class i, one vertex letter per other class;
+    # then per class j a vertex letter and, for each vertex x of class i, the
+    # (i, j) edge listing spelled as one skip per edge, each edge at x
+    # followed by a pick, closed by a vertex letter; then its part letter.
     pair_edges = _pair_edges(g)
-
-    def gaps(i: int, j: int, vertex: str) -> list[int]:
-        """Positions of the vertex's incident edges inside the pair list,
-        returned as successive index differences, closed by the list end."""
-        listing = pair_edges[(i, j)]
-        incident = [t for t, (u, _) in enumerate(listing, start=1) if u == vertex]
-        bounds = [0] + incident + [len(listing)]
-        return [bounds[q + 1] - bounds[q] for q in range(len(bounds) - 1)]
-
     word: list[str] = []
     for i in range(1, k + 1):
-        js = others[i]
-        for _ in g.classes[i - 1]:
-            word.extend(vletter(i, r) for r in js)
-        for j in js:
-            word.append(vletter(i, j))
-            for vertex in g.classes[i - 1]:
-                for q, gap in enumerate(gaps(i, j, vertex)):
-                    if q > 0:
-                        word.append(pick(i, j))
-                    word.extend([skip(i, j)] * gap)
-                word.append(vletter(i, j))
-        word.append(part_letter(i))
+        members = g.classes[i - 1]
+        pairs = [names[i, j] for j in others[i]]
+        word += [v for v, *_ in pairs] * len(members)
+        for j, (v, skip, pick, *_) in zip(others[i], pairs):
+            listing = pair_edges[i, j]
+            incident: dict[str, list[int]] = {vertex: [] for vertex in members}
+            for position, (u, _) in enumerate(listing, start=1):
+                incident[u].append(position)
+            word.append(v)
+            for vertex in members:
+                last = 0
+                for position in incident[vertex]:
+                    word += [skip] * (position - last)
+                    word.append(pick)
+                    last = position
+                word += [skip] * (len(listing) - last)
+                word.append(v)
+        word.append(f"p{i}")
 
     census: dict[str, int] = {}
-    for i in range(1, k + 1):
-        for j in others[i]:
-            census[vertex_count(i, j)] = len(g.classes[i - 1]) + 1
-            census[edge_match(i, j)] = len(pair_edges[(i, j)])
+    for (i, j), (_, _, _, count, match, *_) in names.items():
+        census[count] = len(g.classes[i - 1]) + 1
+        census[match] = len(pair_edges[i, j])
     return machine, tuple(word), CensusRequirement.of(census)
 
 
@@ -374,37 +347,28 @@ def splits_to_gwmm(s: SplitsInstance) -> tuple[MealyMachine, tuple, CensusRequir
     longest = max((length for length, count in s.job_census.items() if count > 0),
                   default=0)
     over = "over"
-    states = [str(d) for d in range(longest + 1)] + [over]
-    gap_values = sorted(set(s.gaps))
-    transitions = []
-    seen = set()
-
-    def add(source: str, reads: str, target: str, writes: str) -> None:
-        t = Transition(source, reads, target, writes)
-        if t not in seen:
-            seen.add(t)
-            transitions.append(t)
-
-    for d in range(longest + 1):
-        for g in gap_values:
+    spelled = [str(d) for d in range(longest + 1)]
+    gaps = {g: str(g) for g in sorted(set(s.gaps))}  # gap -> its letter
+    rows: dict[tuple[str, str, str, str], None] = {}  # without repeats, in order
+    for d, source in enumerate(spelled):
+        for g, reads in gaps.items():
             if g <= longest:
-                lead_target = str(d + g) if d + g <= longest else over
-                add(str(d), str(g), lead_target, str(g))
+                rows[source, reads, spelled[d + g] if d + g <= longest else over, reads] = None
             if d + g <= longest:
-                add(str(d), str(g), str(g), str(d + g))
-    for g in gap_values:
+                rows[source, reads, reads, spelled[d + g]] = None
+    for g, reads in gaps.items():
         if g <= longest:
-            add(over, str(g), over, str(g))
+            rows[over, reads, over, reads] = None
 
     machine = MealyMachine(
-        states=frozenset(states),
+        states=frozenset(spelled + [over]),
         start="0",
-        input_alphabet=frozenset(str(g) for g in gap_values),
-        output_alphabet=frozenset(str(length) for length in range(1, longest + 1)),
-        transitions=tuple(transitions),
+        input_alphabet=frozenset(gaps.values()),
+        output_alphabet=frozenset(spelled[1:]),
+        transitions=tuple(map(_transition, rows)),
     )
     # A list comprehension, not tuple(<generator>): its shrunk tuples pile up on free lists.
-    word = tuple([str(g) for g in s.gaps])
+    word = tuple([gaps[g] for g in s.gaps])
     census = CensusRequirement.of(
         {str(length): count for length, count in s.job_census.items()})
     return machine, word, census

@@ -12,7 +12,7 @@ from varsolve.formats import (ParseError, parse_graph, parse_heat,
                               write_graph, write_heat, write_machine_instance,
                               write_multiset, write_multiset_sections,
                               write_splits)
-from varsolve.mealy import EMPTY
+from varsolve.mealy import EMPTY, MealyMachine
 from varsolve.reductions import HeatInstance, MulticoloredGraph, SplitsInstance
 from varsolve.variety import Multiset
 
@@ -146,9 +146,15 @@ MACHINE = ("states: q r\nstart: q\ninput: _ a\noutput: b\nq a -> r b\n"
     ("q a -> r b\n", "q a -> r b\nq a -> r b\n", "6:1",
      "duplicate transition 'q a -> r b'"),
     ("b 1\n", "b \uff11\n", "8:3", "expected census count, got '\uff11'"),
+    # One line with several faults reports the first of source, read letter,
+    # target, write letter.
+    ("q a -> r b", "s c -> t z", "5:1", "state 's' not among states"),
+    ("q a -> r b", "q c -> t z", "5:3", "read letter 'c' not in the input alphabet"),
+    ("q a -> r b", "q a -> t z", "5:8", "state 't' not among states"),
 ], ids=["second-word", "second-header", "two-starts", "start-outside-states",
         "endpoint-outside-states", "read-letter", "write-letter", "duplicate-transition",
-        "fullwidth-census-count"])
+        "fullwidth-census-count", "faults-from-source", "faults-from-read-letter",
+        "faults-from-target"])
 def test_machine_errors_located_at_their_token(old, new, where, message):
     with pytest.raises(ParseError) as info:
         parse_machine_instance(MACHINE.replace(old, new), path="m.txt", with_word=True)
@@ -490,13 +496,20 @@ def test_every_writer_output_parses_back(seed):
     triple = corpus.random_nmts_instance(rng)
     text = write_multiset_sections(("A", "B", "S"), triple)
     assert parse_multiset_sections(text, ("A", "B", "S")) == triple
+    # The parsers build their records without the constructors' checks, so
+    # each parsed record is rebuilt through its checking constructor too.
     m, x, c = corpus._machine_word_census(rng)
-    assert parse_machine_instance(write_machine_instance(m, c, word=x),
-                                  with_word=True) == (m, x, c)
+    parsed = parse_machine_instance(write_machine_instance(m, c, word=x), with_word=True)
+    assert parsed == (m, x, c)
+    assert type(parsed[0]) is MealyMachine and parsed[0] == MealyMachine(*parsed[0])
     c = corpus.random_census(rng, m)
-    assert parse_machine_instance(write_machine_instance(m, c)) == (m, c)
+    parsed = parse_machine_instance(write_machine_instance(m, c))
+    assert parsed == (m, c) and parsed[0] == MealyMachine(*parsed[0])
     g = corpus.random_multicolored_graph(rng, k=rng.randint(1, 4))
-    assert parse_graph(write_graph(g)) == g
+    parsed = parse_graph(write_graph(g))
+    checked = MulticoloredGraph(*parsed)
+    assert type(parsed) is MulticoloredGraph and parsed == checked == g
+    assert parsed.owner == checked.owner == g.owner
     h = corpus._random_heat(rng)
     assert parse_heat(write_heat(h)) == h
     splits = corpus.random_splits_instance(rng)

@@ -1,12 +1,14 @@
 """Pinned certificate and reduction outputs: stable, diffable text."""
 
+import hashlib
 import io
 from pathlib import Path
 
 import pytest
 
+from varsolve import corpus
 from varsolve.cli import main
-from varsolve.formats import parse_machine_instance
+from varsolve.formats import parse_machine_instance, write_graph, write_splits
 from varsolve.mealy import Loop, WalkDecomposition, subdivide
 from varsolve.oracle import validate_ewmm_decomposition
 
@@ -65,6 +67,42 @@ def test_reduction_image_trace_golden(capsys, monkeypatch, reduction, fixture,
     code, out = capture(capsys, "gwmm", "-", "--certificate")
     assert code == 0
     assert out == (FIXTURES / golden).read_text()
+
+
+# The sha256 of the image each reduction prints for three fixtures and for
+# the graphs and splits instances the corpus draws from seeds 1 and 2; the
+# image text is part of the output, so a faster reduction leaves it as it is.
+IMAGE_DIGESTS = {
+    ("reduce-mcc", "triangle.txt"):
+        "f3343fa3e1286ec94ef1f3513f9e924f2855c5067a68fc301ff8ec41066693ba",
+    ("reduce-mcc", "parity_mcc.txt"):
+        "d5f04ffeca696cebcc21705f887b902293eef9d60df1ef9a3ca7490079f42736",
+    ("reduce-splits", "fig2.txt"):
+        "e1b915ec33b984ae937f9b44ac9b09668a42a5b14047b08b5a97f9525006583d",
+    ("reduce-mcc", "seed1"):
+        "7a966028a3b20e800fd26a8af2b13202cb8a7ceca9f43db5448d662a3baa09b8",
+    ("reduce-mcc", "seed2"):
+        "e564c5c369f26cfb4a570658894b5537e2f75303ff948dc028b80a9f7a2c71f9",
+    ("reduce-splits", "seed1"):
+        "31c8610de4065121da60a93c5489121aaa0fe326faf3e0de7927c3410613ed86",
+    ("reduce-splits", "seed2"):
+        "6e8e813bffb5db2ba70aa782513c8e5ad876a2fcb8761e3b054e54dea1e07f0b",
+}
+
+
+@pytest.mark.parametrize("reduction, source", list(IMAGE_DIGESTS))
+def test_reduction_images_are_pinned(capsys, tmp_path, reduction, source):
+    if source.startswith("seed"):
+        rng = corpus.make_rng(int(source[4:]))
+        path = tmp_path / "instance.txt"
+        path.write_text(write_graph(corpus.random_multicolored_graph(rng))
+                        if reduction == "reduce-mcc"
+                        else write_splits(corpus.random_splits_instance(rng)))
+    else:
+        path = FIXTURES / source
+    code, image = capture(capsys, reduction, str(path))
+    assert code == 0
+    assert hashlib.sha256(image.encode()).hexdigest() == IMAGE_DIGESTS[reduction, source]
 
 
 def read_printed_ewmm(m, certificate):
