@@ -8,9 +8,10 @@ counts as one character), and it is found only when the error is raised, so
 a valid file pays nothing for it.
 
 The parsers make every check the record constructors make, each with its
-located error, and then build ``MealyMachine`` and ``MulticoloredGraph``
-without the constructor's checks; those checks run only for library
-callers that build the records themselves, the reductions included.
+located error, and then build ``Multiset``, ``MealyMachine``,
+``CensusRequirement`` and ``MulticoloredGraph`` without the constructor's
+checks; those checks run only for library callers that build the records
+themselves, the reductions included.
 
 The parsers and writers reach the ``mealy``, ``reductions`` and ``variety``
 types as attributes of the package, which resolves each on first access.
@@ -117,8 +118,18 @@ def _entry(reader: _Reader, parts: list[str], line: int, seen: set[int],
     value is not in ``seen`` (then added); ``where`` ends the duplicate error."""
     if len(parts) != 2:
         reader.fail(line, 0, "expected 'value multiplicity'")
-    value = _int(reader, parts[0], line, 0, "integer value")
-    mult = _int(reader, parts[1], line, 1, "multiplicity")
+    value_text, mult_text = parts
+    # A valid line is read here without ``_int``'s calls; any other line goes
+    # on to the checks below, which find and locate its fault.
+    if (mult_text.isdigit() and mult_text.isascii()
+            and value_text.removeprefix("-").isdigit() and value_text.isascii()):
+        value = int(value_text)
+        mult = int(mult_text)
+        if mult and value not in seen:
+            seen.add(value)
+            return value, mult
+    value = _int(reader, value_text, line, 0, "integer value")
+    mult = _int(reader, mult_text, line, 1, "multiplicity")
     if value in seen:
         reader.fail(line, 0, f"duplicate value {value}{where}")
     if mult <= 0:
@@ -141,7 +152,8 @@ def parse_multiset(text: str, path: str = "<instance>",
         entries.append(_entry(reader, parts, line, seen))
     if expect_target and target is None:
         reader.fail_at_end("missing 's=<int>' line")
-    return _package.Multiset(tuple(entries)), target
+    # ``_entry`` has made the ``Multiset`` checks, each with its located error.
+    return _package.Multiset._make((tuple(entries),)), target
 
 
 def parse_multiset_sections(text: str, names: tuple[str, ...],
@@ -149,14 +161,16 @@ def parse_multiset_sections(text: str, names: tuple[str, ...],
                             expect_target: bool = False):
     """Multisets under ``A:`` section markers; an ``s=`` line iff ``expect_target``."""
     reader = _Reader.of(text, path)
+    markers = {name + ":": name for name in names}
     sections: dict[str, list[tuple[int, int]]] = {name: [] for name in names}
     seen: dict[str, set[int]] = {name: set() for name in names}
     current = None
     target = None
     for line, parts in reader.tokens():
         token = parts[0]
-        if token.rstrip(":") in names and token.endswith(":"):
-            current = token.rstrip(":")
+        if token in markers:
+            _alone(reader, parts, line, "section marker")
+            current = markers[token]
             continue
         if token.startswith("s="):
             target = _target(reader, parts, line, target, expect_target)
@@ -168,8 +182,9 @@ def parse_multiset_sections(text: str, names: tuple[str, ...],
             _entry(reader, parts, line, seen[current], f" in section {current}"))
     if expect_target and target is None:
         reader.fail_at_end("missing 's=<int>' line")
+    # ``_entry`` has made the ``Multiset`` checks, each with its located error.
     # A list comprehension, not tuple(<generator>): its shrunk tuples pile up on free lists.
-    multisets = [_package.Multiset(tuple(sections[name])) for name in names]
+    multisets = [_package.Multiset._make((tuple(sections[name]),)) for name in names]
     return (*multisets, target) if expect_target else tuple(multisets)
 
 
@@ -208,6 +223,7 @@ def parse_machine_instance(text: str, path: str = "<instance>",
             word = line, parts
             continue
         if token == "census:":
+            _alone(reader, parts, line, "census marker")
             census_seen = True
             mode = "census"
             continue
@@ -264,7 +280,10 @@ def parse_machine_instance(text: str, path: str = "<instance>",
     # checks the lines above have just made, each with its located error.
     machine = _package.MealyMachine._make((frozenset(states), start[1], frozenset(inputs),
                                            frozenset(outputs), tuple(transitions)))
-    requirement = _package.CensusRequirement.of(census)
+    # The census lines are checked above, so only the constructor's
+    # normalisation is left: zero counts dropped, letters sorted.
+    requirement = _package.CensusRequirement._make(
+        (tuple(sorted([item for item in census.items() if item[1]])),))
     if with_word:
         if word is None:
             reader.fail_at_end("missing 'word:' line")
@@ -423,7 +442,7 @@ def write_machine_instance(m: MealyMachine, census: CensusRequirement,
     ]
     lines.extend(t.text() for t in m.transitions)
     if word is not None:
-        lines.append("word: " + " ".join(str(l) for l in word))
+        lines.append("word: " + " ".join(word))
     lines.append("census:")
     lines.extend(f"{letter} {count}" for letter, count in census.counts)
     return "\n".join(lines) + "\n"

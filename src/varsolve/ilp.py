@@ -9,14 +9,17 @@ trading bounds between the two variables pass after pass.  Before any
 propagation, a rank check on the equality rows rejects programs whose
 equalities have no rational solution at all (it pivots on a +-1 term
 wherever a row has one, and such a pivot eliminates with no scaling or gcd
-pass).  A branch does not start at the bottom of its box: it first tries the
-smallest value that puts the variable at the same fraction of its box as an
-equality row's right-hand side sits in that row's range, then works outward
-from it.  The search keeps an explicit stack, one frame per branched
-variable, so its depth is not limited by Python's recursion limit.  A cut row
-from the caller restarts it from the root, and a budget caps its nodes over
-all restarts.  All arithmetic is exact unbounded-magnitude Python integers;
-there is no floating-point relaxation anywhere.
+pass).  It eliminates the rows shortest first, as Markowitz (1957) ordered
+pivots: a short row's pivot then adds few terms to the longer rows after it,
+where a long row taken first would fill in every short row that shares a
+variable with it.  A branch does not start at the bottom of its box: it
+first tries the smallest value that puts the variable at the same fraction
+of its box as an equality row's right-hand side sits in that row's range,
+then works outward from it.  The search keeps an explicit stack, one frame
+per branched variable, so its depth is not limited by Python's recursion
+limit.  A cut row from the caller restarts it from the root, and a budget
+caps its nodes over all restarts.  All arithmetic is exact unbounded-magnitude
+Python integers; there is no floating-point relaxation anywhere.
 
 Each solve reads and rank-checks the program once: the compile rejects a
 malformed program and turns it into index form, with boxes in two int lists,
@@ -165,19 +168,25 @@ class _Boxes:
 
     def add(self, con: Constraint) -> None:
         """Compile one more row; the next ``restart`` queues it."""
-        if con.relation not in _RELATIONS:
-            raise MalformedProgram(f"unknown relation {con.relation!r}")
-        sign = -1 if con.relation == GE else 1
+        coeffs, relation, rhs = con
+        if relation not in _RELATIONS:
+            raise MalformedProgram(f"unknown relation {relation!r}")
+        sign = -1 if relation == GE else 1
+        r = len(self.rows)
+        index, watch = self.index, self.watch
         terms = []
-        for name, c in con.coeffs.items():
-            k = self.index.get(name)
+        unit = True
+        for name, c in coeffs.items():
+            k = index.get(name)
             if k is None:
                 raise MalformedProgram(f"coefficient on undeclared variable {name!r}")
             if c:
                 terms.append((k, sign * c))
-                self.watch[k].append(len(self.rows))
-        self.rows.append((terms, EQ if con.relation == EQ else LE, sign * con.rhs))
-        self.unit.append(all(c in (1, -1) for _, c in terms))
+                watch[k].append(r)
+                if c != 1 and c != -1:
+                    unit = False
+        self.rows.append((terms, EQ if relation == EQ else LE, sign * rhs))
+        self.unit.append(unit)
 
     def restart(self) -> None:
         """Restore the declared boxes and queue every row, as for a first propagation."""
@@ -337,11 +346,15 @@ def _equalities_consistent(rows: list[tuple[list[tuple[int, int]], str, int]]) -
     rows are inconsistent exactly when one reduces to ``0 = r``, r != 0.  A row
     pivots on its first +-1 term, else its first; a +-1 pivot p subtracts c*p
     times its row in place, any other takes a fraction-free gcd-divided step.
+    The rows are taken in order of term count (a stable sort), shortest first:
+    whether they have a rational solution does not depend on their order, and
+    a short pivot row fills in few terms of the rows reduced by it, where a
+    long one would turn every short row sharing a variable with it long.
     """
     pivots: list[tuple[int, dict[int, int], int]] = []
-    for terms, relation, rhs in rows:
-        if relation != EQ:
-            continue
+    equalities = [row for row in rows if row[1] == EQ]
+    equalities.sort(key=lambda row: len(row[0]))
+    for terms, _, rhs in equalities:
         row = dict(terms)
         for var, prow, prhs in pivots:
             c = row.get(var)

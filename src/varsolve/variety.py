@@ -162,7 +162,14 @@ def solve_partition(a: Multiset, budget: Optional[int] = None,
     return _selection_certificate(a, assignment)
 
 
-def _cover_program(sources: tuple[Multiset, ...], patterns) -> IntegerProgram:
+class _CoverProgram(IntegerProgram):
+    """A cover program that keeps ``patterns``, one per variable in declaration
+    order, so that a witness is read back by position."""
+
+    # No __slots__: a tuple subclass keeps ``patterns`` in its instance dict.
+
+
+def _cover_program(sources: tuple[Multiset, ...], patterns) -> _CoverProgram:
     """Counting variables for the patterns of a cover by triples.
 
     A pattern is a tuple of (source, entry) slots, indices into ``sources``
@@ -173,8 +180,9 @@ def _cover_program(sources: tuple[Multiset, ...], patterns) -> IntegerProgram:
     is the cover size (the total cardinality // 3), or less where a slotted
     entry's multiplicity // its slot count is smaller.
     """
-    cover = sum([ms.cardinality() for ms in sources]) // 3
-    rows: list[list[dict[str, int]]] = [[{} for _ in ms.entries] for ms in sources]
+    entries = [ms.entries for ms in sources]
+    cover = sum([m for source in entries for _, m in source]) // 3
+    rows: list[list[dict[str, int]]] = [[{} for _ in source] for source in entries]
     variables = []
     for slots in patterns:
         (_, i), (_, j), (_, l) = slots
@@ -184,12 +192,16 @@ def _cover_program(sources: tuple[Multiset, ...], patterns) -> IntegerProgram:
             row = rows[source][entry]
             slotted = row[name] = row.get(name, 0) + 1
             # m // slotted only falls as slotted grows, so the last one binds.
-            upper = min(upper, sources[source].entries[entry][1] // slotted)
+            bound = entries[source][entry][1] // slotted
+            if bound < upper:
+                upper = bound
         variables.append((name, 0, upper))
     constraints = [Constraint(row, EQ, m)
-                   for ms, source_rows in zip(sources, rows)
-                   for row, (_, m) in zip(source_rows, ms.entries)]
-    return IntegerProgram(variables=tuple(variables), constraints=tuple(constraints))
+                   for source, source_rows in zip(entries, rows)
+                   for row, (_, m) in zip(source_rows, source)]
+    program = _CoverProgram(tuple(variables), tuple(constraints))
+    program.patterns = patterns
+    return program
 
 
 def num3dm_program(a: Multiset, b: Multiset, c: Multiset,
@@ -214,22 +226,23 @@ def num3dm_program(a: Multiset, b: Multiset, c: Multiset,
     return _cover_program((a, b, c), patterns)
 
 
-def _extract_triples(a: Multiset, b: Multiset, c: Multiset, assignment) -> TripleCover:
-    """Read every used variable ``x{i}_{j}_{l}`` back as a value triple.
+def _extract_triples(a: Multiset, b: Multiset, c: Multiset, program: _CoverProgram,
+                     assignment) -> TripleCover:
+    """Read every used count back as a value triple.
 
-    The cover program names its variables by 1-based entry indices into
-    (a, b, c) and declares them in index order, so the cover lists triples in
-    that order.
+    The witness lists the counts in declaration order, which is the order of
+    the program's patterns, so each count's pattern gives its entry indices
+    into (a, b, c), and the cover lists triples in that order.
     """
     triples = []
-    for name, count in assignment.values.items():
+    counts = assignment.values.values()
+    for ((_, i), (_, j), (_, l)), count in zip(program.patterns, counts):
         if count:
-            i, j, l = (int(index) - 1 for index in name[1:].split("_"))
             triples.append((a.entries[i][0], b.entries[j][0], c.entries[l][0], count))
     return TripleCover(triples=tuple(triples))
 
 
-def _solve_cover(program: Optional[IntegerProgram], a: Multiset, b: Multiset,
+def _solve_cover(program: Optional[_CoverProgram], a: Multiset, b: Multiset,
                  c: Multiset, budget: Optional[int],
                  on_program) -> Optional[TripleCover]:
     """The cover the program's witness gives, or the guard's answer."""
@@ -240,7 +253,7 @@ def _solve_cover(program: Optional[IntegerProgram], a: Multiset, b: Multiset,
     assignment = _solve(program, budget, on_program)
     if assignment is None:
         return None
-    return _extract_triples(a, b, c, assignment)
+    return _extract_triples(a, b, c, program, assignment)
 
 
 def solve_num_3dm(a: Multiset, b: Multiset, c: Multiset, s: int,
@@ -252,7 +265,8 @@ def solve_num_3dm(a: Multiset, b: Multiset, c: Multiset, s: int,
 
 def nmts_program(a: Multiset, b: Multiset, s: Multiset) -> Optional[IntegerProgram]:
     """Numerical 3-DM on (A, B, -S) with target 0: first+second = third."""
-    return num3dm_program(a, b, Multiset(tuple([(-v, m) for v, m in s.entries])), 0)
+    # The negated entries keep S's checked values distinct and multiplicities positive.
+    return num3dm_program(a, b, Multiset._make((tuple([(-v, m) for v, m in s.entries]),)), 0)
 
 
 def solve_nmts(a: Multiset, b: Multiset, s: Multiset, budget: Optional[int] = None,

@@ -449,6 +449,22 @@ def test_census_of_the_empty_letter_is_usage_error(capsys, tmp_path):
     assert f"{path}:8:1: the empty letter '_' takes no census count" in err
 
 
+@pytest.mark.parametrize("command, text, location", [
+    ("ewmm", "states: q\nstart: q\ninput: a\noutput: x\nq a -> q x\ncensus: x 1\n",
+     ":6:9: unexpected 'x' after the census marker"),
+    ("num3dm", "A: 5 2\nB:\n5 2\nC:\n5 2\ns=15\n",
+     ":1:4: unexpected '5' after the section marker"),
+], ids=["census", "section"])
+def test_data_on_a_marker_line_is_usage_error(capsys, tmp_path, command, text, location):
+    # Not dropped: an empty census there would let ewmm answer YES with an
+    # empty walk, and a dropped entry would change the instance.
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert f"{path}{location}" in err
+
+
 def test_directory_instance_is_usage_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "subsetsum", str(tmp_path))
     assert code == 2

@@ -12,7 +12,7 @@ from varsolve.formats import (ParseError, parse_graph, parse_heat,
                               write_graph, write_heat, write_machine_instance,
                               write_multiset, write_multiset_sections,
                               write_splits)
-from varsolve.mealy import EMPTY, MealyMachine
+from varsolve.mealy import EMPTY, CensusRequirement, MealyMachine
 from varsolve.reductions import HeatInstance, MulticoloredGraph, SplitsInstance
 from varsolve.variety import Multiset
 
@@ -306,6 +306,12 @@ IRREGULAR_ERRORS = [
      "s.txt:2:4: expected target integer, got '-x'"),
     ("sections", "target-missing", "A:\n1 1\n  B:\n\n",
      "s.txt:3:1: missing 's=<int>' line"),
+    ("sections", "marker-extra", "A:\t5 2\nB:\n5 2\ns=1\n",
+     "s.txt:1:4: unexpected '5' after the section marker"),
+    ("sections", "marker-doubled", "A:\n1 1\n B::\n1 1\ns=1\n",
+     "s.txt:3:2: expected 'value multiplicity'"),
+    ("sections_bare", "marker-doubled-first", "\tA::\n1 1\n",
+     "s.txt:1:2: expected a section marker, one of A:, B:"),
     # machine
     ("machine", "header-second", TABBED.replace(" output: b\n", " output: b\n \tinput: a\n"),
      "s.txt:5:3: second 'input:' line; each header is given once"),
@@ -329,6 +335,8 @@ IRREGULAR_ERRORS = [
      "s.txt:7:1: missing 'output:' header"),
     ("machine", "census-missing", TABBED.replace("census:\n\tb 1\n", ""),
      "s.txt:6:1: missing 'census:' section"),
+    ("machine", "census-extra", TABBED.replace("census:\n\tb 1", "census:  b 1"),
+     "s.txt:7:10: unexpected 'b' after the census marker"),
     ("machine", "start-two", TABBED.replace("  start: q", "  start: q\tq"),
      's.txt:2:12: start: expects exactly one state'),
     ("machine", "start-none", TABBED.replace("  start: q", "start:\t"),
@@ -486,25 +494,34 @@ def test_dispatch_roundtrips_every_kind():
 @given(st.integers(0, 2**32 - 1))
 def test_every_writer_output_parses_back(seed):
     rng = corpus.make_rng(seed)
-    a, s = corpus.random_subset_sum_instance(rng)
-    assert parse_multiset(write_multiset(a, target=s), expect_target=True) == (a, s)
-    signed = corpus.random_multiset(rng, min_value=-20)
-    assert parse_multiset(write_multiset(signed)) == (signed, None)
-    *triple, s = corpus.random_num3dm_instance(rng)
-    text = write_multiset_sections(("A", "B", "C"), triple, target=s)
-    assert parse_multiset_sections(text, ("A", "B", "C"), expect_target=True) == (*triple, s)
-    triple = corpus.random_nmts_instance(rng)
-    text = write_multiset_sections(("A", "B", "S"), triple)
-    assert parse_multiset_sections(text, ("A", "B", "S")) == triple
     # The parsers build their records without the constructors' checks, so
     # each parsed record is rebuilt through its checking constructor too.
+    def checked(multisets):
+        assert all(type(ms) is Multiset and ms == Multiset(*ms) for ms in multisets)
+        return multisets
+
+    a, s = corpus.random_subset_sum_instance(rng)
+    parsed = parse_multiset(write_multiset(a, target=s), expect_target=True)
+    assert parsed == (a, s) and checked(parsed[:1])
+    signed = corpus.random_multiset(rng, min_value=-20)
+    parsed = parse_multiset(write_multiset(signed))
+    assert parsed == (signed, None) and checked(parsed[:1])
+    *triple, s = corpus.random_num3dm_instance(rng)
+    text = write_multiset_sections(("A", "B", "C"), triple, target=s)
+    parsed = parse_multiset_sections(text, ("A", "B", "C"), expect_target=True)
+    assert parsed == (*triple, s) and checked(parsed[:3])
+    triple = corpus.random_nmts_instance(rng)
+    text = write_multiset_sections(("A", "B", "S"), triple)
+    assert checked(parse_multiset_sections(text, ("A", "B", "S"))) == triple
     m, x, c = corpus._machine_word_census(rng)
     parsed = parse_machine_instance(write_machine_instance(m, c, word=x), with_word=True)
     assert parsed == (m, x, c)
     assert type(parsed[0]) is MealyMachine and parsed[0] == MealyMachine(*parsed[0])
+    assert type(parsed[2]) is CensusRequirement and parsed[2] == CensusRequirement(*parsed[2])
     c = corpus.random_census(rng, m)
     parsed = parse_machine_instance(write_machine_instance(m, c))
     assert parsed == (m, c) and parsed[0] == MealyMachine(*parsed[0])
+    assert type(parsed[1]) is CensusRequirement and parsed[1] == CensusRequirement(*parsed[1])
     g = corpus.random_multicolored_graph(rng, k=rng.randint(1, 4))
     parsed = parse_graph(write_graph(g))
     checked = MulticoloredGraph(*parsed)

@@ -8,7 +8,8 @@ import pytest
 
 from varsolve import corpus
 from varsolve.cli import main
-from varsolve.formats import parse_machine_instance, write_graph, write_splits
+from varsolve.formats import (parse_machine_instance, write_graph, write_multiset,
+                              write_multiset_sections, write_splits)
 from varsolve.mealy import Loop, WalkDecomposition, subdivide
 from varsolve.oracle import validate_ewmm_decomposition
 
@@ -103,6 +104,34 @@ def test_reduction_images_are_pinned(capsys, tmp_path, reduction, source):
     code, image = capture(capsys, reduction, str(path))
     assert code == 0
     assert hashlib.sha256(image.encode()).hexdigest() == IMAGE_DIGESTS[reduction, source]
+
+
+# The sha256 of what the five multiset subcommands print, with their exit
+# codes, on the instances the corpus draws from seeds 1 and 2, each run with
+# --certificate and with --dump-ilp: the programs, verdicts and certificates
+# are output, so a faster build or solve leaves every byte as it is.
+MULTISET_DIGEST = "d9723168814a70387b878a40f0a6ede729387d1cd049f98b160e0179c651090f"
+
+
+def test_multiset_outputs_are_pinned(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        rng = corpus.make_rng(seed)
+        a, s = corpus.random_subset_sum_instance(rng)
+        texts = {"subsetsum": write_multiset(a, target=s),
+                 "partition": write_multiset(corpus.random_multiset(rng))}
+        *triple, s = corpus.random_num3dm_instance(rng)
+        texts["num3dm"] = write_multiset_sections(("A", "B", "C"), triple, target=s)
+        texts["nmts"] = write_multiset_sections(("A", "B", "S"),
+                                                corpus.random_nmts_instance(rng))
+        texts["threepartition"] = write_multiset(corpus.random_3partition_instance(rng))
+        for command, text in texts.items():
+            path = tmp_path / f"{command}{seed}.txt"
+            path.write_text(text)
+            for flag in ("--certificate", "--dump-ilp"):
+                code, out = capture(capsys, command, str(path), flag)
+                digest.update(f"{command} {seed} {flag} {code}\n{out}".encode())
+    assert digest.hexdigest() == MULTISET_DIGEST
 
 
 def read_printed_ewmm(m, certificate):

@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from varsolve import census_solvers, ilp
+from varsolve import census_solvers, ilp, variety
 from varsolve.corpus import (FAMILIES, _machine_census, enumerate_feasibility, make_rng,
                              random_program)
 from varsolve.ilp import (BudgetExceeded, Constraint, IntegerProgram,
@@ -352,6 +352,44 @@ def cover_systems(draw):
 @given(cover_systems())
 def test_rank_check_matches_fraction_elimination_on_cover_programs(p):
     assert ilp._equalities_consistent(ilp._Boxes(p).rows) == rationally_consistent(p)
+
+
+def seeded_cover_program(seed):
+    """A ``variety.num3dm_program`` over 4-12 values per source.
+
+    A and B take k distinct values from [0, 2k) and are paired one to one,
+    C takes the value that completes each pair to 4k, and k more copies of
+    random pairs set the multiplicities, so the rows are consistent; an odd
+    seed then adds one more copy of an A value, which leaves A's total
+    unequal to B's.
+    """
+    rng = make_rng(seed)
+    k = rng.randint(4, 12)
+    pairs = list(zip(rng.sample(range(2 * k), k), rng.sample(range(2 * k), k)))
+    pairs += [rng.choice(pairs) for _ in range(k)]
+    columns = [[a for a, _ in pairs], [b for _, b in pairs], [4 * k - a - b for a, b in pairs]]
+    if seed % 2:
+        columns[0].append(columns[0][0])
+    return variety.num3dm_program(*map(variety.Multiset.from_values, columns), 4 * k)
+
+
+def test_rank_check_verdict_does_not_depend_on_row_order():
+    # The check eliminates the rows shortest first; a rational solution
+    # exists or not whatever the order, so the compiled rows, their reverse
+    # and a shuffle must all give the Fraction reference's verdict.
+    verdicts = set()
+    for seed in range(24):
+        rng = make_rng(seed)
+        cover = seeded_cover_program(seed)
+        for p in [random_program(rng) for _ in range(10)] + [cover]:
+            rows = ilp._Boxes(p).rows
+            shuffled = list(rows)
+            rng.shuffle(shuffled)
+            verdict = rationally_consistent(p)
+            for order in (rows, rows[::-1], shuffled):
+                assert ilp._equalities_consistent(order) == verdict
+        verdicts.add(verdict)  # the cover program's, which comes last
+    assert verdicts == {True, False}
 
 
 def test_row_whose_widest_span_fits_its_slack_narrows_nothing():
