@@ -29,7 +29,7 @@ _EXPORTS = {
             "propagate_bounds", "solve_feasibility"),
     "mealy": ("EMPTY", "CensusRequirement", "Loop", "MealyMachine", "Transition",
               "WalkDecomposition", "census_of", "decompose_counts", "decompose_walk",
-              "run", "subdivide"),
+              "run", "subdivide", "subdivide_part"),
     "reductions": ("HeatInstance", "MulticoloredGraph", "SplitsInstance",
                    "heat_to_ewmm", "mcc_to_gwmm", "splits_to_gwmm",
                    "subsetsum_to_partition"),

@@ -9,11 +9,12 @@ Two problems over a nondeterministic machine M and a census requirement c:
   transition out of a reached state, a 0/1 end state and flow conservation
   per reached state, and one census equality per letter.  Connectivity to
   the start state is added lazily: one engine call checks each solution it
-  finds, takes a cut row for each disconnected one and searches again,
-  within one node budget.  The certificate is the paper's walk
-  decomposition, peeled straight from the transition counts over the
-  subdivided machine: a base walk plus anchored loops with execution
-  counts.
+  finds, takes a cut row for each disconnected one and searches again from
+  its root's propagation fixpoint, within one node budget.  The
+  certificate is the paper's walk decomposition, peeled straight from the
+  transition counts over the subdivided machine, of which only the hops of
+  used transitions are built: a base walk plus anchored loops with
+  execution counts.
 
 * given-word: for a fixed input word x, is there a computation reading all
   of x whose output meets c exactly?  Solved in one forward pass by a
@@ -40,7 +41,7 @@ from typing import Optional, Sequence
 from .ilp import (DEFAULT_BUDGET, EQ, LE, BudgetExceeded, Constraint, IntegerProgram,
                   solve_feasibility)
 from .mealy import (EMPTY, CensusRequirement, MealyMachine, WalkDecomposition,
-                    decompose_counts, subdivide)
+                    decompose_counts, subdivide_part)
 
 
 def _reached(start: str, moves: dict[str, list[str]]) -> set[str]:
@@ -85,8 +86,10 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
 
     (entering from outside C) goes back to the engine, which searches again.
     The row holds for every walk from the start and fails for this solution.
-    On a YES, count y_i goes to transitions 2i and 2i+1 of ``subdivide(m)``,
-    and ``decompose_counts`` peels those counts into the certificate.
+    On a YES, count y_i goes to the two hops of transition i, transitions
+    2i and 2i+1 of ``subdivide(m)``.  Only the used transitions are split
+    (``subdivide_part``), and ``decompose_counts`` peels their counts over
+    that part into the certificate.
 
     Spends ``budget`` (None: no cap) in integer-program search nodes,
     summed over the engine's searches, and raises BudgetExceeded when it is
@@ -147,11 +150,11 @@ def solve_ewmm(m: MealyMachine, c: CensusRequirement,
                                    budget=budget, cut=connected)
     if assignment is None:
         return None
-    sub = subdivide(m)
-    counts = {}
-    for i, _, name, _ in arcs:
-        counts[sub.transitions[2 * i]] = counts[sub.transitions[2 * i + 1]] = assignment[name]
-    return decompose_counts(sub, counts)
+    used = [(i, assignment[name]) for i, _, name, _ in arcs if assignment[name]]
+    part = subdivide_part(m, [i for i, _ in used])
+    # Transition i's two hops, in a row in the part, both carry y_i.
+    counts = dict(zip(part.transitions, [n for _, n in used for _ in (0, 1)]))
+    return decompose_counts(part, counts)
 
 
 def solve_gwmm(m: MealyMachine, x: Sequence, c: CensusRequirement,

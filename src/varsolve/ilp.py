@@ -17,9 +17,10 @@ first tries the smallest value that puts the variable at the same fraction
 of its box as an equality row's right-hand side sits in that row's range,
 then works outward from it.  The search keeps an explicit stack, one frame
 per branched variable, so its depth is not limited by Python's recursion
-limit.  A cut row from the caller restarts it from the root, and a budget
-caps its nodes over all restarts.  All arithmetic is exact unbounded-magnitude
-Python integers; there is no floating-point relaxation anywhere.
+limit.  A cut row from the caller restarts it from the root's fixpoint,
+and a budget caps its nodes over all restarts.  All arithmetic is exact
+unbounded-magnitude Python integers; there is no floating-point
+relaxation anywhere.
 
 Each solve reads and rank-checks the program once: the compile rejects a
 malformed program and turns it into index form, with boxes in two int lists,
@@ -161,13 +162,19 @@ class _Boxes:
         self.watch: list[list[int]] = [[] for _ in program.variables]
         self.rows = []
         self.unit: list[bool] = []
+        self.queued: list[bool] = []
         for con in program.constraints:
             self.add(con)
         self.trail: list[tuple[int, int, int]] = []
         self.restart()
 
     def add(self, con: Constraint) -> None:
-        """Compile one more row; the next ``restart`` queues it."""
+        """Compile one more row, with ``queued`` grown to match, but not queued.
+
+        ``restart`` queues every row; a caller that keeps the boxes queues
+        the new row itself, which is all a propagation fixpoint of the old
+        rows needs to become one of all the rows.
+        """
         coeffs, relation, rhs = con
         if relation not in _RELATIONS:
             raise MalformedProgram(f"unknown relation {relation!r}")
@@ -187,9 +194,14 @@ class _Boxes:
                     unit = False
         self.rows.append((terms, EQ if relation == EQ else LE, sign * rhs))
         self.unit.append(unit)
+        self.queued.append(False)
 
     def restart(self) -> None:
-        """Restore the declared boxes and queue every row, as for a first propagation."""
+        """Restore the declared boxes and queue every row, as for a first propagation.
+
+        The compile calls it once; a search resumes after a cut from the
+        boxes of its root's fixpoint instead (``solve_feasibility``).
+        """
         self.undo(0)
         self.queue = deque(range(len(self.rows)))
         self.queued = [True] * len(self.rows)
@@ -463,7 +475,14 @@ def solve_feasibility(program: IntegerProgram, budget: Optional[int] = None,
 
     ``cut`` (None: none) sees each leaf's values and returns None to accept
     it, or a ``<=`` or ``>=`` row it violates; the row joins the compiled
-    rows, and the search starts again from the declared boxes.
+    rows, and the search starts again from its root's fixpoint.  That
+    fixpoint is what the trail holds below the mark of the bottom frame,
+    which the root pushed once it had propagated (a leaf with no frame is
+    the root itself).  Every row operator narrows the boxes monotonically,
+    so a fixpoint does not depend on the order in which rows join the queue
+    (``_Boxes.propagate``): undoing the trail to that mark and queuing only
+    the new row reaches the fixpoint that propagating every row from the
+    declared boxes would.  The new root costs one node, as any root does.
 
     Spends one unit of ``budget`` (None: no cap) per search node: each root
     and every child whose box is fixed to a branch value, before it is
@@ -506,9 +525,13 @@ def solve_feasibility(program: IntegerProgram, budget: Optional[int] = None,
                 if row is None:
                     return Assignment(values=values, nodes=nodes)
                 program = IntegerProgram(program.variables, program.constraints + (row,))
+                # The bottom frame took its trail mark at the root's fixpoint.
+                if stack:
+                    boxes.undo(stack[0][6])
+                    stack.clear()
                 boxes.add(row)
-                boxes.restart()
-                stack.clear()
+                boxes.queued[-1] = True
+                boxes.queue.append(len(boxes.rows) - 1)
                 continue
         # Fix the next branch value, backtracking past used-up frames.
         while stack:

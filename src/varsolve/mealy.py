@@ -4,13 +4,15 @@ A machine reads one input letter (or the empty letter) per transition and
 writes one output letter (or the empty letter).  Letters are strings; the
 empty letter ``EMPTY`` is the empty string ``""``, spelled ``_`` in machine
 files.  This module provides the machine model, execution, transition
-subdivision to a simple underlying digraph, exact output-letter censuses,
-and the decomposition of a walk, or of its transition counts, into a short
-base walk plus anchored short loops with execution counts.
+subdivision to a simple underlying digraph (of every transition, or of
+chosen ones), exact output-letter censuses, and the decomposition of a
+walk, or of its transition counts, into a short base walk plus anchored
+short loops with execution counts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -158,24 +160,40 @@ def subdivide(m: MealyMachine) -> MealyMachine:
     of original transition i sit at indices 2*i and 2*i+1.  The multiset of
     non-empty output letters is preserved for every input word.
     """
+    return subdivide_part(m, range(len(m.transitions)))
+
+
+def subdivide_part(m: MealyMachine, indices: Iterable[int]) -> MealyMachine:
+    """The part of ``subdivide(m)`` that splits the transitions at ``indices``.
+
+    Its transitions are the two hops of each listed transition, in the
+    order listed, each equal to the one ``subdivide(m)`` builds, and its
+    states are m's and the fresh states of those hops; the alphabets are
+    ``subdivide(m)``'s.  Transition i's fresh state is t<j> for the i-th j
+    (from 0) whose name m does not use.  Only names t<j> with j below
+    |T| + |S| can be skipped, so no longer name is parsed.  The machine is
+    valid by construction, so it is built without the checking constructor.
+    """
+    digits = len(str(len(m.transitions) + len(m.states)))
+    taken = sorted(int(s[1:]) for s in m.states
+                   if s[:1] == "t" and len(s) <= digits + 1 and s[1:].isdecimal()
+                   and str(int(s[1:])) == s[1:])
+    # taken[k] - k names below the k-th taken one are free, a nondecreasing
+    # sequence, so transition i skips each taken name with taken[k] - k <= i.
+    free_below = [j - k for k, j in enumerate(taken)]
+    transitions = m.transitions
     states = set(m.states)
-    transitions = []
-    counter = 0
-    for t in m.transitions:
-        while f"t{counter}" in states:
-            counter += 1
-        fresh = f"t{counter}"
-        counter += 1
+    hops = []
+    new = tuple.__new__
+    for i in indices:
+        source, reads, target, writes = transitions[i]
+        fresh = f"t{i + bisect_right(free_below, i)}"
         states.add(fresh)
-        transitions.append(Transition(t.source, t.reads, fresh, t.writes))
-        transitions.append(Transition(fresh, EMPTY, t.target, EMPTY))
-    return MealyMachine(
-        states=frozenset(states),
-        start=m.start,
-        input_alphabet=frozenset(m.input_alphabet) | {EMPTY},
-        output_alphabet=frozenset(m.output_alphabet) | {EMPTY},
-        transitions=tuple(transitions),
-    )
+        hops.append(new(Transition, (source, reads, fresh, writes)))
+        hops.append(new(Transition, (fresh, EMPTY, target, EMPTY)))
+    return MealyMachine._make((frozenset(states), m.start,
+                               frozenset(m.input_alphabet) | {EMPTY},
+                               frozenset(m.output_alphabet) | {EMPTY}, tuple(hops)))
 
 
 def run(m: MealyMachine, word: Sequence, choices: Sequence[int]) -> tuple:
@@ -281,7 +299,9 @@ def decompose_counts(m: MealyMachine,
     From the start, counted transitions are followed until a state repeats
     or none leaves the current state.  A repeat closes a simple cycle, which
     is peeled off as often as its scarcest transition allows and bucketed
-    by (anchor, arc census); the walk goes on from the anchor.  Where no
+    by (anchor, set of its transitions): a simple cycle holds each
+    transition once, so the set is its arc census, and the set and anchor
+    fix the cycle.  The walk goes on from the anchor.  Where no
     counted transition leaves, the walk ends, and the simple path followed
     is the base walk.  What is left balances at every state, so following
     it from any counted transition only closes cycles, peeled the same way.
@@ -307,8 +327,8 @@ def decompose_counts(m: MealyMachine,
     buckets: dict[tuple, list] = {}
 
     def add(into: dict, anchor: str, cycle: tuple, times: int) -> None:
-        """Count ``times`` runs of ``cycle`` in its (anchor, arc census) bucket."""
-        key = (anchor, frozenset(Counter(cycle).items()))
+        """Count ``times`` runs of ``cycle`` in its (anchor, arc set) bucket."""
+        key = (anchor, frozenset(cycle))
         into.setdefault(key, [anchor, cycle, 0])[2] += times
 
     def follow(state: str) -> list[Transition]:

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from varsolve import census_solvers, cli, formats, ilp
+from varsolve import census_solvers, cli, formats, ilp, mealy
 from varsolve.census_solvers import (DEFAULT_BUDGET, BudgetExceeded,
                                      solve_ewmm, solve_gwmm)
-from varsolve.corpus import (FAMILIES, make_rng, random_gwmm_census,
+from varsolve.corpus import (FAMILIES, make_rng, random_census, random_gwmm_census,
                              random_machine, random_word)
 from varsolve.mealy import (EMPTY, CensusRequirement, Loop, MealyMachine,
                             Transition, WalkDecomposition, census_of, run,
@@ -127,11 +127,63 @@ def test_ewmm_compiles_and_rank_checks_once(monkeypatch):
     # row, and the row goes into the running engine instead of a new program.
     # The first solution walks q0 -> q1 -> q2 and runs the x-loop at q3 on
     # its own; the arc q1 -b-> q3 that leads to the loop is unused.
+    # The second search resumes from the root's fixpoint, so the boxes are
+    # restored to the declared ones only by the compile.
+    restarts = []
+    restart = ilp._Boxes.restart
+    monkeypatch.setattr(ilp._Boxes, "restart",
+                        lambda boxes: restarts.append(len(boxes.rows)) or restart(boxes))
     calls, rows = _count_engine_calls(monkeypatch)
     m, c = formats.parse_machine_instance((FIXTURES / "ewmm_cut.txt").read_text())
     assert solve_ewmm(m, c) is None
     assert [row.relation for row in rows] == ["<="]
     assert calls == {"_Boxes": 1, "_equalities_consistent": 1, "solve": 1}
+    assert len(restarts) == 1
+
+
+def test_ewmm_yes_builds_no_checked_machine(monkeypatch):
+    # The certificate splits only the used transitions, built unchecked: a
+    # YES neither subdivides the whole machine nor runs the checking
+    # constructor.
+    m, c = formats.parse_machine_instance((FIXTURES / "ewmm_cliff.txt").read_text())
+    built = []
+
+    def checking(cls, *args):
+        built.append(cls)
+        return new(cls, *args)
+
+    new = MealyMachine.__new__
+    monkeypatch.setattr(MealyMachine, "__new__", staticmethod(checking))
+    monkeypatch.setattr(mealy, "subdivide", lambda m: built.append("subdivide"))
+    cert = solve_ewmm(m, c)
+    assert cert is not None and cert.loops and built == []
+    monkeypatch.undo()
+    assert validate_ewmm_decomposition(m, c, cert)
+
+
+def test_ewmm_certificates_on_clashing_state_names():
+    # States named t0, t2, ...: the fresh states skip them, and every hop of
+    # a certificate is a transition of subdivide(m).
+    rng = make_rng(23)
+    names = ("t0", "t1", "t2", "t4", "t00", "t", "q")
+    yes = 0
+    for _ in range(200):
+        m = random_machine(rng, max_states=5, max_transitions=8)
+        to = dict(zip(sorted(m.states), rng.sample(names, len(m.states))))
+        m = machine(to.values(), to[m.start], m.input_alphabet, m.output_alphabet,
+                    [(to[t.source], t.reads, to[t.target], t.writes)
+                     for t in m.transitions])
+        c = random_census(rng, m)
+        cert = solve_ewmm(m, c)
+        assert (cert is not None) == brute_ewmm(m, c)
+        if cert is None:
+            continue
+        yes += 1
+        hops = set(subdivide(m).transitions)
+        assert set(cert.base_walk) <= hops
+        assert all(set(loop.cycle) <= hops for loop in cert.loops)
+        assert validate_ewmm_decomposition(m, c, cert)
+    assert yes >= 50
 
 
 def test_ewmm_unreached_states_get_no_cut(monkeypatch):

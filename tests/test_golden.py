@@ -8,7 +8,8 @@ import pytest
 
 from varsolve import corpus
 from varsolve.cli import main
-from varsolve.formats import (parse_machine_instance, write_graph, write_multiset,
+from varsolve.formats import (parse_machine_instance, write_graph, write_heat,
+                              write_machine_instance, write_multiset,
                               write_multiset_sections, write_splits)
 from varsolve.mealy import Loop, WalkDecomposition, subdivide
 from varsolve.oracle import validate_ewmm_decomposition
@@ -132,6 +133,58 @@ def test_multiset_outputs_are_pinned(capsys, tmp_path):
                 code, out = capture(capsys, command, str(path), flag)
                 digest.update(f"{command} {seed} {flag} {code}\n{out}".encode())
     assert digest.hexdigest() == MULTISET_DIGEST
+
+
+# A machine whose states already use the names t0 and t2: the fresh states
+# of its subdivision skip them, so its six transitions get t1, t3, ..., t7,
+# and its certificate runs loops at t0 and at u.
+CLASHING_EWMM = """states: s t0 t2 u
+start: s
+input: a b
+output: _ x y
+s a -> t0 x
+t0 b -> t2 _
+t2 a -> s y
+t2 b -> u x
+u a -> u y
+t0 a -> t0 x
+census:
+x 3
+y 2
+"""
+
+# The sha256 of what ``ewmm --certificate`` prints, with its exit code, on
+# the machines and censuses the corpus draws from seeds 1 and 2, on the
+# ``reduce-heat`` images of the heat instances it draws from them, and on
+# CLASHING_EWMM: a cheaper search or certificate leaves every byte as it is.
+EWMM_DIGEST = "22f55ce6178077b077e31e1caa42220abda9e0e192196c4bbad56ab195bfbc97"
+
+
+def test_ewmm_outputs_are_pinned(capsys, monkeypatch, tmp_path):
+    digest = hashlib.sha256()
+
+    def certify(text, label):
+        path = tmp_path / "instance.txt"
+        path.write_text(text)
+        code, out = capture(capsys, "ewmm", str(path), "--certificate")
+        digest.update(f"{label} {code}\n{out}".encode())
+
+    for seed in (1, 2):
+        rng = corpus.make_rng(seed)
+        for i in range(100):
+            certify(write_machine_instance(*corpus._machine_census(rng)),
+                    f"machine {seed} {i}")
+        rng = corpus.make_rng(seed)
+        for i in range(30):
+            path = tmp_path / "heat.txt"
+            path.write_text(write_heat(corpus._random_heat(rng)))
+            code, image = capture(capsys, "reduce-heat", str(path))
+            assert code == 0
+            monkeypatch.setattr("sys.stdin", io.StringIO(image))
+            code, out = capture(capsys, "ewmm", "-", "--certificate")
+            digest.update(f"heat {seed} {i} {code}\n{out}".encode())
+    certify(CLASHING_EWMM, "clashing")
+    assert digest.hexdigest() == EWMM_DIGEST
 
 
 def read_printed_ewmm(m, certificate):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from varsolve import census_solvers, ilp, variety
 from varsolve.corpus import (FAMILIES, _machine_census, enumerate_feasibility, make_rng,
@@ -537,6 +537,42 @@ def test_engine_matches_enumeration(p):
         assert satisfies(p, witness.values)
         for name, lo, hi in p.variables:
             assert lo <= witness[name] <= hi
+
+
+def fixpoint(boxes):
+    """The boxes at the fixpoint of the queued rows, or None when infeasible."""
+    try:
+        boxes.propagate()
+    except ProvenInfeasible:
+        return None
+    return boxes.lo, boxes.hi
+
+
+# A search resumes after a cut from its root's fixpoint with only the cut row
+# queued, which is sound because the fixpoint of the rows does not depend on
+# when they join the queue.  The examples take the gcd cut (2x + 4y is even)
+# and the lattice step (2x + 3y = 7 puts x in 2 + 3Z) only once the later
+# rows join.
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.one_of(box_programs(), st.integers(0, 2**32).map(
+    lambda seed: random_program(make_rng(seed), 7, 10))), st.integers(0, 5))
+@example(program([("x", 0, 10), ("y", 0, 10)],
+                 [({"x": 1, "y": 1}, "<=", 8), ({"x": 2, "y": 3}, "=", 7)]), 1)
+@example(program([("x", 0, 10), ("y", 0, 10), ("z", 0, 1)],
+                 [({"x": 1, "y": -1}, "<=", 3), ({"x": 2, "y": 4, "z": 1}, "=", 7),
+                  ({"z": 1}, "=", 0)]), 1)
+def test_fixpoint_does_not_depend_on_when_rows_join(p, split):
+    whole = fixpoint(ilp._Boxes(p))
+    split = min(split, len(p.constraints))
+    boxes = ilp._Boxes(IntegerProgram(p.variables, p.constraints[:split]))
+    if fixpoint(boxes) is None:
+        assert whole is None
+        return
+    for con in p.constraints[split:]:
+        boxes.add(con)
+        boxes.queued[-1] = True
+        boxes.queue.append(len(boxes.rows) - 1)
+    assert fixpoint(boxes) == whole
 
 
 def at_least(k):

@@ -8,7 +8,8 @@ from varsolve.corpus import make_rng, random_machine
 from varsolve.mealy import (EMPTY, CensusRequirement, IllegalChoice,
                             InputNotConsumed, Loop, MealyMachine, NotAWalk,
                             Transition, WalkDecomposition, census_of,
-                            decompose_counts, decompose_walk, run, subdivide)
+                            decompose_counts, decompose_walk, run, subdivide,
+                            subdivide_part)
 
 
 def machine(states, start, inputs, outputs, transitions):
@@ -79,6 +80,53 @@ def test_subdivide_size_bounds():
         assert len(sub.states) == len(m.states) + len(m.transitions)
         k = len(m.states) + len(m.input_alphabet) + len(m.output_alphabet)
         assert len(sub.states) <= k + k ** 4
+
+
+# State names that clash with fresh ones (t0 ... t8), that look like them but
+# are other names (t00, t, T1, a Devanagari digit), and plain ones.
+T_NAMES = ("t0", "t1", "t2", "t3", "t5", "t8", "t00", "t", "T1", "t\u0967", "q", "s")
+
+
+def renamed(m, names):
+    """m with its states renamed, in sorted order, to ``names``."""
+    to = dict(zip(sorted(m.states), names))
+    return MealyMachine(frozenset(to.values()), to[m.start], m.input_alphabet,
+                        m.output_alphabet,
+                        tuple(Transition(to[t.source], t.reads, to[t.target], t.writes)
+                              for t in m.transitions))
+
+
+def subdivision_cases():
+    """Random machines, some renamed onto T_NAMES, and self-loop machines."""
+    rng = make_rng(17)
+    for _ in range(300):
+        m = random_machine(rng, max_states=5, max_letters=3, max_transitions=10)
+        if rng.random() < 0.6:
+            m = renamed(m, rng.sample(T_NAMES, len(m.states)))
+        yield m
+    for state in ("s", "t0", "t1"):
+        yield machine({state}, state, {"a"}, {"x", EMPTY},
+                      [(state, "a", state, "x"), (state, "a", state, EMPTY)])
+
+
+def test_subdivision_names_and_validity():
+    rng = make_rng(3)
+    for m in subdivision_cases():
+        sub = subdivide(m)
+        # The checking constructor accepts what subdivide built unchecked.
+        assert MealyMachine(*sub) == sub
+        # Transition i's fresh state is the i-th free name t0, t1, ...
+        free = (f"t{j}" for j in range(len(m.states) + len(m.transitions))
+                if f"t{j}" not in m.states)
+        assert [hop.target for hop in sub.transitions[::2]] == \
+            [next(free) for _ in m.transitions]
+        # A part holds the same hops, in the order of its indices.
+        indices = rng.sample(range(len(m.transitions)), rng.randint(0, len(m.transitions)))
+        part = subdivide_part(m, indices)
+        assert part.transitions == tuple(sub.transitions[2 * i + hop]
+                                         for i in indices for hop in (0, 1))
+        assert part.states == m.states | {hop.target for hop in part.transitions[::2]}
+        assert MealyMachine(*part) == part
 
 
 def test_subdivided_replay_preserves_census():
