@@ -7,8 +7,10 @@ questions: does SOME input word admit a census-meeting computation
 Run:  python3 demos/census_machines_tour.py
 """
 
+from collections import Counter
+
 from varsolve import (EMPTY, CensusRequirement, MealyMachine, Transition,
-                      census_of, decompose_walk, run, solve_ewmm, solve_gwmm,
+                      census_of, decompose_counts, run, solve_ewmm, solve_gwmm,
                       subdivide)
 
 print("=== A tiny vending machine ===")
@@ -51,7 +53,7 @@ for _ in range(12):
         break
     walk.append(options[0])
     state = options[0].target
-decomposition = decompose_walk(simple, walk)
+decomposition = decompose_counts(simple, Counter(walk))
 print(f"walk of length {len(walk)} became base of length "
       f"{len(decomposition.base_walk)} plus {len(decomposition.loops)} loop kinds")
 for loop in decomposition.loops:

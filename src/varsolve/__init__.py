@@ -25,17 +25,15 @@ _SUBMODULES = frozenset({"census_solvers", "cli", "corpus", "formats", "ilp",
 _EXPORTS = {
     "census_solvers": ("solve_ewmm", "solve_gwmm"),
     "ilp": ("Assignment", "BudgetExceeded", "Constraint", "IntegerProgram",
-            "MalformedProgram", "ProvenInfeasible", "dump_program",
-            "propagate_bounds", "solve_feasibility"),
+            "MalformedProgram", "dump_program", "solve_feasibility"),
     "mealy": ("EMPTY", "CensusRequirement", "Loop", "MealyMachine", "Transition",
-              "WalkDecomposition", "census_of", "decompose_counts", "decompose_walk",
-              "run", "subdivide", "subdivide_part"),
+              "WalkDecomposition", "census_of", "decompose_counts", "run",
+              "subdivide", "subdivide_part"),
     "reductions": ("HeatInstance", "MulticoloredGraph", "SplitsInstance",
                    "heat_to_ewmm", "mcc_to_gwmm", "splits_to_gwmm",
                    "subsetsum_to_partition"),
-    "variety": ("Multiset", "SubsetCertificate", "TripleCover", "combined_variety",
-                "solve_3partition", "solve_num_3dm", "solve_nmts",
-                "solve_partition", "solve_subset_sum"),
+    "variety": ("Multiset", "SubsetCertificate", "TripleCover", "solve_3partition",
+                "solve_num_3dm", "solve_nmts", "solve_partition", "solve_subset_sum"),
 }
 # Each public name -> the submodule that holds it.
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

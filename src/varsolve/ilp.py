@@ -78,10 +78,6 @@ class IntegerProgram(NamedTuple):
     variables: tuple[tuple[str, int, int], ...]
     constraints: tuple[Constraint, ...]
 
-    def variable_names(self) -> list[str]:
-        # A list comprehension, not tuple(<generator>): its shrunk tuples pile up on free lists.
-        return [name for name, _, _ in self.variables]
-
 
 class Assignment(NamedTuple):
     values: Mapping[str, int]
@@ -342,15 +338,6 @@ class _Boxes:
             raise
 
 
-def propagate_bounds(program: IntegerProgram) -> IntegerProgram:
-    """Return an equivalent program with boxes tightened to a fixpoint."""
-    boxes = _Boxes(program)
-    boxes.propagate()
-    variables = tuple([(name, lo, hi) for (name, _, _), lo, hi
-                       in zip(program.variables, boxes.lo, boxes.hi)])
-    return IntegerProgram(variables=variables, constraints=program.constraints)
-
-
 def _equalities_consistent(rows: list[tuple[list[tuple[int, int]], str, int]]) -> bool:
     """Whether the compiled equality rows have a rational solution, ignoring boxes.
 
@@ -470,8 +457,9 @@ def solve_feasibility(program: IntegerProgram, budget: Optional[int] = None,
     until both ends of the box are used up; a variable in no equality row
     starts at the low end, so it takes its values in increasing order.  The
     search runs on an explicit stack of frames (branch variable, first
-    value, up cursor, down cursor, parent box of the variable, trail mark),
-    one frame per branched variable.
+    value, up cursor, down cursor, trail mark), one frame per branched
+    variable; undoing the trail to a frame's mark restores the box its
+    variable had when the frame was pushed.
 
     ``cut`` (None: none) sees each leaf's values and returns None to accept
     it, or a ``<=`` or ``>=`` row it violates; the row joins the compiled
@@ -515,9 +503,9 @@ def solve_feasibility(program: IntegerProgram, budget: Optional[int] = None,
                 # The first unfixed variable with the narrowest box.
                 k = widths.index(narrowest)
                 first = _first_value(boxes, k)
-                stack.append([k, first, first, first - 1, lo[k], hi[k], len(boxes.trail)])
+                stack.append([k, first, first, first - 1, len(boxes.trail)])
             else:
-                values = dict(zip(program.variable_names(), lo))
+                values = dict(zip([name for name, _, _ in program.variables], lo))
                 if not satisfies(program, values):
                     raise AssertionError("propagation fixed every box to a point that "
                                          "fails a constraint")
@@ -527,7 +515,7 @@ def solve_feasibility(program: IntegerProgram, budget: Optional[int] = None,
                 program = IntegerProgram(program.variables, program.constraints + (row,))
                 # The bottom frame took its trail mark at the root's fixpoint.
                 if stack:
-                    boxes.undo(stack[0][6])
+                    boxes.undo(stack[0][4])
                     stack.clear()
                 boxes.add(row)
                 boxes.queued[-1] = True
@@ -536,11 +524,11 @@ def solve_feasibility(program: IntegerProgram, budget: Optional[int] = None,
         # Fix the next branch value, backtracking past used-up frames.
         while stack:
             frame = stack[-1]
-            k, first, up, down, box_lo, box_hi, mark = frame
+            k, first, up, down, mark = frame
             boxes.undo(mark)
-            if up <= box_hi and (down < box_lo or up - first <= first - down):
+            if up <= hi[k] and (down < lo[k] or up - first <= first - down):
                 value, frame[2] = up, up + 1
-            elif down >= box_lo:
+            elif down >= lo[k]:
                 value, frame[3] = down, down - 1
             else:
                 stack.pop()

@@ -5,9 +5,9 @@ writes one output letter (or the empty letter).  Letters are strings; the
 empty letter ``EMPTY`` is the empty string ``""``, spelled ``_`` in machine
 files.  This module provides the machine model, execution, transition
 subdivision to a simple underlying digraph (of every transition, or of
-chosen ones), exact output-letter censuses, and the decomposition of a
-walk, or of its transition counts, into a short base walk plus anchored
-short loops with execution counts.
+chosen ones), exact output-letter censuses, and the decomposition of the
+transition counts of a walk from the start into a short base walk plus
+anchored short loops with execution counts.
 """
 
 from __future__ import annotations
@@ -92,11 +92,6 @@ class MealyMachine(_MachineFields):
 
     def transitions_from(self, state: str) -> list[Transition]:
         return [t for t in self.transitions if t.source == state]
-
-    def is_simple(self) -> bool:
-        """At most one transition between every ordered pair of states."""
-        arcs = {(t.source, t.target) for t in self.transitions}
-        return len(arcs) == len(self.transitions)
 
 
 class _CensusFields(NamedTuple):
@@ -241,20 +236,6 @@ class WalkDecomposition(NamedTuple):
     base_walk: tuple[Transition, ...]
     loops: tuple[Loop, ...] = ()
 
-    def base_states(self) -> list[str]:
-        if not self.base_walk:
-            return []
-        states = [self.base_walk[0].source]
-        states.extend(t.target for t in self.base_walk)
-        return states
-
-    def arc_census(self) -> Counter:
-        census: Counter = Counter(self.base_walk)
-        for loop in self.loops:
-            for t in loop.cycle:
-                census[t] += loop.count
-        return census
-
     def walk(self) -> tuple[Transition, ...]:
         """The base walk with every loop's executions spliced in.
 
@@ -263,30 +244,17 @@ class WalkDecomposition(NamedTuple):
         depend on the order in which loops at one anchor run.  Raises
         ValueError for a loop anchored off a non-empty base walk.
         """
-        states = self.base_states()
-        spliced: list[list[Transition]] = [[] for _ in range(len(self.base_walk) + 1)]
+        base = self.base_walk
+        states = [base[0].source, *(t.target for t in base)] if base else []
+        spliced: list[list[Transition]] = [[] for _ in range(len(base) + 1)]
         for loop in self.loops:
             if states and loop.anchor not in states:
                 raise ValueError(f"loop anchor {loop.anchor!r} is not on the base walk")
             spliced[states.index(loop.anchor) if states else 0] += loop.cycle * loop.count
         walk = spliced[0]
-        for t, after in zip(self.base_walk, spliced[1:]):
+        for t, after in zip(base, spliced[1:]):
             walk += [t, *after]
         return tuple(walk)
-
-
-def decompose_walk(m: MealyMachine, walk: Sequence[Transition]) -> WalkDecomposition:
-    """Rewrite a walk from the start as a short base walk plus anchored
-    short loop counts: ``decompose_counts`` of its transition counts.
-    Requires a simple underlying digraph."""
-    if not m.is_simple():
-        raise NotAWalk("underlying digraph has parallel transitions; subdivide first")
-    state = m.start
-    for t in walk:
-        if t.source != state:
-            raise NotAWalk(f"transition {t.text()} does not continue from {state!r}")
-        state = t.target
-    return decompose_counts(m, Counter(walk))
 
 
 def decompose_counts(m: MealyMachine,

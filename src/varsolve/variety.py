@@ -88,14 +88,6 @@ class Multiset(_MultisetFields):
         return out
 
 
-def combined_variety(*multisets: Multiset) -> int:
-    """Number of distinct values across all the given multisets."""
-    values: set[int] = set()
-    for ms in multisets:
-        values.update(ms.values())
-    return len(values)
-
-
 class SubsetCertificate(NamedTuple):
     """How many copies of each distinct value a selected submultiset takes."""
 

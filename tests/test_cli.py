@@ -638,6 +638,17 @@ def test_each_call_loads_only_its_modules(argv, stdin, loaded):
 
 
 def test_package_resolves_names_on_first_access():
+    # The public surface, spelled out so that any addition or removal shows.
+    assert varsolve.__all__ == [
+        "Assignment", "BudgetExceeded", "CensusRequirement", "Constraint", "EMPTY",
+        "HeatInstance", "IntegerProgram", "Loop", "MalformedProgram", "MealyMachine",
+        "MulticoloredGraph", "Multiset", "SplitsInstance", "SubsetCertificate",
+        "Transition", "TripleCover", "WalkDecomposition", "census_of",
+        "decompose_counts", "dump_program", "heat_to_ewmm", "mcc_to_gwmm", "run",
+        "solve_3partition", "solve_ewmm", "solve_feasibility", "solve_gwmm",
+        "solve_nmts", "solve_num_3dm", "solve_partition", "solve_subset_sum",
+        "splits_to_gwmm", "subdivide", "subdivide_part", "subsetsum_to_partition",
+    ]
     fresh_python("""
 import sys
 import varsolve

@@ -15,12 +15,21 @@ from varsolve.corpus import (FAMILIES, _machine_census, enumerate_feasibility, m
                              random_program)
 from varsolve.ilp import (BudgetExceeded, Constraint, IntegerProgram,
                           MalformedProgram, ProvenInfeasible, dump_program,
-                          propagate_bounds, satisfies, solve_feasibility)
+                          satisfies, solve_feasibility)
 
 
 def program(variables, constraints):
     return IntegerProgram(tuple(variables),
                           tuple(Constraint(c, r, b) for c, r, b in constraints))
+
+
+def propagated(p):
+    """The boxes of p at its propagation fixpoint, as (name, lo, hi) triples;
+    raises ProvenInfeasible when propagation refutes p."""
+    boxes = ilp._Boxes(p)
+    boxes.propagate()
+    return tuple([(name, lo, hi) for (name, _, _), lo, hi
+                  in zip(p.variables, boxes.lo, boxes.hi)])
 
 
 def test_unique_solution():
@@ -77,11 +86,11 @@ def test_undeclared_coefficient_rejected():
     ([("x", 0, 1)], [({"x": 1}, "<", 1)], "unknown relation '<'"),
     ([("x", 0, 1)], [({"x": 1, "y": 0}, ">=", 1)],
      "coefficient on undeclared variable 'y'"),
-], ids=["duplicate", "empty-box", "relation", "undeclared-zero-coefficient"])
-@pytest.mark.parametrize("entry", [solve_feasibility, propagate_bounds])
-def test_malformed_program_messages(entry, variables, constraints, message):
+], ids=["solve_feasibility-duplicate", "solve_feasibility-empty-box",
+        "solve_feasibility-relation", "solve_feasibility-undeclared-zero-coefficient"])
+def test_malformed_program_messages(variables, constraints, message):
     with pytest.raises(MalformedProgram) as info:
-        entry(program(variables, constraints))
+        solve_feasibility(program(variables, constraints))
     assert str(info.value) == message
 
 
@@ -106,14 +115,13 @@ def test_empty_program_constant_constraints():
 
 def test_propagation_tightens_sum():
     p = program([("x", 0, 10), ("y", 0, 10)], [({"x": 1, "y": 1}, "=", 3)])
-    tightened = propagate_bounds(p)
-    assert tightened.variables == (("x", 0, 3), ("y", 0, 3))
+    assert propagated(p) == (("x", 0, 3), ("y", 0, 3))
 
 
 def test_propagation_divisibility_cut():
     p = program([("x", 0, 5)], [({"x": 2}, "=", 7)])
     with pytest.raises(ProvenInfeasible):
-        propagate_bounds(p)
+        propagated(p)
 
 
 def test_propagation_fixpoint_pins_both_variables():
@@ -123,8 +131,7 @@ def test_propagation_fixpoint_pins_both_variables():
     assert points == [(4, 4)]
     p = program([("x", 0, 4), ("y", 0, 4)],
                 [({"x": 1, "y": -1}, "=", 0), ({"x": 1, "y": 1}, "=", 8)])
-    tightened = propagate_bounds(p)
-    assert tightened.variables == (("x", 4, 4), ("y", 4, 4))
+    assert propagated(p) == (("x", 4, 4), ("y", 4, 4))
 
 
 def test_propagation_never_removes_solutions():
@@ -132,18 +139,19 @@ def test_propagation_never_removes_solutions():
     for _ in range(200):
         p = random_program(rng)
         try:
-            tightened = propagate_bounds(p)
+            tightened = propagated(p)
         except ProvenInfeasible:
             assert enumerate_feasibility(p) is None
             continue
-        boxes = {name: (lo, hi) for name, lo, hi in tightened.variables}
+        boxes = {name: (lo, hi) for name, lo, hi in tightened}
         point = enumerate_feasibility(p)
         if point is not None:
             for name, value in point.items():
                 lo, hi = boxes[name]
                 assert lo <= value <= hi
         # Same feasible verdict after tightening.
-        assert (enumerate_feasibility(tightened) is None) == (point is None)
+        narrowed = p._replace(variables=tightened)
+        assert (enumerate_feasibility(narrowed) is None) == (point is None)
 
 
 def test_corpus_soundness_and_completeness():
@@ -209,16 +217,14 @@ def test_search_is_pinned(monkeypatch):
 def test_dump_format():
     p = program([("x1", 0, 2), ("x2", 0, 1)],
                 [({"x1": 3, "x2": 5}, "<=", 11), ({"x1": 1, "x2": -2}, ">=", -1)])
-    # The engine stores the >= row negated; the program and the one
-    # propagate_bounds returns keep it as written.
+    # The engine stores the >= row negated; the program keeps it as written.
     assert solve_feasibility(p) is not None
-    for dumped in (p, propagate_bounds(p)):
-        assert dump_program(dumped).splitlines() == [
-            "0 <= x1 <= 2",
-            "0 <= x2 <= 1",
-            "3*x1 + 5*x2 <= 11",
-            "1*x1 + -2*x2 >= -1",
-        ]
+    assert dump_program(p).splitlines() == [
+        "0 <= x1 <= 2",
+        "0 <= x2 <= 1",
+        "3*x1 + 5*x2 <= 11",
+        "1*x1 + -2*x2 >= -1",
+    ]
 
 
 def test_rank_check_rejects_inconsistent_equalities():
@@ -268,7 +274,7 @@ def test_rank_check_pivots(rows, consistent):
 def rationally_consistent(p):
     """Reference rank check: Gauss-Jordan elimination over Fractions on the
     equality rows; inconsistent exactly when a row reduces to 0 = r, r != 0."""
-    names = p.variable_names()
+    names = [name for name, _, _ in p.variables]
     rows = [[Fraction(con.coeffs.get(name, 0)) for name in names] + [Fraction(con.rhs)]
             for con in p.constraints if con.relation == "="]
     done = 0
@@ -398,24 +404,24 @@ def test_row_whose_widest_span_fits_its_slack_narrows_nothing():
     # than the slack, and x's top comes down to 6.
     row = [({"x": 1, "y": 1}, "<=", 6)]
     fits = program([("x", 0, 6), ("y", 0, 2)], row)
-    assert propagate_bounds(fits).variables == fits.variables
+    assert propagated(fits) == fits.variables
     wider = program([("x", 0, 7), ("y", 0, 2)], row)
-    assert propagate_bounds(wider).variables == (("x", 0, 6), ("y", 0, 2))
+    assert propagated(wider) == (("x", 0, 6), ("y", 0, 2))
     # x + y + z = 4 at the boxes [0, 2] has slack 4 (4 - min) and surplus 2
     # (max - 4), and every span is 2, so no box moves; with x in [-1, 2]
     # x's span is one more than the surplus, and x's bottom goes up to 0.
     row = [({"x": 1, "y": 1, "z": 1}, "=", 4)]
     fits = program([("x", 0, 2), ("y", 0, 2), ("z", 0, 2)], row)
-    assert propagate_bounds(fits).variables == fits.variables
+    assert propagated(fits) == fits.variables
     wider = program([("x", -1, 2), ("y", 0, 2), ("z", 0, 2)], row)
-    assert propagate_bounds(wider).variables == fits.variables
+    assert propagated(wider) == fits.variables
 
 
 def test_unit_row_fixed_to_a_wrong_sum_is_infeasible():
     p = program([("x", 1, 1), ("y", 2, 2), ("z", 0, 0)],
                 [({"x": 1, "y": -1, "z": 1}, "=", 0)])
     with pytest.raises(ProvenInfeasible):
-        propagate_bounds(p)
+        propagated(p)
 
 
 def test_row_with_a_coefficient_of_two_keeps_the_divisibility_cut():
@@ -424,7 +430,7 @@ def test_row_with_a_coefficient_of_two_keeps_the_divisibility_cut():
     p = program([("x", 0, 10), ("y", 2, 2), ("z", 0, 10)],
                 [({"x": 2, "y": 1, "z": -2}, "=", 7)])
     with pytest.raises(ProvenInfeasible, match="divisibility"):
-        propagate_bounds(p)
+        propagated(p)
 
 
 # 1000000*x + 999999*y = r has the one solution (500001, 333332) in
@@ -435,8 +441,7 @@ LATTICE_ROW = ({"x": 1000000, "y": 999999}, "=", 1000000 * 500001 + 999999 * 333
 def test_lattice_step_pins_two_variable_row():
     p = program([("x", 0, 10**6), ("y", 0, 10**6)], [LATTICE_ROW])
     start = time.perf_counter()
-    assert propagate_bounds(p).variables == (("x", 500001, 500001),
-                                             ("y", 333332, 333332))
+    assert propagated(p) == (("x", 500001, 500001), ("y", 333332, 333332))
     assert time.perf_counter() - start < 1.0
 
 
@@ -444,7 +449,7 @@ def test_lattice_step_refutes_boxed_row():
     p = program([("x", 0, 500000), ("y", 0, 10**6)], [LATTICE_ROW])
     start = time.perf_counter()
     with pytest.raises(ProvenInfeasible):
-        propagate_bounds(p)
+        propagated(p)
     assert time.perf_counter() - start < 1.0
 
 
@@ -663,7 +668,7 @@ def two_variable_rows(draw):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(two_variable_rows())
 def test_lattice_step_matches_enumeration(p):
-    names = p.variable_names()
+    names = [name for name, _, _ in p.variables]
     points = [dict(zip(names, values))
               for values in product(*(range(lo, hi + 1) for _, lo, hi in p.variables))]
     solutions = [point for point in points if satisfies(p, point)]
@@ -673,11 +678,11 @@ def test_lattice_step_matches_enumeration(p):
     if witness is not None:
         assert witness.values in solutions
     try:
-        tightened = propagate_bounds(p)
+        tightened = propagated(p)
     except ProvenInfeasible:
         assert not solutions
         return
-    boxes = {name: (lo, hi) for name, lo, hi in tightened.variables}
+    boxes = {name: (lo, hi) for name, lo, hi in tightened}
     for point in solutions:
         assert all(boxes[name][0] <= point[name] <= boxes[name][1] for name in names)
 
@@ -771,20 +776,20 @@ def mixed_programs(draw):
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(mixed_programs())
 def test_propagate_bounds_reaches_the_full_sweep_fixpoint(p):
-    names = p.variable_names()
+    names = [name for name, _, _ in p.variables]
     solutions = [point for point in
                  (dict(zip(names, values))
                   for values in product(*(range(lo, hi + 1) for _, lo, hi in p.variables)))
                  if satisfies(p, point)]
     try:
-        tightened = propagate_bounds(p)
+        tightened = propagated(p)
     except ProvenInfeasible:
         assert full_sweep(p) is None
         assert not solutions
         return
-    boxes = {name: (lo, hi) for name, lo, hi in tightened.variables}
+    boxes = {name: (lo, hi) for name, lo, hi in tightened}
     # No row the reference sweeps can move a box any further.
-    assert full_sweep(tightened) == boxes
+    assert full_sweep(p._replace(variables=tightened)) == boxes
     assert full_sweep(p) == boxes
     for point in solutions:
         assert all(boxes[name][0] <= point[name] <= boxes[name][1] for name in names)

@@ -15,10 +15,10 @@ from varsolve.oracle import (brute_3partition, brute_nmts, brute_num3dm,
                              validate_partition_certificate,
                              validate_subset_certificate)
 from varsolve.variety import (CardinalityMismatch, Multiset, NotDivisibleBy3,
-                              combined_variety, nmts_program, num3dm_program,
-                              partition_program, solve_3partition, solve_num_3dm,
-                              solve_nmts, solve_partition, solve_subset_sum,
-                              subset_sum_program, three_partition_program)
+                              nmts_program, num3dm_program, partition_program,
+                              solve_3partition, solve_num_3dm, solve_nmts,
+                              solve_partition, solve_subset_sum, subset_sum_program,
+                              three_partition_program)
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -151,7 +151,7 @@ def test_variety_bound_on_built_programs():
     assert len(subset_sum_program(a, 10).variables) <= a.variety()
     assert len(partition_program(ms(2, 2, 4)).variables) <= 2
     b, c = ms(1, 2, 2), ms(4, 5, 6)
-    k = combined_variety(a, b, c)
+    k = len({*a.values(), *b.values(), *c.values()})
     assert len(num3dm_program(a, b, c, 12).variables) <= k ** 3
     assert len(nmts_program(a, b, c).variables) <= k ** 3
     d = ms(1, 1, 2, 2, 3, 3)
