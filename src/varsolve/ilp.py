@@ -35,6 +35,17 @@ finds the widest unfixed term, and when that term fits in the row's slack
 the row narrows nothing and the visit ends there.  Rows whose coefficients
 are all +-1, as the flow and census rows of the exists-word program are,
 skip the gcd cut and the lattice step, which cannot act on them.
+
+A one-row knapsack (a single ``=`` row, not all +-1, no cut) that the value
+search has not decided in 32 nodes, with at least four variables unfixed at
+its root, is finished in the kernel lattice of its row instead (Aardal,
+Hurkens and Lenstra, 2000, after Lenstra's lattice method of 1983): every
+solution is x0 + Q^T lam for an LLL-reduced basis Q of the row's integer
+kernel, and a search over the short boxes of lam needs a few nodes where
+trying the values of one box after another needs thousands.  A row can
+answer No there before any search, when the gcd of its coefficients does
+not divide its right-hand side or a box of lam is empty.  Its nodes count
+against the same budget.
 """
 from __future__ import annotations
 
@@ -64,6 +75,9 @@ class BudgetExceeded(Exception):
 
 # The budget of the census solvers and of every command-line solve.
 DEFAULT_BUDGET = 2_000_000
+
+# The nodes a one-row search spends before it moves to the kernel lattice.
+_LATTICE_SWITCH = 32
 
 
 class Constraint(NamedTuple):
@@ -428,6 +442,196 @@ def _first_value(boxes: _Boxes, k: int) -> int:
     return lo if first is None else first
 
 
+def _dot(u: list[int], v: list[int]) -> int:
+    return sum(map(operator.mul, u, v))
+
+
+def _kernel(coeffs: list[int]) -> tuple[int, list[int], list[list[int]]]:
+    """(g, u, basis) with a . u = g = gcd(a) and ``basis`` a basis of {y : a . y = 0}.
+
+    Euclid's algorithm as column operations on the identity: each step
+    subtracts a multiple of one column from another, or swaps two, so the
+    columns stay a unimodular matrix U whose column j has a . U_j equal to
+    the j-th entry of the running vector.  When that vector is (+-g, 0, ...,
+    0), U_1, ..., U_{n-1} span the integer kernel and U_0, signed to match,
+    has a . U_0 = g.  ``coeffs`` must not be all zero.
+    """
+    n = len(coeffs)
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    v = list(coeffs)
+    for i in range(1, n):
+        while v[i]:
+            q = v[0] // v[i]
+            cols[0] = [x - q * y for x, y in zip(cols[0], cols[i])]
+            v[0], v[i] = v[i], v[0] - q * v[i]
+            cols[0], cols[i] = cols[i], cols[0]
+    if v[0] < 0:
+        return -v[0], [-x for x in cols[0]], cols[1:]
+    return v[0], cols[0], cols[1:]
+
+
+def _lll(b: list[list[int]]) -> None:
+    """LLL-reduce the independent integer vectors ``b`` in place (delta = 3/4).
+
+    The integral version of Cohen, *A Course in Computational Algebraic
+    Number Theory* (1993), Algorithm 2.6.7: d[j] is the Gram determinant of
+    the first j vectors and lam[k][j] = d[j+1] times the Gram-Schmidt
+    coefficient mu_kj, so every quantity is an integer and every division
+    is exact.
+    """
+    m = len(b)
+    d = [1, _dot(b[0], b[0])] + [0] * (m - 1)
+    lam = [[0] * m for _ in range(m)]
+
+    def reduce(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 1, 0
+    while k < m:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = _dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        reduce(k, k - 1)
+        mu = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * mu * mu:
+            # Swap b[k-1] and b[k] and update the Gram-Schmidt data.
+            b[k - 1], b[k] = b[k], b[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            big = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+                lam[i][k - 1] = (big * t + mu * lam[i][k]) // d[k + 1]
+            d[k] = big
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+
+
+def _kernel_search(coeffs: list[int], rhs: int, lo: list[int], hi: list[int],
+                   budget: Optional[int]) -> Optional[tuple[list[int], int]]:
+    """Solve a . x = rhs over the box [lo, hi] in the kernel lattice of a.
+
+    The reformulation of Aardal, Hurkens and Lenstra (*Math. Oper. Res.*
+    25, 2000): every integer solution is x = x0 + Q^T lam for an integer
+    vector lam, where x0 = (rhs / g) u and the rows of Q are the kernel
+    basis of ``_kernel`` after LLL reduction.  The reduced rows are short
+    and nearly orthogonal, so the box of x pins each entry of lam to a short
+    range, and a search over lam ends where one over x enumerates values
+    box after box.  lam's box is exact interval arithmetic on
+    lam = P (x - x0), P = (Q Q^T)^-1 Q: a fraction-free Gauss-Jordan
+    elimination (Bareiss) turns [Q Q^T | Q] into [D I | D P], D = det(Q Q^T)
+    > 0, so each bound is one floor or ceiling by D.  The program over lam
+    and x (x_i - Q_i . lam = x0_i, x_i in its box) goes to
+    ``solve_feasibility`` with ``budget``.
+
+    Returns (x, nodes), or None when no x exists; x is the solution's
+    values and nodes the search's node count.  When g does not divide rhs or
+    a box of lam is empty the answer is None with no search.  ``coeffs``
+    has at least two entries, not all zero.
+    """
+    g, u, basis = _kernel(coeffs)
+    if rhs % g:
+        return None
+    n, m = len(coeffs), len(basis)
+    x0 = [rhs // g * x for x in u]
+    _lll(basis)
+    rows = [[_dot(q, r) for r in basis] + q for q in basis]
+    last = 1
+    for p in range(m):
+        pivot_row = rows[p]
+        pivot = pivot_row[p]
+        for i in range(m):
+            if i != p:
+                row = rows[i]
+                c = row[p]
+                rows[i] = [(pivot * x - c * y) // last for x, y in zip(row, pivot_row)]
+        last = pivot
+    variables = []
+    for j, row in enumerate(rows):
+        low = high = -_dot(row[m:], x0)
+        for w, x_lo, x_hi in zip(row[m:], lo, hi):
+            if w > 0:
+                low += w * x_lo
+                high += w * x_hi
+            else:
+                low += w * x_hi
+                high += w * x_lo
+        low, high = -(-low // last), high // last
+        if low > high:
+            return None
+        variables.append((f"l{j}", low, high))
+    variables += [(f"x{i}", lo[i], hi[i]) for i in range(n)]
+    constraints = []
+    for i in range(n):
+        coeffs_i = {f"x{i}": 1}
+        for j, q in enumerate(basis):
+            if q[i]:
+                coeffs_i[f"l{j}"] = -q[i]
+        constraints.append(Constraint(coeffs_i, EQ, x0[i]))
+    witness = solve_feasibility(IntegerProgram(tuple(variables), tuple(constraints)), budget)
+    if witness is None:
+        return None
+    return [witness[f"x{i}"] for i in range(n)], witness.nodes
+
+
+def _unfixed_at(boxes: _Boxes, mark: int, terms: list[tuple[int, int]]) -> int:
+    """How many variables of ``terms`` were unfixed when the trail was ``mark`` long.
+
+    Boxes only narrow after the mark, so a variable was unfixed then when it
+    is unfixed now or the trail holds an unfixed box of it since the mark.
+    """
+    lo, hi = boxes.lo, boxes.hi
+    trailed = {k for k, old_lo, old_hi in boxes.trail[mark:] if old_lo < old_hi}
+    return sum([lo[k] < hi[k] or k in trailed for k, _ in terms])
+
+
+def _lattice_phase(program: IntegerProgram, boxes: _Boxes, nodes: int,
+                   budget: Optional[int]) -> Optional[Assignment]:
+    """Finish a one-row search in the kernel lattice, from the root's fixpoint.
+
+    ``boxes`` hold that fixpoint and ``nodes`` the nodes spent so far.  The
+    row's fixed terms fold into its right-hand side, its unfixed variables
+    go to ``_kernel_search`` with the budget that is left, and a variable
+    outside the row keeps the low end of its box.
+    """
+    (terms, _, rhs), = boxes.rows
+    lo, hi = boxes.lo, boxes.hi
+    free = [(k, c) for k, c in terms if lo[k] < hi[k]]
+    rhs -= sum([c * lo[k] for k, c in terms if lo[k] == hi[k]])
+    try:
+        found = _kernel_search([c for _, c in free], rhs, [lo[k] for k, _ in free],
+                               [hi[k] for k, _ in free],
+                               None if budget is None else budget - nodes)
+    except BudgetExceeded:
+        raise BudgetExceeded(f"node cap {budget} exceeded") from None
+    if found is None:
+        return None
+    point, more = found
+    values = lo[:]
+    for (k, _), value in zip(free, point):
+        values[k] = value
+    values = dict(zip([name for name, _, _ in program.variables], values))
+    if not satisfies(program, values):
+        raise AssertionError("the kernel lattice gave a point that fails the program")
+    return Assignment(values=values, nodes=nodes + more)
+
+
 def solve_feasibility(program: IntegerProgram, budget: Optional[int] = None,
                       cut: Optional[Callable] = None) -> Optional[Assignment]:
     """Decide feasibility over the boxes; return a witness or None.
@@ -472,24 +676,52 @@ def solve_feasibility(program: IntegerProgram, budget: Optional[int] = None,
     the new row reaches the fixpoint that propagating every row from the
     declared boxes would.  The new root costs one node, as any root does.
 
+    A program of one ``=`` row whose coefficients are not all +-1, with no
+    ``cut``, moves to a second phase after ``_LATTICE_SWITCH`` (32) nodes
+    without a verdict when its root's fixpoint left four or more of the
+    row's variables unfixed; the gate is read once per call from the
+    compiled rows.  The phase undoes the trail to the bottom frame's mark
+    (the root's fixpoint, as a cut does), folds the fixed terms into the
+    right-hand side, solves the row over its unfixed variables in its
+    kernel lattice (``_kernel_search``, one more call of this function) and
+    re-checks the point on the program; a variable outside the row takes
+    the low end of its box.  Most rows are decided in fewer nodes than the
+    reduction costs; with three unfixed variables one branch leaves two,
+    which the lattice step settles; and a +-1 row is decided by its
+    activity range, so the gate leaves all of these to this search.
+
     Spends one unit of ``budget`` (None: no cap) per search node: each root
     and every child whose box is fixed to a branch value, before it is
-    propagated.  Raises BudgetExceeded when it is spent before a verdict.
-    A leaf is re-checked on the program and the cut rows (``satisfies``); a
-    failure is a fault of the engine and raises AssertionError.
+    propagated.  The kernel lattice search gets what the first search left,
+    and the witness's ``nodes`` sums both.  Raises BudgetExceeded when the
+    budget is spent before a verdict, naming the cap given here.  A leaf is
+    re-checked on the program and the cut rows (``satisfies``); a failure is
+    a fault of the engine and raises AssertionError.
     """
     boxes = _Boxes(program)
     consistent = (sum(relation == EQ for _, relation, _ in boxes.rows) < 2
                   or _equalities_consistent(boxes.rows))
     cap = math.inf if budget is None else budget
     lo, hi = boxes.lo, boxes.hi
+    rows = boxes.rows
+    # Past ``limit`` nodes the search either runs out of budget or, for a
+    # one-row knapsack, moves to the kernel lattice; one test covers both.
+    limit = (min(cap, _LATTICE_SWITCH) if cut is None and len(rows) == 1
+             and rows[0][1] == EQ and not boxes.unit[0] else cap)
     nodes = 0
     stack: list[list] = []
     while True:
         # Enter a node: its boxes are set and the rows to revisit queued.
         nodes += 1
-        if nodes > cap:
-            raise BudgetExceeded(f"node cap {budget} exceeded")
+        if nodes > limit:
+            if nodes > cap:
+                raise BudgetExceeded(f"node cap {budget} exceeded")
+            limit = cap
+            # The bottom frame took its trail mark at the root's fixpoint.
+            mark = stack[0][4]
+            if _unfixed_at(boxes, mark, rows[0][0]) >= 4:
+                boxes.undo(mark)
+                return _lattice_phase(program, boxes, nodes - 1, budget)
         if not consistent:
             return None
         try:

@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
+import knapsacks
 import varsolve
 import varsolve.cli
 import varsolve.variety
 from varsolve.cli import build_parser, main
-from varsolve.formats import parse_machine_instance
+from varsolve.formats import parse_machine_instance, write_multiset
 from varsolve.mealy import Loop, WalkDecomposition, subdivide
 from varsolve.oracle import validate_ewmm_decomposition
 
@@ -240,6 +241,18 @@ def test_multiset_budget_reports_unknown(capsys):
     assert run_cli(capsys, "subsetsum", cliff, "--budget", "0") == (
         3, "UNKNOWN\n", "budget: node cap 0 exceeded\n")
     assert run_cli(capsys, "subsetsum", cliff)[:2] == (0, "YES\n")
+
+
+def test_multiset_budget_runs_over_the_kernel_lattice_search(capsys, monkeypatch):
+    # The hard knapsack moves to its kernel lattice after 32 nodes and runs
+    # out there; the message names the cap given, not the part left of it.
+    a, target = knapsacks.family(8, 10**6)
+    text = write_multiset(a, target)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run_cli(capsys, "subsetsum", "-", "--budget", "40") == (
+        3, "UNKNOWN\n", "budget: node cap 40 exceeded\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run_cli(capsys, "subsetsum", "-", "--budget", "1000") == (1, "NO\n", "")
 
 
 def test_dump_ilp_prints_the_program_before_unknown(capsys):

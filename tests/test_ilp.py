@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import operator
 import time
 from fractions import Fraction
 from itertools import product
@@ -10,6 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import knapsacks
 from varsolve import census_solvers, ilp, variety
 from varsolve.corpus import (FAMILIES, _machine_census, enumerate_feasibility, make_rng,
                              random_program)
@@ -21,6 +23,27 @@ from varsolve.ilp import (BudgetExceeded, Constraint, IntegerProgram,
 def program(variables, constraints):
     return IntegerProgram(tuple(variables),
                           tuple(Constraint(c, r, b) for c, r, b in constraints))
+
+
+def lattice_calls(monkeypatch):
+    """The argument tuples of every move to the kernel lattice from here on."""
+    calls = []
+    phase = ilp._lattice_phase
+
+    def recording(*args):
+        calls.append(args)
+        return phase(*args)
+
+    monkeypatch.setattr(ilp, "_lattice_phase", recording)
+    return calls
+
+
+# A one-row program with four unfixed variables that the value-by-value
+# search decides YES only at node 46: the kernel lattice takes it over.
+SWITCHED = IntegerProgram((("x1", 0, 9), ("x2", 0, 7), ("x3", 0, 7), ("x4", 0, 7)),
+                          (Constraint({"x1": 47, "x2": 12, "x3": 41, "x4": 38}, "=", 527),))
+# The witness the value-by-value search gives it.
+UNSWITCHED = ({"x1": 0, "x2": 1, "x3": 7, "x4": 6}, 46)
 
 
 def propagated(p):
@@ -37,7 +60,7 @@ def test_unique_solution():
     assert solve_feasibility(p).values == {"x": 2}
 
 
-def test_node_budget():
+def test_node_budget(monkeypatch):
     # 29 is the largest sum 6, 10 and 15 cannot make: the root and two
     # children refute it, so a cap of two nodes runs out first.
     no = program([("x", 0, 20), ("y", 0, 20), ("z", 0, 20)],
@@ -52,6 +75,19 @@ def test_node_budget():
     assert solve_feasibility(yes, budget=10**6) == witness
     with pytest.raises(BudgetExceeded):
         solve_feasibility(yes, budget=witness.nodes - 1)
+    # The kernel lattice search gets the budget the first search left, the
+    # witness counts the nodes of both, and a cap hit in the second search
+    # is reported as the caller's.
+    calls = lattice_calls(monkeypatch)
+    witness = solve_feasibility(SWITCHED)
+    assert len(calls) == 1 and calls[0][2] == ilp._LATTICE_SWITCH
+    assert satisfies(SWITCHED, witness.values)
+    assert ilp._LATTICE_SWITCH < witness.nodes < UNSWITCHED[1]
+    assert solve_feasibility(SWITCHED, budget=witness.nodes) == witness
+    for cap in (witness.nodes - 1, ilp._LATTICE_SWITCH, ilp._LATTICE_SWITCH - 1):
+        with pytest.raises(BudgetExceeded) as info:
+            solve_feasibility(SWITCHED, budget=cap)
+        assert str(info.value) == f"node cap {cap} exceeded"
 
 
 def test_empty_box_against_lower_bound():
@@ -481,13 +517,137 @@ def test_branch_starts_at_smallest_proportional_point():
     assert solve_feasibility(p).values == {"x": 7, "y": 0, "z": 1}
 
 
-def test_search_deeper_than_recursion_limit():
-    # 1,100 branching levels: one frame per level on an explicit stack.
+def test_search_deeper_than_recursion_limit(monkeypatch):
+    # 1,100 branching levels: one frame per level on an explicit stack.  The
+    # +-1 row stays in the value search, which its activity range decides,
+    # and never pays for an LLL reduction of 1,099 kernel vectors.
+    calls = lattice_calls(monkeypatch)
     names = [f"x{i}" for i in range(1100)]
     p = program([(name, 0, 1) for name in names],
                 [({name: 1 for name in names}, "=", 1)])
-    values = solve_feasibility(p).values
-    assert [name for name in names if values[name]] == [names[-1]]
+    start = time.perf_counter()
+    witness = solve_feasibility(p)
+    assert time.perf_counter() - start < 1.0
+    assert [name for name in names if witness[name]] == [names[-1]]
+    assert witness.nodes == 1100 and calls == []
+
+
+def test_cut_or_second_row_stays_in_the_value_search(monkeypatch):
+    # Only a one-row program with no cut moves to the kernel lattice.
+    calls = lattice_calls(monkeypatch)
+    extra = Constraint({"x1": 1}, "<=", 9)
+    for witness in (solve_feasibility(SWITCHED, cut=lambda values: None),
+                    solve_feasibility(with_rows(SWITCHED, [extra]))):
+        assert (witness.values, witness.nodes) == UNSWITCHED
+    assert calls == []
+
+
+def test_inequality_row_stays_in_the_value_search(monkeypatch):
+    # A `<=` row's solutions fill a half-space, not a kernel lattice; this
+    # search walks down 40 variables at their low ends to its leaf.
+    calls = lattice_calls(monkeypatch)
+    names = [f"x{i}" for i in range(40)]
+    p = program([(name, 0, 3) for name in names], [({name: 2 for name in names}, "<=", 7)])
+    witness = solve_feasibility(p)
+    assert witness.values == {name: 0 for name in names} and witness.nodes == 41
+    assert calls == []
+
+
+def test_three_unfixed_variables_stay_in_the_value_search(monkeypatch):
+    # With three variables one branch leaves two, and the two-variable
+    # lattice step decides each child, so past 32 nodes the search goes on.
+    calls = lattice_calls(monkeypatch)
+    p = program([("x1", 0, 47), ("x2", 0, 46), ("x3", 0, 48), ("x4", 5, 5)],
+                [({"x1": 363, "x2": 386, "x3": 193, "x4": 1}, "=", 22045)])
+    with pytest.raises(BudgetExceeded):
+        solve_feasibility(p, budget=ilp._LATTICE_SWITCH)
+    assert solve_feasibility(p) is None
+    assert calls == []
+
+
+def test_lattice_point_failing_the_recheck_is_an_engine_fault(monkeypatch):
+    # The point the kernel lattice gives is re-checked on the original row.
+    monkeypatch.setattr(ilp, "_kernel_search", lambda *args: ([0, 0, 0, 0], 1))
+    with pytest.raises(AssertionError):
+        solve_feasibility(SWITCHED)
+
+
+@pytest.mark.parametrize("k, scale", [(8, 10**4), (8, 10**5), (8, 10**6), (8, 10**7),
+                                      (10, 10**5)])
+def test_hard_knapsack_is_decided_in_the_kernel_lattice(monkeypatch, k, scale):
+    a, target = knapsacks.family(k, scale)
+    calls = lattice_calls(monkeypatch)
+    start = time.perf_counter()
+    assert variety.solve_subset_sum(a, target) is None
+    assert time.perf_counter() - start < 1.0
+    assert len(calls) == 1
+
+
+@st.composite
+def one_rows(draw):
+    """A row of 3 to 6 coefficients, some of them zero or negative, not all
+    zero, with a box per variable that may reach below zero and a right-hand
+    side at or next to the row's value at a point of the boxes."""
+    n = draw(st.integers(3, 6))
+    coeffs = draw(st.lists(st.sampled_from((0, 1, -1, 2, -3, 7, -12, 30, 45, -58)),
+                           min_size=n, max_size=n).filter(any))
+    lo = [draw(st.integers(-6, 3)) for _ in range(n)]
+    hi = [low + draw(st.integers(0, 6)) for low in lo]
+    point = [draw(st.integers(low, high)) for low, high in zip(lo, hi)]
+    shift = draw(st.sampled_from((0, 0, 1, -1, 5)))
+    return coeffs, sum(map(operator.mul, coeffs, point)) + shift, lo, hi
+
+
+def gram_det(basis):
+    """The Gram determinant of ``basis``, by Fraction elimination."""
+    gram = [[Fraction(sum(map(operator.mul, u, v))) for v in basis] for u in basis]
+    det = Fraction(1)
+    for p in range(len(gram)):
+        det *= gram[p][p]
+        for i in range(p + 1, len(gram)):
+            factor = gram[i][p] / gram[p][p]
+            gram[i] = [x - factor * y for x, y in zip(gram[i], gram[p])]
+    return det
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=8).filter(any))
+def test_lll_reduces_the_kernel_basis(coeffs):
+    g, u, basis = ilp._kernel(coeffs)
+    assert g == math.gcd(*coeffs) and sum(map(operator.mul, coeffs, u)) == g
+    det = gram_det(basis)
+    reduced = [list(b) for b in basis]
+    ilp._lll(reduced)
+    # The same lattice: kernel vectors with the same Gram determinant.
+    assert all(sum(map(operator.mul, coeffs, b)) == 0 for b in reduced)
+    assert gram_det(reduced) == det
+    # Size-reduced with |mu| <= 1/2, and Lovasz's condition with delta = 3/4.
+    star, norms = [], []
+    for b in reduced:
+        mu = [sum(map(operator.mul, b, s)) / n for s, n in zip(star, norms)]
+        assert all(abs(m) <= Fraction(1, 2) for m in mu)
+        v = [Fraction(x) for x in b]
+        for m, s in zip(mu, star):
+            v = [x - m * y for x, y in zip(v, s)]
+        if norms:
+            assert sum(x * x for x in v) >= (Fraction(3, 4) - mu[-1] ** 2) * norms[-1]
+        star.append(v)
+        norms.append(sum(x * x for x in v))
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(one_rows())
+def test_kernel_search_matches_reachable_sums(row):
+    coeffs, rhs, lo, hi = row
+    sums = {0}
+    for c, low, high in zip(coeffs, lo, hi):
+        sums = {s + c * x for s in sums for x in range(low, high + 1)}
+    found = ilp._kernel_search(coeffs, rhs, lo, hi, None)
+    assert (found is not None) == (rhs in sums)
+    if found is not None:
+        x, _ = found
+        assert all(low <= v <= high for v, low, high in zip(x, lo, hi))
+        assert sum(map(operator.mul, coeffs, x)) == rhs
 
 
 def test_child_revisits_only_the_rows_of_its_branch_variable():

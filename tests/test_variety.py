@@ -5,8 +5,10 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import knapsacks
+from varsolve import ilp
 from varsolve.formats import parse_multiset
 from varsolve.oracle import (brute_3partition, brute_nmts, brute_num3dm,
                              brute_partition, brute_subset_sum,
@@ -318,3 +320,41 @@ def test_3partition_matches_oracle(a):
     assert (cover is not None) == brute_3partition(a)
     if cover is not None:
         assert validate_3partition_cover(a, cover)
+
+
+@st.composite
+def four_value_draws(draw):
+    """Four distinct values from 667 to 1,333 with multiplicities 5 to 20, and
+    a target that is either the sum of a drawn selection or within one value
+    of half the total: about two in five of these pass 32 search nodes."""
+    values = draw(st.lists(st.integers(667, 1_333), min_size=4, max_size=4, unique=True))
+    a = Multiset(tuple([(value, draw(st.integers(5, 20))) for value in values]))
+    if draw(st.booleans()):
+        return a, sum([value * draw(st.integers(0, m)) for value, m in a.entries])
+    return a, a.total() // 2 + draw(st.integers(-1_333, 1_333))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(four_value_draws(), st.booleans())
+def test_kernel_lattice_matches_reachable_sums(draw, partition):
+    a, s = draw
+    if partition:
+        s = a.total() // 2 if a.total() % 2 == 0 else None
+    calls = []
+    phase = ilp._lattice_phase
+
+    def recording(*args):
+        calls.append(args)
+        return phase(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilp, "_lattice_phase", recording)
+        cert = solve_partition(a) if partition else solve_subset_sum(a, s)
+    reachable = s is not None and knapsacks.benchmark_checks().subset_sum_reference(
+        dict(a.entries), s)
+    assert (cert is not None) == reachable
+    if cert is not None:
+        assert (validate_partition_certificate(a, cert) if partition
+                else validate_subset_certificate(a, s, cert))
+    # Only draws that moved to the kernel lattice count as examples.
+    assume(calls)
