@@ -37,7 +37,7 @@ are all +-1, as the flow and census rows of the exists-word program are,
 skip the gcd cut and the lattice step, which cannot act on them.
 
 A one-row knapsack (a single ``=`` row, not all +-1, no cut) that the value
-search has not decided in 32 nodes, with at least four variables unfixed at
+search has not decided in 32 nodes, with four to forty variables unfixed at
 its root, is finished in the kernel lattice of its row instead (Aardal,
 Hurkens and Lenstra, 2000, after Lenstra's lattice method of 1983): every
 solution is x0 + Q^T lam for an LLL-reduced basis Q of the row's integer
@@ -45,7 +45,8 @@ kernel, and a search over the short boxes of lam needs a few nodes where
 trying the values of one box after another needs thousands.  A row can
 answer No there before any search, when the gcd of its coefficients does
 not divide its right-hand side or a box of lam is empty.  Its nodes count
-against the same budget.
+against the same budget; the reduction does not, which is why a wider row
+stays in the value search.
 """
 from __future__ import annotations
 
@@ -78,6 +79,10 @@ DEFAULT_BUDGET = 2_000_000
 
 # The nodes a one-row search spends before it moves to the kernel lattice.
 _LATTICE_SWITCH = 32
+# The most unfixed variables a row may have at its root's fixpoint and still
+# move: the LLL reduction of their kernel is not counted against the budget,
+# and it takes about 9 ms at 40 variables but minutes at 1,100.
+_LATTICE_WIDEST = 40
 
 
 class Constraint(NamedTuple):
@@ -678,17 +683,19 @@ def solve_feasibility(program: IntegerProgram, budget: Optional[int] = None,
 
     A program of one ``=`` row whose coefficients are not all +-1, with no
     ``cut``, moves to a second phase after ``_LATTICE_SWITCH`` (32) nodes
-    without a verdict when its root's fixpoint left four or more of the
-    row's variables unfixed; the gate is read once per call from the
-    compiled rows.  The phase undoes the trail to the bottom frame's mark
+    without a verdict when its root's fixpoint left four to
+    ``_LATTICE_WIDEST`` (40) of the row's variables unfixed; the rest of the
+    gate is read once per call from the compiled rows.  The phase undoes the trail to the bottom frame's mark
     (the root's fixpoint, as a cut does), folds the fixed terms into the
     right-hand side, solves the row over its unfixed variables in its
     kernel lattice (``_kernel_search``, one more call of this function) and
     re-checks the point on the program; a variable outside the row takes
     the low end of its box.  Most rows are decided in fewer nodes than the
     reduction costs; with three unfixed variables one branch leaves two,
-    which the lattice step settles; and a +-1 row is decided by its
-    activity range, so the gate leaves all of these to this search.
+    which the lattice step settles; a +-1 row is decided by its activity
+    range; and the LLL reduction, which no budget bounds, grows with the
+    cube of the width and more, so the gate leaves all of these to this
+    search.
 
     Spends one unit of ``budget`` (None: no cap) per search node: each root
     and every child whose box is fixed to a branch value, before it is
@@ -719,7 +726,7 @@ def solve_feasibility(program: IntegerProgram, budget: Optional[int] = None,
             limit = cap
             # The bottom frame took its trail mark at the root's fixpoint.
             mark = stack[0][4]
-            if _unfixed_at(boxes, mark, rows[0][0]) >= 4:
+            if 4 <= _unfixed_at(boxes, mark, rows[0][0]) <= _LATTICE_WIDEST:
                 boxes.undo(mark)
                 return _lattice_phase(program, boxes, nodes - 1, budget)
         if not consistent:

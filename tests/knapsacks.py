@@ -3,10 +3,14 @@
 ``family(k, scale)`` draws k distinct values uniformly from scale +- scale/3
 with ``random.Random(k)``, drawing again on a repeat, and gives each one
 multiplicity 10.  The target is the sum nearest half the total (the lower
-one on a tie) that no selection reaches, read off the benchmark's
-reachable-sums bitset.  Every selection near half the total then misses the
-target by a little, so a search that tries the values of one box after
-another meets no early refutation.
+one on a tie) that no selection reaches (``nearest_unreachable``, read off
+the benchmark's reachable-sums bitset).  Every selection near half the
+total then misses the target by a little, so a search that tries the values
+of one box after another meets no early refutation.  The bitset of the
+k = 8 family near 10^7 takes seconds and hundreds of MB to build, so the
+targets are pinned in ``TARGETS``; the tests re-derive the smaller ones.
+
+``lattice_calls`` records the engine's moves to the kernel lattice.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import random
 import sys
 from pathlib import Path
 
+from varsolve import ilp
 from varsolve.variety import Multiset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,16 +36,28 @@ def benchmark_checks():
     return checks
 
 
+# family(k, scale)'s target, as nearest_unreachable gives it.
+TARGETS = {(8, 10**4): 105388, (8, 10**5): 1765338, (8, 10**6): 28374890,
+           (8, 10**7): 355825616, (10, 10**5): 1359009}
+
+
 def family(k: int, scale: int) -> tuple[Multiset, int]:
-    """The family's multiset and target for k values near ``scale``."""
+    """The family's multiset and target for k values near ``scale``, one of
+    the pairs in ``TARGETS``."""
     rng = random.Random(k)
     values: list[int] = []
     while len(values) < k:
         value = rng.randint(scale - scale // 3, scale + scale // 3)
         if value not in values:
             values.append(value)
-    counts = {value: 10 for value in values}
-    total = 10 * sum(values)
+    return Multiset(tuple((value, 10) for value in values)), TARGETS[k, scale]
+
+
+def nearest_unreachable(a: Multiset) -> int:
+    """The sum nearest half of a's total (the lower one on a tie) that no
+    sub-multiset of a reaches."""
+    counts = dict(a.entries)
+    total = a.total()
     half = total // 2
     # Sum s is reachable exactly when total - s is, so the bitset only needs
     # to reach the upper half point.
@@ -52,4 +69,18 @@ def family(k: int, scale: int) -> tuple[Multiset, int]:
 
     below = largest_unreachable(half)
     above = total - largest_unreachable(upper)
-    return Multiset(tuple(counts.items())), below if half - below <= above - half else above
+    return below if half - below <= above - half else above
+
+
+def lattice_calls(patch) -> list[tuple]:
+    """The argument tuples of every move to the kernel lattice from here on;
+    ``patch`` (a pytest MonkeyPatch) undoes the recording."""
+    calls = []
+    phase = ilp._lattice_phase
+
+    def recording(*args):
+        calls.append(args)
+        return phase(*args)
+
+    patch.setattr(ilp, "_lattice_phase", recording)
+    return calls

@@ -25,19 +25,6 @@ def program(variables, constraints):
                           tuple(Constraint(c, r, b) for c, r, b in constraints))
 
 
-def lattice_calls(monkeypatch):
-    """The argument tuples of every move to the kernel lattice from here on."""
-    calls = []
-    phase = ilp._lattice_phase
-
-    def recording(*args):
-        calls.append(args)
-        return phase(*args)
-
-    monkeypatch.setattr(ilp, "_lattice_phase", recording)
-    return calls
-
-
 # A one-row program with four unfixed variables that the value-by-value
 # search decides YES only at node 46: the kernel lattice takes it over.
 SWITCHED = IntegerProgram((("x1", 0, 9), ("x2", 0, 7), ("x3", 0, 7), ("x4", 0, 7)),
@@ -78,7 +65,7 @@ def test_node_budget(monkeypatch):
     # The kernel lattice search gets the budget the first search left, the
     # witness counts the nodes of both, and a cap hit in the second search
     # is reported as the caller's.
-    calls = lattice_calls(monkeypatch)
+    calls = knapsacks.lattice_calls(monkeypatch)
     witness = solve_feasibility(SWITCHED)
     assert len(calls) == 1 and calls[0][2] == ilp._LATTICE_SWITCH
     assert satisfies(SWITCHED, witness.values)
@@ -521,7 +508,7 @@ def test_search_deeper_than_recursion_limit(monkeypatch):
     # 1,100 branching levels: one frame per level on an explicit stack.  The
     # +-1 row stays in the value search, which its activity range decides,
     # and never pays for an LLL reduction of 1,099 kernel vectors.
-    calls = lattice_calls(monkeypatch)
+    calls = knapsacks.lattice_calls(monkeypatch)
     names = [f"x{i}" for i in range(1100)]
     p = program([(name, 0, 1) for name in names],
                 [({name: 1 for name in names}, "=", 1)])
@@ -532,9 +519,24 @@ def test_search_deeper_than_recursion_limit(monkeypatch):
     assert witness.nodes == 1100 and calls == []
 
 
+def test_row_wider_than_the_lattice_gate_stays_in_the_value_search(monkeypatch):
+    # The same 1,100 levels with coefficient 2: not a +-1 row, and past 32
+    # nodes, but an LLL reduction of 1,099 kernel vectors, which no budget
+    # bounds, would take minutes.  The row stays in the value search.
+    calls = knapsacks.lattice_calls(monkeypatch)
+    names = [f"x{i}" for i in range(1100)]
+    p = program([(name, 0, 1) for name in names],
+                [({name: 2 for name in names}, "=", 2)])
+    start = time.perf_counter()
+    witness = solve_feasibility(p)
+    assert time.perf_counter() - start < 1.0
+    assert [name for name in names if witness[name]] == [names[-1]]
+    assert witness.nodes == 1100 and calls == []
+
+
 def test_cut_or_second_row_stays_in_the_value_search(monkeypatch):
     # Only a one-row program with no cut moves to the kernel lattice.
-    calls = lattice_calls(monkeypatch)
+    calls = knapsacks.lattice_calls(monkeypatch)
     extra = Constraint({"x1": 1}, "<=", 9)
     for witness in (solve_feasibility(SWITCHED, cut=lambda values: None),
                     solve_feasibility(with_rows(SWITCHED, [extra]))):
@@ -545,7 +547,7 @@ def test_cut_or_second_row_stays_in_the_value_search(monkeypatch):
 def test_inequality_row_stays_in_the_value_search(monkeypatch):
     # A `<=` row's solutions fill a half-space, not a kernel lattice; this
     # search walks down 40 variables at their low ends to its leaf.
-    calls = lattice_calls(monkeypatch)
+    calls = knapsacks.lattice_calls(monkeypatch)
     names = [f"x{i}" for i in range(40)]
     p = program([(name, 0, 3) for name in names], [({name: 2 for name in names}, "<=", 7)])
     witness = solve_feasibility(p)
@@ -556,7 +558,7 @@ def test_inequality_row_stays_in_the_value_search(monkeypatch):
 def test_three_unfixed_variables_stay_in_the_value_search(monkeypatch):
     # With three variables one branch leaves two, and the two-variable
     # lattice step decides each child, so past 32 nodes the search goes on.
-    calls = lattice_calls(monkeypatch)
+    calls = knapsacks.lattice_calls(monkeypatch)
     p = program([("x1", 0, 47), ("x2", 0, 46), ("x3", 0, 48), ("x4", 5, 5)],
                 [({"x1": 363, "x2": 386, "x3": 193, "x4": 1}, "=", 22045)])
     with pytest.raises(BudgetExceeded):
@@ -576,11 +578,19 @@ def test_lattice_point_failing_the_recheck_is_an_engine_fault(monkeypatch):
                                       (10, 10**5)])
 def test_hard_knapsack_is_decided_in_the_kernel_lattice(monkeypatch, k, scale):
     a, target = knapsacks.family(k, scale)
-    calls = lattice_calls(monkeypatch)
+    calls = knapsacks.lattice_calls(monkeypatch)
     start = time.perf_counter()
     assert variety.solve_subset_sum(a, target) is None
     assert time.perf_counter() - start < 1.0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k, scale", [(8, 10**4), (8, 10**5), (8, 10**6), (10, 10**5)])
+def test_pinned_knapsack_target_is_the_nearest_unreachable_sum(k, scale):
+    # The k = 8 target near 10^7 is pinned too; its bitset is too dear to
+    # rebuild on every run.
+    a, target = knapsacks.family(k, scale)
+    assert knapsacks.nearest_unreachable(a) == target
 
 
 @st.composite

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import knapsacks
-from varsolve import ilp
 from varsolve.formats import parse_multiset
 from varsolve.oracle import (brute_3partition, brute_nmts, brute_num3dm,
                              brute_partition, brute_subset_sum,
@@ -340,15 +339,8 @@ def test_kernel_lattice_matches_reachable_sums(draw, partition):
     a, s = draw
     if partition:
         s = a.total() // 2 if a.total() % 2 == 0 else None
-    calls = []
-    phase = ilp._lattice_phase
-
-    def recording(*args):
-        calls.append(args)
-        return phase(*args)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ilp, "_lattice_phase", recording)
+        calls = knapsacks.lattice_calls(patch)
         cert = solve_partition(a) if partition else solve_subset_sum(a, s)
     reachable = s is not None and knapsacks.benchmark_checks().subset_sum_reference(
         dict(a.entries), s)
